@@ -83,14 +83,15 @@ struct workload {
   edge_input (*make)(std::uint64_t seed);
 };
 
-// Sizes are scaled so that one query takes about 0.3-0.4 s on a 4-core x86
-// box (congest_kp_decomp: 0.07 s, with more graphs per run), which keeps
-// about 40-50 samples in a run and so puts the reported tail near p80,
-// where scheduler hiccups on a shared machine do not decide it. Each keeps
-// its layer share (see README.md). No workload runs more than 3 busy
-// threads or processes. congest_k3_router lists one giant cluster, so a
-// second pool thread would have nothing to do; it would only decide which
-// malloc arena the cluster's buffers grow in, making peak memory bimodal.
+// Sizes are scaled so that one query takes about 0.2-0.4 s on a 4-core x86
+// box, depending on load elsewhere on the host (congest_kp_decomp: 0.05-
+// 0.07 s, with more graphs per run). That keeps about 40-80 samples in a
+// run and so puts the reported tail near p75-p85, where scheduler hiccups
+// on a shared machine do not decide it. Each keeps its layer share (see
+// README.md). No workload runs more than 3 busy threads or processes.
+// congest_k3_router lists one giant cluster, so a second pool thread
+// would have nothing to do; it would only decide which malloc arena the
+// cluster's buffers grow in, making peak memory bimodal.
 const workload kWorkloads[] = {
     {"congest_k3_router", backend::congest, 3, dcl::sink_mode::count, 1, 0, 12,
      [](std::uint64_t s) { return gnp(640, 0.028, s); }},
@@ -112,12 +113,11 @@ const workload kWorkloads[] = {
 // threads land on) vary by 5-30% on this code, so a run that measured one
 // graph would mostly measure which graph --seed happened to draw; pooling
 // many keeps the run-to-run spread of every end-to-end metric small.
-constexpr int kBindsPerGraph = 3;    ///< setup_s samples per instance
+constexpr int kBindsPerGraph = 5;    ///< setup_s samples per instance
 constexpr int kWarmupQueries = 1;    ///< per instance; checked, never timed
 constexpr int kMinPerInstance = 2;   ///< timed queries per instance, at least
 constexpr int kTailBeyond = 10;      ///< samples a reported percentile leaves
 constexpr int kProbeThreads = 2;     ///< local.count_parallel pool size
-constexpr int kOracleThreads = 2;
 
 std::uint64_t instance_seed(std::uint64_t seed, int instance) {
   return rng(seed * 0x100000001B3ull + std::uint64_t(instance)).next();
@@ -316,10 +316,16 @@ struct checker {
   }
 };
 
+/// The oracle takes another path than every workload's queries: one
+/// thread, the scalar traversal and scalar intersections, where the timed
+/// queries run auto-selected kernels on vector lanes, so a deterministic
+/// miscount in either path fails the check on local_kclist_powerlaw too.
 std::int64_t oracle_count(const dcl::graph& g, int p) {
   dcl::session_options opt;
   opt.engine = dcl::listing_engine::local_kclist;
-  opt.threads = kOracleThreads;  // joined before any later fork
+  opt.threads = 1;
+  opt.kernel = dcl::enumkernel::kernel_mode::scalar;
+  opt.simd = dcl::simd_mode::scalar;
   dcl::listing_session solo(g, opt);
   dcl::listing_query q;
   q.p = p;
@@ -721,8 +727,14 @@ struct shard_probe {
           std::make_unique<dcl::listing_session>(s.local, opt.worker_session));
   }
 
-  /// The worker's reply to one query, built as the worker builds it: the
-  /// slice's cliques whose smallest original vertex this shard owns.
+  /// The worker's reply to one query: the slice's cliques whose smallest
+  /// original vertex this shard owns. This mirrors the collect path of
+  /// serve_local (src/shard/worker.cpp), which is not public, and does not
+  /// follow changes to it: shard.worker_run_s, shard.encode_s and
+  /// shard.decode_s time this copy, and shard.fold_residual_s subtracts
+  /// them from the real coordinator run (so it can go negative once the
+  /// worker stops shipping every tuple). shard.tuples_per_clique, from the
+  /// program's own wire counters, is the figure that follows the worker.
   dcl::shard::shard_result reply(int shard, const dcl::query_result& r) const {
     dcl::shard::shard_result res;
     res.p = w.p;
@@ -774,8 +786,6 @@ struct shard_probe {
     lv.add("shard.worker_run_s", worker_max);
     lv.add("shard.encode_s", encode_max);
     lv.add("shard.decode_s", decode_sum);
-    lv.exact("shard.tuples_per_clique",
-             oracle > 0 ? double(emitted) / double(oracle) : 0.0);
     lv.add("shard.fold_residual_s",
            run_s - worker_max - encode_max - decode_sum);
   }
@@ -899,6 +909,13 @@ void run_traced(const workload& w, std::uint64_t seed, double seconds,
           const wire_totals after = wire_sent(s);
           lv.exact("shard.wire_bytes_per_query", after.bytes - before.bytes);
           lv.exact("shard.wire_frames_per_query", after.frames - before.frames);
+          // Worker-sent bytes per byte of the answer's tuples: about 1 while
+          // workers ship every clique, near 0 once they ship counts.
+          const double tuple_bytes =
+              double(c.oracle) * w.p * double(sizeof(dcl::vertex));
+          lv.exact("shard.tuples_per_clique",
+                   tuple_bytes > 0 ? (after.bytes - before.bytes) / tuple_bytes
+                                   : 0.0);
           sp->run(*dt, c.oracle, qid, log, lv);
         }
         kp.run(c.oracle, qid, log, lv);
@@ -980,11 +997,15 @@ int main_impl(int argc, char** argv) {
   if (unsigned(busy) > std::max(1u, std::thread::hardware_concurrency()))
     std::cout << "  note: more busy threads/processes than nproc\n";
 
-  const auto g0 = clock_type::now();
-  const edge_input first = w->make(instance_seed(seed, 0));
-  std::cout << "  instances=" << w->instances << ", the first has n=" << first.n
-            << " m=" << first.edges.size() << " p=" << w->p
-            << " (generated in " << since(g0) << " s)\n";
+  {
+    // Freed before any instance is forked, so no child carries its pages.
+    const auto g0 = clock_type::now();
+    const edge_input first = w->make(instance_seed(seed, 0));
+    std::cout << "  instances=" << w->instances
+              << ", the first has n=" << first.n
+              << " m=" << first.edges.size() << " p=" << w->p
+              << " (generated in " << since(g0) << " s)\n";
+  }
   if (trace)
     run_traced(*w, seed, seconds, spans_path);
   else

@@ -2,18 +2,16 @@
 """Steadiness check: repeats each workload over several seeds and prints, for
 every end-to-end metric, the run-to-run spread against its bound.
 
-    python3 perfbench/steady.py                  # 10 seeds per workload
-    python3 perfbench/steady.py --seeds 5 --workloads congest_kp_decomp
-    python3 perfbench/steady.py --smoke          # one 2-second run each
+    python3 perfbench/steady.py           # seeds 1-10 on every workload
+    python3 perfbench/steady.py --smoke   # one 2-second run each
 
 The spread is the distance between the first and third quartile of the
 per-seed values (statistics.quantiles(values, n=4)) as a share of their
 median. A metric is "steady" when its spread is below a third of its bound
-from BENCHMARK.json, and "over bound" when the spread exceeds the bound
-(setup_s is reported but not gated: its bound limits the shift of its
-median between two sets of runs). --smoke only checks that every run is
-correct and reports every metric. Exits nonzero if any run fails, any
-result is incorrect, or any gated spread is over its bound.
+from BENCHMARK.json, and "over bound" when the spread exceeds the bound.
+--smoke only checks that every run is correct and reports every metric.
+Exits nonzero if any run fails, any result is incorrect, or any spread is
+over its bound.
 """
 
 import argparse
@@ -24,6 +22,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = range(1, 11)
 
 
 def run_once(workload, seed, seconds, trace):
@@ -39,17 +38,13 @@ def run_once(workload, seed, seconds, trace):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=10)
-    ap.add_argument("--workloads", default="", help="comma-separated subset")
     ap.add_argument("--smoke", action="store_true")
     args = ap.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     names = [w["name"] for w in spec["workloads"]]
-    if args.workloads:
-        names = args.workloads.split(",")
-    seconds, seeds = spec["run_seconds"], range(1, args.seeds + 1)
+    seconds, seeds = spec["run_seconds"], SEEDS
     if args.smoke:
         seconds, seeds = 2, [1]
 
@@ -84,11 +79,9 @@ def main():
                 continue
             q1, med, q3 = statistics.quantiles(v, n=4)
             spread = (q3 - q1) / med
-            gated = m["name"] != "setup_s"
-            verdict = ("not gated" if not gated else
-                       "steady" if spread < m["bound"] / 3 else
+            verdict = ("steady" if spread < m["bound"] / 3 else
                        "within bound" if spread <= m["bound"] else "OVER BOUND")
-            if gated and spread > m["bound"]:
+            if spread > m["bound"]:
                 ok = False
             print(f"  {m['name']:<16} median {med:<12.6g} {m['unit']:<5} "
                   f"spread {spread:6.3f}  bound {m['bound']:.2f}  {verdict}")
