@@ -14,7 +14,7 @@
 #include <numeric>
 
 #include "congest/router.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
@@ -77,9 +77,9 @@ void BM_PhiScheduleListing(benchmark::State& state) {
   const auto g = gen::planted_partition(8, 40, 0.4, 0.01, 9);
   listing_report rep;
   for (auto _ : state) {
-    listing_query opt;
-    opt.epsilon = 1.0 / double(inv_eps);
-    list_triangles_congest(g, opt, &rep);
+    listing_query q;
+    q.epsilon = 1.0 / double(inv_eps);
+    rep = listing_session(g).run(q).report;
   }
   state.counters["rounds"] = double(rep.ledger.rounds());
   state.counters["levels"] = double(rep.levels.size());

@@ -1,5 +1,5 @@
-// Session API cost model: cold one-shot (dcl::list_cliques, which rebinds
-// a session per call) vs. warm per-query latency on a bound
+// Session API cost model: cold one-shot (a freshly bound listing_session
+// plus one run, per query) vs. warm per-query latency on a bound
 // listing_session — burst mean plus per-query p50/p99 from the shared
 // percentile helper (bench_common.hpp, same definition bench_serving
 // uses) — and collect vs. count output modes, per backend. The
@@ -24,7 +24,7 @@
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace {
@@ -87,12 +87,9 @@ int main(int argc, char** argv) {
 
   bool first = true;
   for (const auto& w : workloads) {
-    listing_options legacy;
-    legacy.p = w.p;
-    legacy.engine = w.engine;
-    legacy.sim_threads = w.threads;
-    legacy.local_threads = w.threads;
-    const listing_query q = legacy.query();
+    const session_options sopt{.engine = w.engine, .threads = w.threads};
+    listing_query q;
+    q.p = w.p;
 
     // Per-query latency is measured over a burst of queries (the serving
     // shape), best-of-3 bursts, which keeps ~1 ms queries out of the timer
@@ -101,16 +98,16 @@ int main(int argc, char** argv) {
 
     // Reference output + the cold one-shot path: every query pays the full
     // bind (pool spin-up, orientation / arc index, cold arenas).
-    auto ref = list_cliques(w.g, legacy);
+    auto ref = listing_session(w.g, sopt).run(q);
     const double cold_s = best_seconds([&] {
                             for (int i = 0; i < burst; ++i)
-                              ref = list_cliques(w.g, legacy);
+                              ref = listing_session(w.g, sopt).run(q);
                           }) /
                           burst;
 
     // Warm path: bind once, then serve. One untimed priming query lets
     // the arenas grow to their steady-state capacity first.
-    listing_session session(w.g, {.engine = w.engine, .threads = w.threads});
+    listing_session session(w.g, sopt);
     auto warm_res = session.run(q);
     if (!(warm_res.cliques == ref.cliques)) std::abort();
     // Each query is also timed individually (across all three bursts) so

@@ -6,9 +6,8 @@
 
 #include "baselines/dlp12.hpp"
 #include "baselines/naive.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
-#include "local/engine.hpp"
 
 namespace dcl {
 namespace {
@@ -33,7 +32,7 @@ void BM_HeadToHead(benchmark::State& state) {
   listing_report rep;
   baseline::naive_result naive{clique_set(3), {}};
   for (auto _ : state) {
-    list_triangles_congest(g, {}, &rep);
+    rep = listing_session(g).run({}).report;
     naive = baseline::naive_central_listing(g, 3);
   }
   state.counters["ours_rounds"] = double(rep.ledger.rounds());
@@ -49,10 +48,16 @@ void BM_LocalKclist(benchmark::State& state) {
   const auto p = int(state.range(0));
   const auto n = vertex(state.range(1));
   const auto g = gen::gnp(n, 10.0 / double(n), 31);
-  local::engine_options opt;
-  opt.p = p;
+  listing_query q;
+  q.p = p;
+  q.mode = sink_mode::count;
   std::int64_t cliques = 0;
-  for (auto _ : state) cliques = local::count_cliques_local(g, opt);
+  // Bind inside the loop: each sample pays the orientation, like a cold
+  // one-shot count.
+  for (auto _ : state)
+    cliques = listing_session(g, {.engine = listing_engine::local_kclist})
+                  .run(q)
+                  .count;
   if (cliques != count_cliques(g, p)) std::abort();
   state.counters["cliques"] = double(cliques);
 }

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace {

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -22,9 +22,11 @@ void BM_KpListing(benchmark::State& state) {
   listing_report rep;
   clique_set got(p);
   for (auto _ : state) {
-    listing_query opt;
-    opt.p = p;
-    got = list_kp_congest(g, opt, &rep);
+    listing_query q;
+    q.p = p;
+    auto res = listing_session(g).run(q);
+    got = std::move(res.cliques);
+    rep = std::move(res.report);
   }
   state.counters["rounds"] = double(rep.ledger.rounds());
   state.counters["messages"] = double(rep.ledger.messages());

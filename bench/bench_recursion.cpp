@@ -3,7 +3,7 @@
 
 #include "bench_common.hpp"
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -20,9 +20,9 @@ void BM_RecursionDepth(benchmark::State& state) {
                              : gen::gnp(n, 10.0 / double(n), 23);
   listing_report rep;
   for (auto _ : state) {
-    listing_query opt;
-    opt.epsilon = 1.0 / double(inv_eps);
-    list_triangles_congest(g, opt, &rep);
+    listing_query q;
+    q.epsilon = 1.0 / double(inv_eps);
+    rep = listing_session(g).run(q).report;
   }
   double min_removed_frac = 1.0;
   for (const auto& ls : rep.levels) {

@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 
 #include "baselines/naive.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -35,12 +35,14 @@ void BM_TriangleListing(benchmark::State& state) {
   listing_report rep;
   clique_set got(3);
   for (auto _ : state) {
-    listing_query opt;
-    opt.lb = engine == 0   ? lb_engine::deterministic
-                 : engine == 1 ? lb_engine::randomized
-                               : lb_engine::unbalanced;
-    opt.seed = 99;
-    got = list_triangles_congest(g, opt, &rep);
+    listing_query q;
+    q.lb = engine == 0   ? lb_engine::deterministic
+           : engine == 1 ? lb_engine::randomized
+                         : lb_engine::unbalanced;
+    q.seed = 99;
+    auto res = listing_session(g).run(q);
+    got = std::move(res.cliques);
+    rep = std::move(res.report);
   }
   state.counters["rounds"] = double(rep.ledger.rounds());
   state.counters["messages"] = double(rep.ledger.messages());

@@ -5,7 +5,7 @@
 #include <iostream>
 
 #include "baselines/dlp12.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 #include "support/table.hpp"
 

@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 #include "support/table.hpp"
 

@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "expander/anatomy.hpp"
 #include "expander/decomposition.hpp"
 #include "graph/generators.hpp"

@@ -3,6 +3,9 @@
 // the closed-form tree primitives (pipelined broadcast / convergecast).
 // Everything charges into the owning network's ledger under a phase prefix,
 // so per-cluster and per-phase costs are separable in benchmark output.
+// Every `sub` label below is relative: the cluster prepends its own prefix,
+// so callers (and the partition-tree code they hand the context to) pass
+// only the suffix, e.g. "tree/layer0", never "cluster3/tree/layer0".
 // The cluster shares its parent network's transport: staging outboxes and
 // delivery buffers stay capacity-warm across every exchange the cluster's
 // producers issue.

@@ -63,8 +63,8 @@ struct query_lease {
   runtime::thread_pool inline_pool{1};
 };
 
-/// The graph-binding half of the old monolithic listing_options:
-/// everything that is fixed for the lifetime of a session.
+/// The graph-binding half of a listing: everything that is fixed for the
+/// lifetime of a session (the per-query half is listing_query).
 struct session_options {
   listing_engine engine = listing_engine::congest_sim;
   /// Worker-pool size (<= 0 → hardware concurrency): cluster-parallel

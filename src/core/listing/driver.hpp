@@ -30,7 +30,7 @@ class thread_pool;
 class query_scratch;
 }
 
-/// Execution backend behind dcl::listing_session / dcl::list_cliques:
+/// Execution backend behind dcl::listing_session:
 ///   congest_sim  — the paper's simulated CONGEST algorithms (default);
 ///   local_kclist — the shared-memory kClist engine (src/local/), exact and
 ///                  fast, with no round/message accounting.
@@ -51,10 +51,9 @@ inline constexpr int kCongestMaxP = 6;
 ///             overload of listing_session).
 enum class sink_mode { collect, count, stream };
 
-/// The per-query half of the old monolithic listing_options: everything
-/// that may change between two runs against the same bound graph. The
-/// graph-binding half (engine, worker-pool size, DAG orientation) lives in
-/// session_options (core/api/session.hpp).
+/// Everything that may change between two runs against the same bound
+/// graph. The graph-binding half (engine, worker-pool size, DAG
+/// orientation) lives in session_options (core/api/session.hpp).
 struct listing_query {
   int p = 3;                                ///< clique arity
   sink_mode mode = sink_mode::collect;      ///< output shape of this run
@@ -84,50 +83,6 @@ struct listing_query {
   /// best tier the CPU supports; a fixed tier the machine cannot run
   /// degrades to scalar. Every output is bit-identical across tiers.
   simd_mode simd = simd_mode::auto_select;
-};
-
-/// Back-compat monolithic option block of dcl::list_cliques: the binding
-/// knobs (engine, thread counts) and the per-query knobs in one struct,
-/// exactly as before the session API. New code binds a listing_session
-/// with session_options and passes a listing_query per run.
-struct listing_options {
-  int p = 3;
-  listing_engine engine = listing_engine::congest_sim;
-  lb_engine lb = lb_engine::deterministic;  ///< congest_sim load balancing
-  int local_threads = 1;   ///< local_kclist worker count; <= 0 → hardware
-  /// congest_sim cluster-parallel workers (<= 0 → hardware threads). Each
-  /// recursion level lists its clusters simultaneously on the shared
-  /// runtime pool, mirroring the paper's within-level parallelism; output
-  /// cliques and the full ledger are bit-identical for every value
-  /// (DESIGN.md §6).
-  int sim_threads = 1;
-  std::uint64_t seed = 0;      ///< used only by the randomized lb engine
-  double epsilon = 0.0;        ///< 0 → 1/18 (p != 4) or 1/12 (p = 4)
-  double beta = 2.0;           ///< V−_C degree threshold factor (p >= 4)
-  double gamma = 12.0;         ///< overloaded-cluster threshold (p >= 4)
-  int max_levels = 64;
-  std::int64_t base_case_edges = 64;  ///< gather centrally below this
-  /// Enumeration-kernel traversal (see listing_query::kernel).
-  enumkernel::kernel_mode kernel = enumkernel::kernel_mode::auto_select;
-  /// Vector backend (see listing_query::simd).
-  simd_mode simd = simd_mode::auto_select;
-
-  /// The per-query half, for handing to a listing_session (always
-  /// sink_mode::collect — the wrapper's historical shape).
-  listing_query query() const {
-    listing_query q;
-    q.p = p;
-    q.lb = lb;
-    q.seed = seed;
-    q.epsilon = epsilon;
-    q.beta = beta;
-    q.gamma = gamma;
-    q.max_levels = max_levels;
-    q.base_case_edges = base_case_edges;
-    q.kernel = kernel;
-    q.simd = simd;
-    return q;
-  }
 };
 
 struct level_stats {
@@ -235,18 +190,5 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
                                runtime::query_scratch& scratch,
                                clique_collector& out,
                                const congest_shard_plan* plan = nullptr);
-
-/// Convenience overloads for tests/benches: run on a private pool of
-/// `sim_threads` workers, finalize, and return the canonical clique set.
-/// When `report` is non-null it is overwritten with the fresh per-run
-/// report (unlike the pre-session API, which reset the caller's object
-/// silently mid-call, this is the documented contract: a report out-param
-/// never carries state in).
-clique_set list_triangles_congest(const graph& g, const listing_query& q,
-                                  listing_report* report = nullptr,
-                                  int sim_threads = 1);
-clique_set list_kp_congest(const graph& g, const listing_query& q,
-                           listing_report* report = nullptr,
-                           int sim_threads = 1);
 
 }  // namespace dcl

@@ -87,7 +87,7 @@ struct k3_learn_scratch {
 
 }  // namespace
 
-cluster_listing_stats list_k3_in_cluster(network& net_c, const graph& g,
+cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
                                          const cluster_anatomy& a,
                                          lb_engine engine, std::uint64_t seed,
                                          clique_collector& out,
@@ -125,9 +125,8 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph& g,
 
   const auto tb =
       engine == lb_engine::deterministic
-          ? build_k3_tree(cc, pool, comm_deg, std::string(phase) + "/tree")
-          : build_baseline_tree(cc, pool, comm_deg,
-                                std::string(phase) + "/tree");
+          ? build_k3_tree(cc, pool, comm_deg, "tree")
+          : build_baseline_tree(cc, pool, comm_deg, "tree");
   stats.leaf_parts = std::int64_t(tb.leaf_parts.size());
 
   // ---- Edge learning (Lemma 34 steps 1-2), then local listing.
@@ -183,8 +182,8 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph& g,
       stats.max_normalized_load =
           std::max(stats.max_normalized_load, double(words) / double(deg));
   }
-  cc.route_discard(requests, std::string(phase) + "/learn_req");
-  cc.route_discard(replies, std::string(phase) + "/learn_rep");
+  cc.route_discard(requests, "learn_req");
+  cc.route_discard(replies, "learn_rep");
 
   for (std::size_t li = 0; li < tb.leaf_parts.size(); ++li) {
     auto& le = learned[li];

@@ -124,8 +124,7 @@ cluster_listing_stats list_kp_in_cluster(
     if (pi > 0 && n2 == 0) continue;  // no outside vertices to cover
     const auto tb =
         build_split_tree(cc, pool, comm_deg, in, p, p_prime,
-                         std::string(phase) + "/tree" +
-                             std::to_string(p_prime));
+                         "tree" + std::to_string(p_prime));
 
     // Flatten leaf parts; spread them over V*_C via Lemma 20 (each part is
     // initially kept by one predetermined vertex — Lemma 37).
@@ -154,7 +153,7 @@ cluster_listing_stats list_kp_in_cluster(
       }
       assignment = degree_balanced_assignment(
           cc, pool, comm_deg, leaf_holder,
-          std::string(phase) + "/leafassign" + std::to_string(p_prime));
+          "leafassign" + std::to_string(p_prime));
     }
     stats.leaf_parts += std::int64_t(leaf_parts.size());
 
@@ -195,8 +194,7 @@ cluster_listing_stats list_kp_in_cluster(
            make_edge(v2_list[size_t(e.u)], v2_list[size_t(e.v)]),
            pool[size_t(tb.v2_owner[size_t(e.u)])]);
     }
-    cc.route_discard(traffic,
-                     std::string(phase) + "/learn" + std::to_string(p_prime));
+    cc.route_discard(traffic, "learn" + std::to_string(p_prime));
 
     std::set<vertex> listers;
     for (std::size_t lid = 0; lid < leaf_parts.size(); ++lid) {

@@ -378,17 +378,4 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
   return rep;
 }
 
-clique_set list_kp_congest(const graph& g, const listing_query& q,
-                           listing_report* report, int sim_threads) {
-  runtime::thread_pool pool(sim_threads);
-  runtime::query_scratch scratch;
-  clique_collector out(q.p);
-  listing_report rep = list_kp_congest(g, q, pool, scratch, out);
-  clique_set result = out.finalize();
-  rep.emitted = out.emitted();
-  rep.duplicates = out.duplicates();
-  if (report) *report = std::move(rep);
-  return result;
-}
-
 }  // namespace dcl

@@ -1,7 +1,7 @@
 #pragma once
 // Kernel-wide constants shared across every layer. Every enumeration entry
 // point — the kernel itself, the graph-layer adapters, the local engine,
-// and the facade's validate_options — checks p against kMaxCliqueArity, so
+// and the session's validate_query — checks p against kMaxCliqueArity, so
 // an oversized arity is rejected at the API boundary instead of deep
 // inside the enumerator. kernel_mode lives here (not kernel.hpp) so thin
 // headers like session_options and the driver signatures can name the knob

@@ -1,11 +1,9 @@
 #include "local/parallel.hpp"
 
-#include <algorithm>
-#include <chrono>
+#include <utility>
 
 #include "core/listing/collector.hpp"
 #include "enumkernel/kernel.hpp"
-#include "local/engine.hpp"
 #include "support/check.hpp"
 
 namespace dcl::local {
@@ -91,91 +89,6 @@ std::int64_t count_cliques_parallel(const enumkernel::dag& d, int p,
     stats->roots = d.num_arcs();
     stats->per_thread_roots = std::move(roots);
     stats->per_thread_cliques = std::move(found);
-  }
-  return total;
-}
-
-// --------------------------------------------------- engine entry points
-// (declared in engine.hpp; anchored here so the header stays thin)
-
-namespace {
-
-clique_set edges_as_cliques(const graph& g) {
-  clique_set out(2);
-  for (const auto& e : g.edges()) {
-    const vertex t2[2] = {e.u, e.v};
-    out.add(t2);
-  }
-  out.normalize();
-  return out;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
-
-clique_set list_cliques_local(const graph& g, const engine_options& opt,
-                              engine_report* report) {
-  DCL_EXPECTS(opt.p >= 2 && opt.p <= kMaxCliqueArity,
-              "local engine supports p in [2, kMaxCliqueArity]");
-  if (opt.p == 2) {
-    if (report) *report = {};
-    auto out = edges_as_cliques(g);
-    if (report) report->emitted = out.size();
-    return out;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const enumkernel::dag d = orient(g, opt.orientation);
-  const double orient_s = seconds_since(t0);
-
-  thread_pool pool(opt.num_threads);
-  runtime::query_scratch scratch;
-  const auto t1 = std::chrono::steady_clock::now();
-  parallel_listing_stats stats;
-  clique_set out = list_cliques_parallel(d, opt.p, pool, scratch, opt.grain,
-                                         &stats, opt.kernel, opt.simd);
-  if (report) {
-    report->max_out_degree = d.max_out_degree;
-    report->dag_arcs = d.num_arcs();
-    report->threads = stats.threads;
-    report->emitted = out.size();
-    report->orient_seconds = orient_s;
-    report->list_seconds = seconds_since(t1);
-    report->parallel = std::move(stats);
-  }
-  return out;
-}
-
-std::int64_t count_cliques_local(const graph& g, const engine_options& opt,
-                                 engine_report* report) {
-  DCL_EXPECTS(opt.p >= 2 && opt.p <= kMaxCliqueArity,
-              "local engine supports p in [2, kMaxCliqueArity]");
-  if (opt.p == 2) {
-    if (report) *report = {};
-    if (report) report->emitted = g.num_edges();
-    return g.num_edges();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  const enumkernel::dag d = orient(g, opt.orientation);
-  const double orient_s = seconds_since(t0);
-
-  thread_pool pool(opt.num_threads);
-  runtime::query_scratch scratch;
-  const auto t1 = std::chrono::steady_clock::now();
-  parallel_listing_stats stats;
-  const std::int64_t total = count_cliques_parallel(
-      d, opt.p, pool, scratch, opt.grain, &stats, opt.kernel, opt.simd);
-  if (report) {
-    report->max_out_degree = d.max_out_degree;
-    report->dag_arcs = d.num_arcs();
-    report->threads = stats.threads;
-    report->emitted = total;
-    report->orient_seconds = orient_s;
-    report->list_seconds = seconds_since(t1);
-    report->parallel = std::move(stats);
   }
   return total;
 }

@@ -1,13 +1,25 @@
 #pragma once
-// Edge-parallel driver for the shared-memory kClist engine. Work units are
-// DAG arcs (each arc roots one egonet); the shared runtime worker pool
-// (src/runtime/) pulls dynamically-sized chunks off an atomic cursor, so
-// skewed roots (hubs in power-law graphs) cannot serialize the run. Each
-// worker enumerates through the kernel (src/enumkernel/) with the
-// enum_scratch held in its arena, listing into a private flat buffer;
-// buffers are merged through clique_collector in worker-index order, and
-// its normalize() sorts canonically — the final clique_set is identical
-// for every thread count and schedule.
+// The shared-memory kClist engine (listing_engine::local_kclist): exact
+// k-clique listing and counting over a DAG oriented once by
+// enumkernel::orient. listing_session binds the DAG and a pool and calls
+// these two functions per query; tests and benches that measure the engine
+// alone call them directly:
+//
+//   const auto dag = dcl::enumkernel::orient(
+//       g, dcl::enumkernel::orientation_policy::degeneracy);
+//   dcl::local::thread_pool pool(8);
+//   dcl::runtime::query_scratch scratch;
+//   auto n = dcl::local::count_cliques_parallel(dag, 4, pool, scratch, 128);
+//
+// Edge-parallel driver. Work units are DAG arcs (each arc roots one
+// egonet); the shared runtime worker pool (src/runtime/) pulls
+// dynamically-sized chunks off an atomic cursor, so skewed roots (hubs in
+// power-law graphs) cannot serialize the run. Each worker enumerates
+// through the kernel (src/enumkernel/) with the enum_scratch held in its
+// arena, listing into a private flat buffer; buffers are merged through
+// clique_collector in worker-index order, and its normalize() sorts
+// canonically — the final clique_set is identical for every thread count
+// and schedule.
 
 #include <cstdint>
 #include <vector>

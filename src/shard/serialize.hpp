@@ -28,24 +28,19 @@ class wire_buf {
   template <typename T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    append_bytes(bytes_, &v, sizeof(T));
   }
 
   void put_string(std::string_view s) {
     put(std::int64_t(s.size()));
-    if (s.empty()) return;
-    const auto* p = reinterpret_cast<const std::uint8_t*>(s.data());
-    bytes_.insert(bytes_.end(), p, p + s.size());
+    append_bytes(bytes_, s.data(), s.size());
   }
 
   template <typename T>
   void put_vector(const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put(std::int64_t(v.size()));
-    if (v.empty()) return;
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    bytes_.insert(bytes_.end(), p, p + v.size() * sizeof(T));
+    append_bytes(bytes_, v.data(), v.size() * sizeof(T));
   }
 
   std::span<const std::uint8_t> view() const { return bytes_; }

@@ -16,10 +16,9 @@ bool known_frame_type(std::uint16_t t) {
 
 frame_writer::frame_writer(byte_channel& ch, wire_options opt)
     : ch_(&ch), opt_(opt) {
-  pending_.insert(pending_.end(), kWireMagic, kWireMagic + sizeof kWireMagic);
+  append_bytes(pending_, kWireMagic, sizeof kWireMagic);
   const std::uint32_t v = kWireVersion;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  pending_.insert(pending_.end(), p, p + sizeof v);
+  append_bytes(pending_, &v, sizeof v);
   oldest_ = std::chrono::steady_clock::now();
 }
 
@@ -31,15 +30,10 @@ void frame_writer::send(frame_type type,
   const std::uint32_t len = std::uint32_t(payload.size());
   const std::uint16_t ty = std::uint16_t(type);
   const std::uint16_t reserved = 0;
-  const auto append = [&](const void* src, std::size_t n) {
-    if (n == 0) return;  // empty frames have a null payload pointer
-    const auto* p = static_cast<const std::uint8_t*>(src);
-    pending_.insert(pending_.end(), p, p + n);
-  };
-  append(&len, sizeof len);
-  append(&ty, sizeof ty);
-  append(&reserved, sizeof reserved);
-  append(payload.data(), payload.size());
+  append_bytes(pending_, &len, sizeof len);
+  append_bytes(pending_, &ty, sizeof ty);
+  append_bytes(pending_, &reserved, sizeof reserved);
+  append_bytes(pending_, payload.data(), payload.size());
   ++stats_.frames_sent;
   stats_.bytes_sent += std::int64_t(sizeof len + sizeof ty + sizeof reserved +
                                     payload.size());

@@ -21,6 +21,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -52,6 +53,17 @@ enum class frame_type : std::uint16_t {
   shutdown = 8,   ///< coordinator → worker: serve loop ends after ack
   bye = 9,        ///< worker → coordinator: shutdown ack, stream closing
 };
+
+/// Appends n raw bytes to buf. Grow-then-copy rather than a ranged
+/// vector::insert: GCC 12's -Wstringop-overflow misfires on an inlined
+/// insert into an empty vector.
+inline void append_bytes(std::vector<std::uint8_t>& buf, const void* src,
+                         std::size_t n) {
+  if (n == 0) return;  // empty spans may carry a null data pointer
+  const std::size_t at = buf.size();
+  buf.resize(at + n);
+  std::memcpy(buf.data() + at, src, n);
+}
 
 struct frame {
   frame_type type = frame_type::error;

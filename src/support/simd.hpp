@@ -8,7 +8,7 @@
 // three backends — scalar, AVX2, NEON — selected once per process from
 // cpuid/hwcaps and overridable per call site via the `simd_mode` knob,
 // which is plumbed like kernel_mode through session_options /
-// engine_options / listing_query.
+// listing_query.
 //
 // Determinism contract: every primitive is an exact integer/bitwise
 // computation (no floating point, no reordered reductions — OR and ADD

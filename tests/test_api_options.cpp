@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "enumkernel/limits.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
@@ -10,145 +10,132 @@
 namespace dcl {
 namespace {
 
-// The facade rejects inconsistent options with actionable messages instead
+// The session rejects inconsistent queries with actionable messages instead
 // of letting them surface as DCL_EXPECTS failures deep inside a driver.
 
-std::string message_of(const listing_options& opt) {
+std::string message_of(const listing_query& q,
+                       listing_engine engine = listing_engine::congest_sim) {
   try {
-    validate_options(opt);
+    validate_query(q, engine);
   } catch (const precondition_error& e) {
     return e.what();
   }
   return {};
 }
 
-std::string message_of_query(const listing_query& q) {
-  try {
-    validate_query(q, listing_engine::congest_sim);
-  } catch (const precondition_error& e) {
-    return e.what();
-  }
-  return {};
+void expect_rejected(const listing_query& q,
+                     listing_engine engine = listing_engine::congest_sim) {
+  EXPECT_THROW(validate_query(q, engine), precondition_error);
+}
+
+void expect_accepted(const listing_query& q,
+                     listing_engine engine = listing_engine::congest_sim) {
+  EXPECT_NO_THROW(validate_query(q, engine));
 }
 
 TEST(OptionsValidation, DefaultsAreValid) {
-  EXPECT_NO_THROW(validate_options(listing_options{}));
+  expect_accepted(listing_query{});
+  expect_accepted(listing_query{}, listing_engine::local_kclist);
 }
 
 TEST(OptionsValidation, CongestSimPRange) {
-  listing_options opt;
-  opt.p = 2;
-  EXPECT_THROW(validate_options(opt), precondition_error);
-  opt.p = 7;
-  EXPECT_THROW(validate_options(opt), precondition_error);
+  listing_query q;
+  q.p = 2;
+  expect_rejected(q);
+  q.p = 7;
+  expect_rejected(q);
   // The message names the offending value and the valid range.
-  EXPECT_NE(message_of(opt).find("p = 7"), std::string::npos);
-  EXPECT_NE(message_of(opt).find("[3, 6]"), std::string::npos);
-  for (int p = 3; p <= 6; ++p) {
-    opt.p = p;
-    EXPECT_NO_THROW(validate_options(opt));
-  }
+  EXPECT_NE(message_of(q).find("p = 7"), std::string::npos);
+  EXPECT_NE(message_of(q).find("[3, 6]"), std::string::npos);
+  for (q.p = 3; q.p <= 6; ++q.p) expect_accepted(q);
 }
 
 TEST(OptionsValidation, LocalEnginePRange) {
-  listing_options opt;
-  opt.engine = listing_engine::local_kclist;
-  opt.p = 12;  // beyond congest_sim's range, fine for the local engine
-  EXPECT_NO_THROW(validate_options(opt));
-  opt.p = enumkernel::kMaxCliqueArity + 1;
-  EXPECT_THROW(validate_options(opt), precondition_error);
-  opt.p = 2;
-  EXPECT_THROW(validate_options(opt), precondition_error);
+  const auto local = listing_engine::local_kclist;
+  listing_query q;
+  q.p = 12;  // beyond congest_sim's range, fine for the local engine
+  expect_accepted(q, local);
+  q.p = enumkernel::kMaxCliqueArity + 1;
+  expect_rejected(q, local);
+  q.p = 2;
+  expect_rejected(q, local);
 }
 
 TEST(OptionsValidation, SharedKernelArityBoundCoversBothBackends) {
   // Both backends bottom out in the shared kernel; no engine may accept an
   // arity past enumkernel::kMaxCliqueArity. The rejection happens at the
-  // facade, not deep inside the enumerator.
+  // session boundary, not deep inside the enumerator.
+  listing_query q;
+  q.p = enumkernel::kMaxCliqueArity + 1;
   for (const auto engine :
-       {listing_engine::congest_sim, listing_engine::local_kclist}) {
-    listing_options opt;
-    opt.engine = engine;
-    opt.p = enumkernel::kMaxCliqueArity + 1;
-    EXPECT_THROW(validate_options(opt), precondition_error);
-  }
-  listing_options widest;
-  widest.engine = listing_engine::local_kclist;
-  widest.p = enumkernel::kMaxCliqueArity;
-  EXPECT_NO_THROW(validate_options(widest));
+       {listing_engine::congest_sim, listing_engine::local_kclist})
+    expect_rejected(q, engine);
+  q.p = enumkernel::kMaxCliqueArity;
+  expect_accepted(q, listing_engine::local_kclist);
 }
 
 TEST(OptionsValidation, EpsilonRange) {
-  listing_options opt;
-  opt.epsilon = 1.0;
-  EXPECT_THROW(validate_options(opt), precondition_error);
-  EXPECT_NE(message_of(opt).find("epsilon"), std::string::npos);
-  opt.epsilon = -0.1;
-  EXPECT_THROW(validate_options(opt), precondition_error);
-  opt.epsilon = 0.0;  // 0 selects the paper's default
-  EXPECT_NO_THROW(validate_options(opt));
-  opt.epsilon = 1.0 / 18.0;
-  EXPECT_NO_THROW(validate_options(opt));
+  listing_query q;
+  q.epsilon = 1.0;
+  expect_rejected(q);
+  EXPECT_NE(message_of(q).find("epsilon"), std::string::npos);
+  q.epsilon = -0.1;
+  expect_rejected(q);
+  q.epsilon = 0.0;  // 0 selects the paper's default
+  expect_accepted(q);
+  q.epsilon = 1.0 / 18.0;
+  expect_accepted(q);
 }
 
 TEST(OptionsValidation, BetaGammaPositivity) {
-  listing_options opt;
-  opt.beta = 0.0;
-  EXPECT_THROW(validate_options(opt), precondition_error);
-  EXPECT_NE(message_of(opt).find("beta"), std::string::npos);
-  opt.beta = 2.0;
-  opt.gamma = -3.0;
-  EXPECT_THROW(validate_options(opt), precondition_error);
-  EXPECT_NE(message_of(opt).find("gamma"), std::string::npos);
+  listing_query q;
+  q.beta = 0.0;
+  expect_rejected(q);
+  EXPECT_NE(message_of(q).find("beta"), std::string::npos);
+  q.beta = 2.0;
+  q.gamma = -3.0;
+  expect_rejected(q);
+  EXPECT_NE(message_of(q).find("gamma"), std::string::npos);
 }
 
 TEST(OptionsValidation, RecursionBudgets) {
-  listing_options opt;
-  opt.max_levels = 0;
-  EXPECT_THROW(validate_options(opt), precondition_error);
-  opt.max_levels = 64;
-  opt.base_case_edges = -1;
-  EXPECT_THROW(validate_options(opt), precondition_error);
+  listing_query q;
+  q.max_levels = 0;
+  expect_rejected(q);
+  q.max_levels = 64;
+  q.base_case_edges = -1;
+  expect_rejected(q);
 }
 
 TEST(OptionsValidation, ThreadCountsAreNeverRejected) {
-  listing_options opt;
-  opt.sim_threads = -4;  // <= 0 selects hardware concurrency
-  opt.local_threads = 0;
-  EXPECT_NO_THROW(validate_options(opt));
-}
-
-TEST(OptionsValidation, QueryHalfMatchesTheLegacyAggregate) {
-  // validate_options is exactly validate_query over the query()/engine
-  // split, so the two surfaces can never drift apart.
-  listing_options opt;
-  opt.p = 7;
-  EXPECT_THROW(validate_query(opt.query(), opt.engine), precondition_error);
-  opt.engine = listing_engine::local_kclist;
-  EXPECT_NO_THROW(validate_query(opt.query(), opt.engine));
-  opt.epsilon = -0.5;
-  EXPECT_THROW(validate_query(opt.query(), opt.engine), precondition_error);
-  EXPECT_THROW(validate_options(opt), precondition_error);
+  // <= 0 selects hardware concurrency, for either engine.
+  const auto g = gen::gnp(20, 0.2, 1);
+  EXPECT_NO_THROW(listing_session(g, {.threads = -4}));
+  EXPECT_NO_THROW(listing_session(
+      g, {.engine = listing_engine::local_kclist, .threads = 0}));
 }
 
 TEST(OptionsValidation, StreamBatchMustBePositive) {
   listing_query q;
   q.stream_batch_tuples = 0;
-  EXPECT_THROW(validate_query(q, listing_engine::congest_sim),
-               precondition_error);
-  EXPECT_NE(message_of_query(q).find("stream_batch_tuples"),
-            std::string::npos);
+  expect_rejected(q);
+  EXPECT_NE(message_of(q).find("stream_batch_tuples"), std::string::npos);
   q.stream_batch_tuples = 1;
-  EXPECT_NO_THROW(validate_query(q, listing_engine::congest_sim));
+  expect_accepted(q);
 }
 
-TEST(OptionsValidation, ListCliquesRunsTheValidation) {
+TEST(OptionsValidation, SessionRunValidatesAgainstItsEngine) {
+  // run() is validate_query under the bound engine, so the two surfaces can
+  // never drift apart.
   const auto g = gen::gnp(20, 0.2, 1);
-  listing_options opt;
-  opt.p = 9;  // out of range for congest_sim
-  EXPECT_THROW(list_cliques(g, opt), precondition_error);
-  opt.engine = listing_engine::local_kclist;
-  EXPECT_NO_THROW(list_cliques(g, opt));  // in range for the local engine
+  listing_session congest(g);
+  listing_session local(g, {.engine = listing_engine::local_kclist});
+  listing_query q;
+  q.p = 9;  // out of range for congest_sim, in range for the local engine
+  EXPECT_THROW(congest.run(q), precondition_error);
+  EXPECT_NO_THROW(local.run(q));
+  q.epsilon = -0.5;
+  EXPECT_THROW(local.run(q), precondition_error);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 
 #include "congest/cluster_comm.hpp"
 #include "congest/congested_clique.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
+#include "core/listing/collector.hpp"
 #include "core/ptree/partition.hpp"
 #include "core/streaming/pp_simulate.hpp"
 #include "graph/generators.hpp"
@@ -25,15 +26,20 @@ TEST(FailureInjection, GraphRejectsMalformedEdges) {
 
 TEST(FailureInjection, OptionsValidation) {
   const auto g = gen::complete(5);
-  listing_options opt;
-  opt.p = 2;
-  EXPECT_THROW(list_cliques(g, opt), precondition_error);
-  opt.p = 7;
-  EXPECT_THROW(list_cliques(g, opt), precondition_error);
+  listing_session session(g);
   listing_query q;
+  q.p = 2;
+  EXPECT_THROW(session.run(q), precondition_error);
+  q.p = 7;
+  EXPECT_THROW(session.run(q), precondition_error);
+  // The driver checks its own preconditions too, without the session.
   q.p = 4;
   q.epsilon = 1.5;
-  EXPECT_THROW(list_kp_congest(g, q), precondition_error);
+  runtime::thread_pool pool(1);
+  runtime::query_scratch scratch;
+  clique_collector out(q.p);
+  EXPECT_THROW(list_kp_congest(g, q, pool, scratch, out),
+               precondition_error);
 }
 
 TEST(FailureInjection, DecompositionOptionValidation) {
@@ -143,15 +149,15 @@ TEST(FailureInjection, ListingSurvivesPathologicalGraphs) {
     for (vertex v = 1; v < 64; ++v) e.push_back({0, v});
     return e;
   }());
-  EXPECT_EQ(list_cliques(star, {}).cliques.size(), 0);
+  EXPECT_EQ(listing_session(star).run({}).cliques.size(), 0);
 
   edge_list pe;
   for (vertex v = 0; v + 1 < 50; ++v) pe.push_back({v, vertex(v + 1)});
   const graph path(50, pe);
-  EXPECT_EQ(list_cliques(path, {}).cliques.size(), 0);
+  EXPECT_EQ(listing_session(path).run({}).cliques.size(), 0);
 
   const graph sparse(40, {{0, 1}, {1, 2}, {0, 2}, {37, 38}});
-  EXPECT_EQ(list_cliques(sparse, {}).cliques.size(), 1);
+  EXPECT_EQ(listing_session(sparse).run({}).cliques.size(), 1);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/listing/driver.hpp"
+#include "core/api/session.hpp"
 #include "core/listing/two_hop.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
@@ -8,12 +8,17 @@
 namespace dcl {
 namespace {
 
+query_result list_k3(const graph& g, const listing_query& q = {}) {
+  return listing_session(g).run(q);
+}
+
 void expect_exact(const graph& g, const listing_query& opt,
                   listing_report* rep = nullptr) {
-  const auto got = list_triangles_congest(g, opt, rep);
+  auto res = list_k3(g, opt);
   const auto want = collect_cliques(g, 3);
-  EXPECT_TRUE(got == want)
-      << "listed " << got.size() << " triangles, expected " << want.size();
+  EXPECT_TRUE(res.cliques == want) << "listed " << res.cliques.size()
+                                   << " triangles, expected " << want.size();
+  if (rep) *rep = std::move(res.report);
 }
 
 TEST(TwoHop, ListsAllCliquesThroughTargets) {
@@ -122,33 +127,30 @@ TEST(K3Listing, ReportIspopulated) {
 }
 
 TEST(K3Listing, LogarithmicLevels) {
-  listing_report rep;
   const auto g = gen::gnp(200, 0.06, 47);
-  list_triangles_congest(g, {}, &rep);
+  const auto rep = list_k3(g).report;
   EXPECT_LE(int(rep.levels.size()), 30);
   EXPECT_FALSE(rep.used_fallback);
 }
 
 TEST(K3Listing, DeterministicTranscript) {
   const auto g = gen::gnp(110, 0.09, 53);
-  listing_report a, b;
-  const auto ra = list_triangles_congest(g, {}, &a);
-  const auto rb = list_triangles_congest(g, {}, &b);
-  EXPECT_TRUE(ra == rb);
-  EXPECT_EQ(a.ledger.rounds(), b.ledger.rounds());
-  EXPECT_EQ(a.ledger.messages(), b.ledger.messages());
-  EXPECT_EQ(a.emitted, b.emitted);
+  const auto a = list_k3(g);
+  const auto b = list_k3(g);
+  EXPECT_TRUE(a.cliques == b.cliques);
+  EXPECT_EQ(a.report.ledger.rounds(), b.report.ledger.rounds());
+  EXPECT_EQ(a.report.ledger.messages(), b.report.ledger.messages());
+  EXPECT_EQ(a.report.emitted, b.report.emitted);
 }
 
 TEST(K3Listing, EngineRoundsDifferOnSkewedInputs) {
   // The deterministic tree must track the randomized baseline far better
   // than the unbalanced id-range split on skewed degree distributions.
   const auto g = gen::power_law(200, 2.2, 14.0, 59);
-  listing_report det, unb;
-  listing_query o_det, o_unb;
+  listing_query o_unb;
   o_unb.lb = lb_engine::unbalanced;
-  list_triangles_congest(g, o_det, &det);
-  list_triangles_congest(g, o_unb, &unb);
+  const auto det = list_k3(g).report;
+  const auto unb = list_k3(g, o_unb).report;
   // Not a strict theorem at this scale, but the unbalanced engine should
   // not beat the balanced one by more than noise.
   EXPECT_GE(unb.ledger.rounds() * 2, det.ledger.rounds());

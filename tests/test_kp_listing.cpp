@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "core/api/list_cliques.hpp"
+#include <regex>
+#include <set>
+#include <string>
+
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
 
@@ -10,10 +14,12 @@ namespace {
 void expect_exact_kp(const graph& g, int p, listing_query opt = {},
                      listing_report* rep = nullptr) {
   opt.p = p;
-  const auto got = list_kp_congest(g, opt, rep);
+  auto res = listing_session(g).run(opt);
   const auto want = collect_cliques(g, p);
-  EXPECT_TRUE(got == want) << "p=" << p << ": listed " << got.size()
-                           << ", expected " << want.size();
+  EXPECT_TRUE(res.cliques == want) << "p=" << p << ": listed "
+                                   << res.cliques.size() << ", expected "
+                                   << want.size();
+  if (rep) *rep = std::move(res.report);
 }
 
 TEST(KpListing, K4ExactOnGnp) {
@@ -108,28 +114,89 @@ TEST(KpListing, ReportPopulated) {
 
 TEST(KpListing, DeterministicTranscript) {
   const auto g = gen::gnp(80, 0.13, 41);
-  listing_report a, b;
   listing_query opt;
   opt.p = 4;
-  const auto ra = list_kp_congest(g, opt, &a);
-  const auto rb = list_kp_congest(g, opt, &b);
-  EXPECT_TRUE(ra == rb);
-  EXPECT_EQ(a.ledger.rounds(), b.ledger.rounds());
-  EXPECT_EQ(a.ledger.messages(), b.ledger.messages());
+  const auto a = listing_session(g).run(opt);
+  const auto b = listing_session(g).run(opt);
+  EXPECT_TRUE(a.cliques == b.cliques);
+  EXPECT_EQ(a.report.ledger.rounds(), b.report.ledger.rounds());
+  EXPECT_EQ(a.report.ledger.messages(), b.report.ledger.messages());
 }
 
 TEST(ApiFacade, RoutesByP) {
   const auto g = gen::gnp(60, 0.2, 43);
-  for (int p = 3; p <= 5; ++p) {
-    listing_options opt;
-    opt.p = p;
-    const auto res = list_cliques(g, opt);
-    EXPECT_TRUE(res.cliques == collect_cliques(g, p)) << "p=" << p;
+  listing_session session(g);
+  listing_query q;
+  for (q.p = 3; q.p <= 5; ++q.p) {
+    const auto res = session.run(q);
+    EXPECT_TRUE(res.cliques == collect_cliques(g, q.p)) << "p=" << q.p;
     EXPECT_GT(res.report.ledger.rounds(), 0);
   }
-  listing_options bad;
-  bad.p = 9;
-  EXPECT_THROW(list_cliques(g, bad), precondition_error);
+  q.p = 9;
+  EXPECT_THROW(session.run(q), precondition_error);
+}
+
+std::set<std::string> phase_labels(const graph& g, int p) {
+  listing_query q;
+  q.p = p;
+  const auto res = listing_session(g).run(q);
+  std::set<std::string> out;
+  for (const auto& [label, cost] : res.report.ledger.phases())
+    out.insert(label);
+  return out;
+}
+
+void expect_no_doubled_cluster_prefix(const std::set<std::string>& labels) {
+  const std::regex doubled(R"((cluster\d+)/\1(/|$))");
+  for (const auto& l : labels)
+    EXPECT_FALSE(std::regex_search(l, doubled)) << l;
+}
+
+// The cluster's comm context prefixes its own phase, so every cluster-local
+// label carries the cluster prefix exactly once. Pinned label sets: one
+// cluster, so each sub-phase appears under cluster0/ once.
+TEST(PhaseLabels, ClusterPrefixAppearsOnceAtP3) {
+  const auto g = gen::gnp(200, 0.1, 1);
+  std::set<std::string> want = {"cluster0/learn_rep", "cluster0/learn_req",
+                                "cluster0/tree/stats"};
+  for (int d = 0; d < 3; ++d)
+    for (const char* ph : {"phase1", "phase2"})
+      want.insert("cluster0/tree/layer" + std::to_string(d) + "/" + ph);
+  for (const char* sub :
+       {"alg1/phase1", "alg1/phase2", "intervals", "replies", "requests",
+        "respread", "stats"})
+    want.insert(std::string("cluster0/tree/leafassign/") + sub);
+  for (int d = 0; d < 2; ++d)
+    for (const char* ph : {"deliver", "fanout"})
+      want.insert("cluster0/tree/spread" + std::to_string(d) + "/" + ph);
+  const auto got = phase_labels(g, 3);
+  EXPECT_EQ(got, want);
+  expect_no_doubled_cluster_prefix(got);
+}
+
+TEST(PhaseLabels, ClusterPrefixAppearsOnceAtP4) {
+  const auto g = gen::gnp(200, 0.1, 1);
+  std::set<std::string> want = {"cluster0/deliver", "exhaustive",
+                                "fallback/gather"};
+  for (int pp = 2; pp <= 4; ++pp) {
+    const std::string tree = "cluster0/tree" + std::to_string(pp) + "/";
+    want.insert(tree + "degstar");
+    want.insert(tree + "thm31");
+    for (int d = 0; d < 4; ++d) {
+      want.insert(tree + "layer" + std::to_string(d) + "/phase1");
+      want.insert(tree + "spread" + std::to_string(d));
+    }
+    const std::string assign =
+        "cluster0/leafassign" + std::to_string(pp) + "/";
+    for (const char* sub :
+         {"alg1/phase1", "alg1/phase2", "intervals", "replies", "requests",
+          "respread", "stats"})
+      want.insert(assign + sub);
+    want.insert("cluster0/learn" + std::to_string(pp));
+  }
+  const auto got = phase_labels(g, 4);
+  EXPECT_EQ(got, want);
+  expect_no_doubled_cluster_prefix(got);
 }
 
 }  // namespace

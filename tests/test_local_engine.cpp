@@ -6,17 +6,16 @@
 
 #include <algorithm>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
+#include "enumkernel/orient.hpp"
 #include "graph/clique_enum.hpp"
 #include "graph/generators.hpp"
-#include "local/engine.hpp"
+#include "local/parallel.hpp"
 
 namespace dcl {
 namespace {
 
-using local::engine_options;
-using local::engine_report;
-using local::orientation_policy;
+using enumkernel::orientation_policy;
 
 // ---------------------------------------------------------------------------
 // Orientation.
@@ -25,7 +24,7 @@ TEST(Orient, KeepsEveryEdgeExactlyOnceRankForward) {
   const auto g = gen::gnp(120, 0.1, 3);
   for (const auto policy :
        {orientation_policy::degeneracy, orientation_policy::degree}) {
-    const auto d = local::orient(g, policy);
+    const auto d = enumkernel::orient(g, policy);
     EXPECT_EQ(d.num_arcs(), g.num_edges());
     std::int64_t arcs = 0;
     for (vertex v = 0; v < g.num_vertices(); ++v) {
@@ -43,19 +42,18 @@ TEST(Orient, KeepsEveryEdgeExactlyOnceRankForward) {
 
 TEST(Orient, DegeneracyBoundsOutDegree) {
   // K_n has degeneracy n-1; ring-of-cliques of K6 blocks has degeneracy 5.
-  EXPECT_EQ(local::orient(gen::complete(9), orientation_policy::degeneracy)
-                .max_out_degree,
-            8);
-  EXPECT_EQ(local::orient(gen::ring_of_cliques(4, 6),
-                          orientation_policy::degeneracy)
-                .max_out_degree,
-            5);
+  const auto degeneracy = [](const graph& g) {
+    return enumkernel::orient(g, orientation_policy::degeneracy)
+        .max_out_degree;
+  };
+  EXPECT_EQ(degeneracy(gen::complete(9)), 8);
+  EXPECT_EQ(degeneracy(gen::ring_of_cliques(4, 6)), 5);
 }
 
 TEST(Orient, CoreNumbers) {
   // Triangle with a pendant: triangle vertices have core 2, pendant core 1.
   const graph g(4, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
-  const auto core = local::core_numbers(g);
+  const auto core = enumkernel::core_numbers(g);
   EXPECT_EQ(core[0], 2);
   EXPECT_EQ(core[1], 2);
   EXPECT_EQ(core[2], 2);
@@ -65,29 +63,45 @@ TEST(Orient, CoreNumbers) {
 // ---------------------------------------------------------------------------
 // Engine vs sequential ground truth.
 
-void expect_matches_sequential(const graph& g, int p,
-                               const engine_options& base) {
+// The engine's primary calls, with no session in between: orient once,
+// then list (or count) on a private pool and scratch bundle.
+
+clique_set list_local(
+    const graph& g, int p,
+    orientation_policy policy = orientation_policy::degeneracy,
+    int threads = 1, std::int64_t grain = 128,
+    local::parallel_listing_stats* stats = nullptr) {
+  const auto d = enumkernel::orient(g, policy);
+  local::thread_pool pool(threads);
+  runtime::query_scratch scratch;
+  return local::list_cliques_parallel(d, p, pool, scratch, grain, stats);
+}
+
+std::int64_t count_local(const graph& g, int p) {
+  const auto d = enumkernel::orient(g, orientation_policy::degeneracy);
+  local::thread_pool pool(1);
+  runtime::query_scratch scratch;
+  return local::count_cliques_parallel(d, p, pool, scratch, /*grain=*/128);
+}
+
+void expect_matches_sequential(const graph& g, int p) {
   const auto want = collect_cliques(g, p);
-  engine_options opt = base;
-  opt.p = p;
-  engine_report rep;
-  const auto got = local::list_cliques_local(g, opt, &rep);
+  const auto got = list_local(g, p);
   EXPECT_TRUE(got == want) << "p=" << p << ": got " << got.size()
                            << " expected " << want.size();
-  EXPECT_EQ(rep.emitted, want.size());
-  EXPECT_EQ(local::count_cliques_local(g, opt), want.size());
+  EXPECT_EQ(count_local(g, p), want.size());
 }
 
 TEST(LocalEngine, MatchesSequentialOnGnp) {
   const auto g = gen::gnp(80, 0.15, 17);
   for (int p = 3; p <= 6; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+    expect_matches_sequential(g, p);
 }
 
 TEST(LocalEngine, MatchesSequentialOnDenseGnp) {
   const auto g = gen::gnp(60, 0.35, 29);
   for (int p = 3; p <= 6; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+    expect_matches_sequential(g, p);
 }
 
 TEST(LocalEngine, MatchesSequentialOnKneser) {
@@ -95,27 +109,25 @@ TEST(LocalEngine, MatchesSequentialOnKneser) {
   // 12 > 9 ground elements so there are exactly zero — a sharp cutoff.
   const auto g = gen::kneser(9, 3);
   for (int p = 3; p <= 5; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+    expect_matches_sequential(g, p);
   EXPECT_GT(count_cliques(g, 3), 0);
-  EXPECT_EQ(local::count_cliques_local(g, {.p = 4}), 0);
+  EXPECT_EQ(count_local(g, 4), 0);
 }
 
 TEST(LocalEngine, PetersenIsTriangleFree) {
-  EXPECT_EQ(local::count_cliques_local(gen::kneser(5, 2), {.p = 3}), 0);
+  EXPECT_EQ(count_local(gen::kneser(5, 2), 3), 0);
 }
 
 TEST(LocalEngine, MatchesSequentialOnPlantedCliques) {
   const auto g = gen::planted_cliques(120, 0.03, 3, 9, 41);
   for (int p = 3; p <= 6; ++p)
-    expect_matches_sequential(g, p, engine_options{});
+    expect_matches_sequential(g, p);
 }
 
 TEST(LocalEngine, DegreeOrientationGivesSameResult) {
   const auto g = gen::power_law(150, 2.3, 10.0, 53);
   for (int p = 3; p <= 5; ++p) {
-    engine_options opt{.p = p};
-    opt.orientation = orientation_policy::degree;
-    const auto got = local::list_cliques_local(g, opt);
+    const auto got = list_local(g, p, orientation_policy::degree);
     EXPECT_TRUE(got == collect_cliques(g, p)) << "p=" << p;
   }
 }
@@ -123,25 +135,30 @@ TEST(LocalEngine, DegreeOrientationGivesSameResult) {
 TEST(LocalEngine, ArbitraryArityBeyondCongestRange) {
   // p = 8 exceeds the CONGEST drivers' 3..6 but the local engine lists it.
   const auto g = gen::planted_cliques(60, 0.02, 1, 10, 7);
-  engine_options opt{.p = 8};
-  const auto got = local::list_cliques_local(g, opt);
+  const auto got = list_local(g, 8);
   EXPECT_TRUE(got == collect_cliques(g, 8));
   EXPECT_GT(got.size(), 0);
 }
 
 TEST(LocalEngine, PairsAreEdges) {
+  // p = 2 is served by the edge-scoped session query (the main-line
+  // engines start at p = 3).
   const auto g = gen::gnp(50, 0.2, 11);
-  const auto got = local::list_cliques_local(g, {.p = 2});
+  listing_session session(g, {.engine = listing_engine::local_kclist});
+  listing_query q;
+  q.p = 2;
+  const auto got = session.cliques_in_edges(q, g.edges()).cliques;
   EXPECT_EQ(got.size(), g.num_edges());
+  for (const auto& e : g.edges()) {
+    const vertex pair[2] = {e.u, e.v};
+    EXPECT_TRUE(got.contains(pair));
+  }
 }
 
 TEST(LocalEngine, EmptyAndCliqueFreeGraphs) {
-  EXPECT_EQ(local::list_cliques_local(graph(0, {}), {.p = 3}).size(), 0);
-  EXPECT_EQ(local::list_cliques_local(graph(12, {}), {.p = 4}).size(), 0);
-  EXPECT_EQ(
-      local::list_cliques_local(gen::complete_bipartite(6, 7), {.p = 3})
-          .size(),
-      0);
+  EXPECT_EQ(list_local(graph(0, {}), 3).size(), 0);
+  EXPECT_EQ(list_local(graph(12, {}), 4).size(), 0);
+  EXPECT_EQ(list_local(gen::complete_bipartite(6, 7), 3).size(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,34 +170,31 @@ TEST(LocalEngine, ThreadCountInvariance) {
   for (int p = 3; p <= 5; ++p) {
     const auto want = collect_cliques(g, p);
     for (int threads : {1, 2, 3, 4, 8}) {
-      engine_options opt{.p = p};
-      opt.num_threads = threads;
-      opt.grain = 16;
-      engine_report rep;
-      const auto got = local::list_cliques_local(g, opt, &rep);
+      local::parallel_listing_stats st;
+      const auto got = list_local(g, p, orientation_policy::degeneracy,
+                                  threads, /*grain=*/16, &st);
       EXPECT_TRUE(got == want) << "p=" << p << " threads=" << threads;
-      EXPECT_EQ(rep.threads, threads);
+      EXPECT_EQ(st.threads, threads);
       std::int64_t roots = 0;
-      for (const auto r : rep.parallel.per_thread_roots) roots += r;
-      EXPECT_EQ(roots, rep.dag_arcs);
+      for (const auto r : st.per_thread_roots) roots += r;
+      EXPECT_EQ(roots, g.num_edges());  // one DAG arc per edge
+      EXPECT_EQ(st.roots, g.num_edges());
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Backend integration: dcl::list_cliques with engine = local_kclist must be
-// byte-identical to the CONGEST simulation.
+// Backend integration: a local_kclist session must be byte-identical to a
+// congest_sim session on the same graph.
 
 void expect_backends_agree(const graph& g, int p) {
-  listing_options congest;
-  congest.p = p;
-  const auto sim = list_cliques(g, congest);
-
-  listing_options loc;
-  loc.p = p;
-  loc.engine = listing_engine::local_kclist;
-  loc.local_threads = 3;
-  const auto fast = list_cliques(g, loc);
+  listing_query q;
+  q.p = p;
+  const auto sim = listing_session(g).run(q);
+  const auto fast = listing_session(
+                        g, {.engine = listing_engine::local_kclist,
+                            .threads = 3})
+                        .run(q);
 
   EXPECT_TRUE(sim.cliques == fast.cliques)
       << "p=" << p << ": congest " << sim.cliques.size() << " vs local "

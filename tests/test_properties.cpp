@@ -8,7 +8,7 @@
 #include <numeric>
 
 #include "congest/cluster_comm.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "core/streaming/pp_simulate.hpp"
 #include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
@@ -51,11 +51,11 @@ class ListingExactness : public testing::TestWithParam<listing_case> {};
 TEST_P(ListingExactness, MatchesSequentialGroundTruth) {
   const auto& c = GetParam();
   const auto g = make_family(c.family);
-  listing_options opt;
-  opt.p = c.p;
-  opt.lb = c.lb;
-  opt.seed = 1234;
-  const auto res = list_cliques(g, opt);
+  listing_query q;
+  q.p = c.p;
+  q.lb = c.lb;
+  q.seed = 1234;
+  const auto res = listing_session(g).run(q);
   const auto want = collect_cliques(g, c.p);
   EXPECT_TRUE(res.cliques == want)
       << c.family << " p=" << c.p << ": got " << res.cliques.size()
@@ -193,10 +193,10 @@ class SeedSweep : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, RandomizedEngineExactForAnySeed) {
   const auto g = make_family("powerlaw");
-  listing_options opt;
-  opt.lb = lb_engine::randomized;
-  opt.seed = GetParam();
-  const auto res = list_cliques(g, opt);
+  listing_query q;
+  q.lb = lb_engine::randomized;
+  q.seed = GetParam();
+  const auto res = listing_session(g).run(q);
   EXPECT_TRUE(res.cliques == collect_cliques(g, 3));
 }
 
@@ -205,9 +205,9 @@ TEST_P(SeedSweep, DeterministicEngineSeedInvariant) {
   listing_query a, b;
   a.seed = GetParam();
   b.seed = GetParam() + 1;
-  listing_report ra, rb;
-  list_triangles_congest(g, a, &ra);
-  list_triangles_congest(g, b, &rb);
+  listing_session session(g);
+  const auto ra = session.run(a).report;
+  const auto rb = session.run(b).report;
   EXPECT_EQ(ra.ledger.rounds(), rb.ledger.rounds());
   EXPECT_EQ(ra.ledger.messages(), rb.ledger.messages());
 }

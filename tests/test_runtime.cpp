@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 #include "runtime/merge.hpp"
 #include "runtime/scratch.hpp"
@@ -235,17 +235,20 @@ void expect_reports_identical(const listing_report& a,
   EXPECT_DOUBLE_EQ(a.max_normalized_load, b.max_normalized_load);
 }
 
+/// One fresh congest_sim session on `threads` workers, one collect query.
+query_result run_on(const graph& g, const listing_query& q, int threads) {
+  return listing_session(g, {.threads = threads}).run(q);
+}
+
 void expect_sim_threads_invariant(const graph& g, int p) {
-  listing_options opt;
-  opt.p = p;
-  opt.sim_threads = 1;
-  const auto base = list_cliques(g, opt);
+  listing_query q;
+  q.p = p;
+  const auto base = run_on(g, q, 1);
   const auto want = collect_cliques(g, p);
   EXPECT_TRUE(base.cliques == want)
       << "p=" << p << ": sequential run is not exact";
   for (const int t : {2, 4, 8}) {
-    opt.sim_threads = t;
-    const auto run = list_cliques(g, opt);
+    const auto run = run_on(g, q, t);
     EXPECT_TRUE(run.cliques == base.cliques)
         << "p=" << p << " sim_threads=" << t << ": clique set diverged";
     expect_reports_identical(base.report, run.report);
@@ -274,24 +277,18 @@ TEST(ClusterParallelSim, K6DeterministicAcrossThreads) {
 }
 
 TEST(ClusterParallelSim, HardwareThreadSelectionWorks) {
-  listing_options opt;
-  opt.p = 3;
-  opt.sim_threads = 0;  // hardware concurrency
   const auto g = gen::gnp(60, 0.15, 5);
-  const auto run = list_cliques(g, opt);
+  const auto run = run_on(g, {}, /*threads=*/0);  // hardware concurrency
   EXPECT_TRUE(run.cliques == collect_cliques(g, 3));
 }
 
 TEST(ClusterParallelSim, RandomizedLbStaysSeedDeterministicInParallel) {
-  listing_options opt;
-  opt.p = 3;
-  opt.lb = lb_engine::randomized;
-  opt.seed = 123;
+  listing_query q;
+  q.lb = lb_engine::randomized;
+  q.seed = 123;
   const auto g = gen::gnp(80, 0.2, 17);
-  opt.sim_threads = 1;
-  const auto a = list_cliques(g, opt);
-  opt.sim_threads = 8;
-  const auto b = list_cliques(g, opt);
+  const auto a = run_on(g, q, 1);
+  const auto b = run_on(g, q, 8);
   EXPECT_TRUE(a.cliques == b.cliques);
   expect_reports_identical(a.report, b.report);
 }

@@ -1,8 +1,9 @@
 // The session API's contracts (DESIGN.md §9): every output mode agrees
-// with every other and with the legacy list_cliques wrapper — cliques AND
-// the full listing_report — for both engines, p = 3..6, worker pools of 1
-// and 4; session reuse is bit-identical to a fresh bind; streams arrive in
-// the deterministic merge order regardless of batch size; and malformed
+// with every other and with each engine's primary layer call (the congest
+// drivers, orient + the parallel kClist lister) — cliques AND the full
+// listing_report — for both engines, p = 3..6, worker pools of 1 and 4;
+// session reuse is bit-identical to a fresh bind; streams arrive in the
+// deterministic merge order regardless of batch size; and malformed
 // queries are rejected with precondition_error at the session boundary.
 
 #include <gtest/gtest.h>
@@ -13,9 +14,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
+#include "core/listing/collector.hpp"
 #include "enumkernel/limits.hpp"
 #include "graph/generators.hpp"
+#include "local/parallel.hpp"
 #include "support/check.hpp"
 
 namespace dcl {
@@ -51,6 +54,32 @@ void expect_report_identical(const listing_report& a,
   EXPECT_DOUBLE_EQ(a.max_normalized_load, b.max_normalized_load);
 }
 
+/// The second call path the session is checked against: each engine's
+/// primary layer function on a private pool and scratch bundle, with no
+/// session in between.
+query_result direct_run(const graph& g, const listing_query& q,
+                        listing_engine engine, int threads) {
+  runtime::thread_pool pool(threads);
+  runtime::query_scratch scratch;
+  query_result res{clique_set(q.p), 0, {}};
+  if (engine == listing_engine::local_kclist) {
+    const auto dag =
+        enumkernel::orient(g, enumkernel::orientation_policy::degeneracy);
+    res.cliques =
+        local::list_cliques_parallel(dag, q.p, pool, scratch, /*grain=*/128);
+    res.report.emitted = res.cliques.size();
+  } else {
+    clique_collector out(q.p);
+    res.report = q.p == 3 ? list_triangles_congest(g, q, pool, scratch, out)
+                          : list_kp_congest(g, q, pool, scratch, out);
+    res.cliques = out.finalize();
+    res.report.emitted = out.emitted();
+    res.report.duplicates = out.duplicates();
+  }
+  res.count = res.cliques.size();
+  return res;
+}
+
 /// Reassembles a streamed run into a clique_set for comparison.
 clique_set restream(listing_session& s, listing_query q) {
   q.mode = sink_mode::stream;
@@ -64,9 +93,9 @@ clique_set restream(listing_session& s, listing_query q) {
   return got;  // already canonical: streams arrive in merge order
 }
 
-TEST(ListingSession, AllModesAgreeWithWrapperBothEngines) {
+TEST(ListingSession, AllModesAgreeWithDirectCallsBothEngines) {
   // The differential sweep: collect / count / stream / cliques_in_edges
-  // against each other and the legacy one-shot wrapper.
+  // against each other and the engine's primary layer call.
   struct case_t {
     graph g;
     int p;
@@ -81,16 +110,11 @@ TEST(ListingSession, AllModesAgreeWithWrapperBothEngines) {
     for (const auto engine :
          {listing_engine::congest_sim, listing_engine::local_kclist}) {
       for (const int threads : {1, 4}) {
-        listing_options legacy;
-        legacy.p = c.p;
-        legacy.engine = engine;
-        legacy.sim_threads = threads;
-        legacy.local_threads = threads;
-        const auto want = list_cliques(c.g, legacy);
-
-        listing_session session(c.g, {.engine = engine, .threads = threads});
         listing_query q;
         q.p = c.p;
+        const auto want = direct_run(c.g, q, engine, threads);
+
+        listing_session session(c.g, {.engine = engine, .threads = threads});
 
         const auto collected = session.run(q);
         EXPECT_TRUE(collected.cliques == want.cliques)
@@ -390,7 +414,9 @@ void hammer_session(listing_engine engine, bool trace, int p,
   // Solo oracles, computed before any concurrency starts.
   const auto want = s.run(qc);
   const std::string want_trace = trace_bytes(want.report);
-  if (trace) ASSERT_FALSE(want_trace.empty());
+  if (trace) {
+    ASSERT_FALSE(want_trace.empty());
+  }
   const auto want_count = s.run(qn);
   const auto want_edges = s.cliques_in_edges(qe, g.edges());
   ASSERT_TRUE(want_edges.cliques == want.cliques);
@@ -583,13 +609,11 @@ TEST(ListingSession, ReportsAreFreshPerRun) {
   const auto a = s.run(q);
   const auto b = s.run(q);
   expect_report_identical(a.report, b.report);
-  // And the convenience driver overload documents overwrite semantics:
-  listing_report dirty;
-  dirty.emitted = 777;
-  dirty.levels.resize(9);
-  const auto direct = list_triangles_congest(g, q, &dirty);
-  EXPECT_TRUE(direct == a.cliques);
-  expect_report_identical(dirty, a.report);
+  // The driver underneath returns its report by value too: a direct call
+  // owns no caller state and reproduces the session's report exactly.
+  const auto direct = direct_run(g, q, listing_engine::congest_sim, 1);
+  EXPECT_TRUE(direct.cliques == a.cliques);
+  expect_report_identical(direct.report, a.report);
 }
 
 }  // namespace

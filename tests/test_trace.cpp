@@ -29,19 +29,11 @@ bool ledgers_equal(const cost_ledger& a, const cost_ledger& b) {
   return true;
 }
 
-struct traced_run {
-  clique_set cliques;
-  listing_report report;
-};
-
-traced_run run_traced(const graph& g, int p, bool trace, int threads) {
+query_result run_traced(const graph& g, int p, bool trace, int threads) {
   listing_query q;
   q.p = p;
   q.trace = trace;
-  listing_report rep;
-  clique_set cs = p == 3 ? list_triangles_congest(g, q, &rep, threads)
-                         : list_kp_congest(g, q, &rep, threads);
-  return {std::move(cs), std::move(rep)};
+  return listing_session(g, {.threads = threads}).run(q);
 }
 
 graph workload_for(int p) {

@@ -15,7 +15,7 @@
 #include "congest/network.hpp"
 #include "congest/router.hpp"
 #include "congest/transport.hpp"
-#include "core/api/list_cliques.hpp"
+#include "core/api/session.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
@@ -319,14 +319,12 @@ TEST(TransportLedger, BitIdenticalSweepAcrossSimThreads) {
       {gen::ring_of_cliques(4, 8), 6},
   };
   for (const auto& c : cases) {
-    listing_options opt;
-    opt.p = c.p;
-    opt.sim_threads = 1;
-    const auto base = list_cliques(c.g, opt);
+    listing_query q;
+    q.p = c.p;
+    const auto base = listing_session(c.g, {.threads = 1}).run(q);
     EXPECT_TRUE(base.cliques == collect_cliques(c.g, c.p)) << "p=" << c.p;
     for (const int t : {2, 4, 8}) {
-      opt.sim_threads = t;
-      const auto run = list_cliques(c.g, opt);
+      const auto run = listing_session(c.g, {.threads = t}).run(q);
       EXPECT_TRUE(run.cliques == base.cliques)
           << "p=" << c.p << " sim_threads=" << t;
       expect_full_report_identical(base.report, run.report);
