@@ -52,7 +52,7 @@ class message_batch {
   }
 
   /// O(1) buffer exchange — the primitive behind the transport's
-  /// double-buffered delivery and the router's delivered-batch handback.
+  /// double-buffered delivery.
   void swap(message_batch& other) noexcept { msgs_.swap(other.msgs_); }
 
   std::span<const message> span() const { return msgs_; }

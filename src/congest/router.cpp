@@ -1,13 +1,23 @@
 #include "congest/router.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <limits>
 
 #include "graph/algorithms.hpp"
 #include "support/check.hpp"
 #include "support/prng.hpp"
 
 namespace dcl {
+
+namespace {
+
+// Lookahead, in arcs of the current round, for prefetching the flight a
+// FIFO front points at and, later, that flight's next path entry.
+constexpr std::size_t kPrefetchFlight = 16;
+constexpr std::size_t kPrefetchPath = 8;
+
+}  // namespace
 
 cluster_router::cluster_router(const graph& cluster, int num_trees,
                                transport* tp)
@@ -47,190 +57,233 @@ cluster_router::cluster_router(const graph& cluster, int num_trees,
     if (best == -1) break;
     roots.push_back(best);
   }
-  for (vertex r : roots) {
-    const auto t = bfs_from(cluster, r);
+  num_trees_ = int(roots.size());
+  DCL_EXPECTS(cluster.num_arcs() <= std::numeric_limits<std::int32_t>::max(),
+              "cluster_router stores arc ids in 32 bits");
+  nodes_.resize(size_t(num_trees_) * size_t(n));
+  depth_by_vertex_.resize(size_t(n) * size_t(num_trees_));
+  for (int ti = 0; ti < num_trees_; ++ti) {
+    const auto t = bfs_from(cluster, roots[size_t(ti)]);
     // Per tree, cache the arc toward the parent and its reverse once, so
     // path expansion during routing is pure table lookups.
-    std::vector<std::int64_t> up(size_t(n), -1), down(size_t(n), -1);
-    for (vertex v = 0; v < n; ++v)
-      if (t.parent[size_t(v)] != -1) {
-        const auto a = cluster.arc_id(v, t.parent[size_t(v)]);
+    tree_node* nodes = &nodes_[size_t(ti) * size_t(n)];
+    for (vertex v = 0; v < n; ++v) {
+      tree_node& node = nodes[v];
+      node.parent = t.parent[size_t(v)];
+      node.depth = t.dist[size_t(v)];
+      depth_by_vertex_[size_t(v) * size_t(num_trees_) + size_t(ti)] =
+          node.depth;
+      if (node.parent != -1) {
+        const auto a = cluster.arc_id(v, node.parent);
         DCL_ENSURE(a >= 0, "BFS tree edge missing from the cluster");
-        up[size_t(v)] = a;
-        down[size_t(v)] = cluster.reverse_arc(a);
+        node.up_arc = std::int32_t(a);
+        node.down_arc = std::int32_t(cluster.reverse_arc(a));
       }
-    parents_.push_back(t.parent);
-    depths_.push_back(t.dist);
-    up_arcs_.push_back(std::move(up));
-    down_arcs_.push_back(std::move(down));
+    }
     max_depth_ = std::max(max_depth_, t.depth);
   }
 }
 
-void cluster_router::tree_path_arcs(int t, vertex src, vertex dst,
-                                    std::vector<std::int64_t>& out,
-                                    std::vector<std::int64_t>& down) const {
-  const auto& parent = parents_[size_t(t)];
-  const auto& depth = depths_[size_t(t)];
-  const auto& up_arc = up_arcs_[size_t(t)];
-  const auto& down_arc = down_arcs_[size_t(t)];
-  down.clear();
-  vertex a = src, b = dst;
-  while (depth[size_t(a)] > depth[size_t(b)]) {
-    out.push_back(up_arc[size_t(a)]);
-    a = parent[size_t(a)];
+void cluster_router::expand_path(int t, vertex src, vertex dst) {
+  const tree_node* nodes = &nodes_[size_t(t) * size_t(g_->num_vertices())];
+  auto& pool = ws_.path_pool;
+  auto& down = ws_.path_down;
+  auto& load = ws_.edge_load;
+  const auto use = [&](std::int32_t arc) {
+    if (++load[size_t(arc)] == 1) ws_.edge_touched.push_back(arc);
+  };
+  std::size_t ndown = 0;
+  const tree_node* a = &nodes[src];
+  const tree_node* b = &nodes[dst];
+  while (a->depth > b->depth) {
+    pool.push_back(a->up_arc);
+    use(a->up_arc);
+    a = &nodes[a->parent];
   }
-  while (depth[size_t(b)] > depth[size_t(a)]) {
-    down.push_back(down_arc[size_t(b)]);
-    b = parent[size_t(b)];
+  while (b->depth > a->depth) {
+    down[ndown++] = b->down_arc;
+    b = &nodes[b->parent];
   }
   while (a != b) {
-    out.push_back(up_arc[size_t(a)]);
-    a = parent[size_t(a)];
-    down.push_back(down_arc[size_t(b)]);
-    b = parent[size_t(b)];
+    pool.push_back(a->up_arc);
+    use(a->up_arc);
+    a = &nodes[a->parent];
+    down[ndown++] = b->down_arc;
+    b = &nodes[b->parent];
   }
-  out.insert(out.end(), down.rbegin(), down.rend());
+  while (ndown > 0) {
+    const std::int32_t arc = down[--ndown];
+    pool.push_back(arc);
+    use(arc);
+  }
 }
 
 route_stats cluster_router::route(message_batch& io) {
-  const auto stats = route_impl(io.span(), /*deliver=*/true);
-  // Hand the delivered batch back through the buffer pair: io's storage
-  // becomes the next route's done-buffer, no copy.
-  tp_->deliver(ws_.done, g_->num_vertices());
-  io.swap(ws_.done);
-  ws_.done.clear();
+  const auto stats = simulate(io.span());
+  // The delivered batch is exactly the input multiset, and deliver() sorts
+  // by message_order, a total order over every field — so reordering io in
+  // place is bit-identical to collecting messages as they arrive.
+  tp_->deliver(io, g_->num_vertices());
   return stats;
 }
 
 route_stats cluster_router::route_discard(message_batch& io) {
-  const auto stats = route_impl(io.span(), /*deliver=*/false);
+  const auto stats = simulate(io.span());
   io.clear();
   return stats;
 }
 
-route_stats cluster_router::route_impl(std::span<const message> msgs,
-                                       bool deliver) {
-  route_stats stats;
-  const graph& g = *g_;
-  const vertex n = g.num_vertices();
-  const std::int64_t num_arcs = g.num_arcs();
+void cluster_router::mark_active(std::int32_t arc) {
   workspace& ws = ws_;
-  ws.done.clear();
+  ws.active[std::size_t(arc) >> 6] |= std::uint64_t(1) << (arc & 63);
+  ++ws.active_count;
+}
 
-  // Assign each message a tree and materialize its arc-id path in the
-  // flattened path pool. The workspace vectors are sized on first use and
-  // recycled afterwards — steady-state route() calls allocate nothing.
+void cluster_router::enqueue(std::int32_t arc, std::int32_t fi) {
+  workspace& ws = ws_;
+  ws.flights[size_t(fi)].next = -1;
+  auto& q = ws.fifos[size_t(arc)];
+  if (q.head == -1) {
+    q.head = fi;
+    mark_active(arc);
+  } else {
+    ws.flights[size_t(q.tail)].next = fi;
+  }
+  q.tail = fi;
+}
+
+route_stats cluster_router::simulate(std::span<const message> msgs) {
+  route_stats stats;
+  const vertex n = g_->num_vertices();
+  const std::size_t num_arcs = std::size_t(g_->num_arcs());
+  const std::size_t words = (num_arcs + 63) / 64;
+  workspace& ws = ws_;
+
+  // Validate the whole batch before touching any state, so a rejected
+  // batch leaves every FIFO, bitset, and counter as it found them.
+  for (const auto& m : msgs)
+    DCL_EXPECTS(m.src >= 0 && m.src < n && m.dst >= 0 && m.dst < n,
+                "route endpoint out of local range");
+  // A tree path is at most 2 * max_depth_ arcs, so this bounds both the
+  // flight indices and the path-pool cursors to 32 bits.
+  DCL_EXPECTS(
+      msgs.size() < std::size_t(std::numeric_limits<std::int32_t>::max()) &&
+          std::uint64_t(msgs.size()) * std::uint64_t(2 * max_depth_) <
+              std::numeric_limits<std::uint32_t>::max(),
+      "route batch too large for 32-bit flight indices");
+
+  if (ws.fifos.size() < num_arcs) {
+    ws.fifos.resize(num_arcs);
+    ws.edge_load.resize(num_arcs, 0);
+    ws.active.resize(words, 0);
+  }
+  ws.path_down.resize(size_t(max_depth_) + 1);
+  ws.tree_load.assign(size_t(num_trees_), 0);
+  // Reserve for the longest possible paths up front: the pool never
+  // regrows mid-batch, and pages it does not reach are never touched.
   ws.flights.clear();
-  if (ws.flights.capacity() < msgs.size()) ws.flights.reserve(msgs.size());
+  ws.flights.reserve(msgs.size());
   ws.path_pool.clear();
-  if (std::int64_t(ws.edge_load.size()) < num_arcs)
-    ws.edge_load.assign(size_t(num_arcs), 0);
-  ws.tree_load.assign(parents_.size(), 0);
-  ws.lens.resize(parents_.size());
+  ws.path_pool.reserve(msgs.size() * std::size_t(2 * max_depth_));
+  ws.active_count = 0;
+
+  // Assign each message a tree — the least-loaded among those within +2
+  // of the shortest depth bound, hash tie-break in tree order — expand its
+  // arc path into the pool, and queue it on its first arc. Flights join
+  // their first FIFO in batch order.
+  const std::size_t trees = std::size_t(num_trees_);
   for (const auto& m : msgs) {
-    if (!(m.src >= 0 && m.src < n && m.dst >= 0 && m.dst < n)) {
-      // Leave the per-arc counters clean before reporting the bad message,
-      // so a caller that catches the error can keep using this router.
-      for (const auto aid : ws.edge_touched) ws.edge_load[size_t(aid)] = 0;
-      ws.edge_touched.clear();
-      DCL_EXPECTS(false, "route endpoint out of local range");
-    }
-    if (m.src == m.dst) {
-      if (deliver) ws.done.push(m);  // local delivery, free
-      continue;
-    }
-    // Candidate trees: shortest path length, within slack 2 of the best.
-    int best_len = std::numeric_limits<int>::max();
-    for (int t = 0; t < int(parents_.size()); ++t) {
-      const auto& depth = depths_[size_t(t)];
-      // Path length upper bound via depths (exact requires LCA; use the
-      // cheap bound for candidate filtering, exact path computed after).
-      ws.lens[size_t(t)] =
-          depth[size_t(m.src)] + depth[size_t(m.dst)];
-      best_len = std::min(best_len, ws.lens[size_t(t)]);
-    }
-    ws.candidates.clear();
-    for (int t = 0; t < int(parents_.size()); ++t)
-      if (ws.lens[size_t(t)] <= best_len + 2) ws.candidates.push_back(t);
+    if (m.src == m.dst) continue;  // local delivery, free
+    // Path length upper bound via depths (exact requires the LCA; the
+    // cheap bound filters candidates, the walk below is exact).
+    const std::int32_t* ds = &depth_by_vertex_[size_t(m.src) * trees];
+    const std::int32_t* dd = &depth_by_vertex_[size_t(m.dst) * trees];
+    std::int32_t best_len = std::numeric_limits<std::int32_t>::max();
+    for (std::size_t t = 0; t < trees; ++t)
+      best_len = std::min(best_len, ds[t] + dd[t]);
     // Least-loaded candidate tree; deterministic hash tie-break spreads
-    // equal-load choices.
-    int chosen = ws.candidates[0];
-    for (int t : ws.candidates) {
-      if (ws.tree_load[size_t(t)] < ws.tree_load[size_t(chosen)] ||
-          (ws.tree_load[size_t(t)] == ws.tree_load[size_t(chosen)] &&
-           (hash_pair(std::uint64_t(std::uint32_t(m.src)) + std::uint64_t(t),
-                      std::uint64_t(std::uint32_t(m.dst))) &
-            1) != 0))
-        chosen = t;
+    // equal-load choices. This keeps the tree loads within a few hops of
+    // each other, so which tree wins a comparison is close to a coin
+    // flip: it is a select, not a branch. Exact ties (about one per
+    // message) branch to the hash.
+    std::size_t chosen = trees;  // none yet
+    std::int64_t chosen_load = 0;
+    for (std::size_t t = 0; t < trees; ++t) {
+      if (ds[t] + dd[t] > best_len + 2) continue;
+      const std::int64_t load = ws.tree_load[t];
+      bool take = chosen == trees || load < chosen_load;
+      if (chosen != trees && load == chosen_load) [[unlikely]]
+        take = (hash_pair(std::uint64_t(std::uint32_t(m.src)) + t,
+                          std::uint64_t(std::uint32_t(m.dst))) &
+                1) != 0;
+      chosen = take ? t : chosen;
+      chosen_load = take ? load : chosen_load;
     }
-    workspace::in_flight f;
-    f.msg = m;
-    f.path_begin = std::int64_t(ws.path_pool.size());
-    tree_path_arcs(chosen, m.src, m.dst, ws.path_pool, ws.path_down);
-    f.path_len = std::int64_t(ws.path_pool.size()) - f.path_begin;
-    for (std::int64_t i = f.path_begin; i < f.path_begin + f.path_len; ++i) {
-      const auto aid = ws.path_pool[size_t(i)];
-      if (++ws.edge_load[size_t(aid)] == 1) ws.edge_touched.push_back(aid);
-    }
-    stats.messages += f.path_len;
-    stats.max_path = std::max(stats.max_path, f.path_len);
-    ws.tree_load[size_t(chosen)] += f.path_len;
-    ws.flights.push_back(f);
+    const auto begin = std::uint32_t(ws.path_pool.size());
+    expand_path(int(chosen), m.src, m.dst);
+    const auto end = std::uint32_t(ws.path_pool.size());
+    const std::int64_t len = end - begin;
+    stats.messages += len;
+    stats.max_path = std::max(stats.max_path, len);
+    ws.tree_load[chosen] += len;
+    const auto fi = std::int32_t(ws.flights.size());
+    ws.flights.push_back({begin, end, -1});
+    enqueue(ws.path_pool[begin], fi);
   }
   stats.arcs_touched = std::int64_t(ws.edge_touched.size());
   for (const auto aid : ws.edge_touched) {
-    stats.max_edge_load =
-        std::max(stats.max_edge_load, ws.edge_load[size_t(aid)]);
+    stats.max_edge_load = std::max<std::int64_t>(stats.max_edge_load,
+                                                 ws.edge_load[size_t(aid)]);
     ws.edge_load[size_t(aid)] = 0;  // sparse reset: zero between routes
   }
   ws.edge_touched.clear();
 
-  // Synchronous store-and-forward: per round each directed edge forwards the
-  // front of its FIFO queue. Arrivals are buffered so a message moves at
-  // most one hop per round. All queues are empty again once every message
-  // is delivered, so the queue array can persist across route() calls.
-  if (ws.queue.size() < size_t(num_arcs))
-    ws.queue.resize(size_t(num_arcs));
-  ws.active.clear();
-  auto enqueue = [&ws](std::int64_t eid, std::int32_t flight_idx) {
-    if (ws.queue[size_t(eid)].empty()) ws.active.push_back(eid);
-    ws.queue[size_t(eid)].push_back(flight_idx);
-  };
-  for (std::int32_t i = 0; i < std::int32_t(ws.flights.size()); ++i)
-    enqueue(ws.path_pool[size_t(ws.flights[size_t(i)].path_begin)], i);
-
-  std::int64_t remaining = std::int64_t(ws.flights.size());
-  while (remaining > 0) {
-    ++stats.rounds;
-    ws.arrivals.clear();
-    ws.still_active.clear();
-    std::sort(ws.active.begin(), ws.active.end());  // deterministic order
-    ws.active.erase(std::unique(ws.active.begin(), ws.active.end()),
-                    ws.active.end());
-    for (std::int64_t eid : ws.active) {
-      auto& q = ws.queue[size_t(eid)];
-      if (q.empty()) continue;
-      const std::int32_t fi = q.front();
-      q.pop_front();
-      auto& f = ws.flights[size_t(fi)];
-      ++f.next;
-      if (f.next == f.path_len) {
-        if (deliver) ws.done.push(f.msg);
-        --remaining;
-      } else {
-        ws.arrivals.emplace_back(
-            ws.path_pool[size_t(f.path_begin + f.next)], fi);
-      }
-      if (!q.empty()) ws.still_active.push_back(eid);
-    }
-    for (const auto& [eid, fi] : ws.arrivals) {
-      if (ws.queue[size_t(eid)].empty()) ws.still_active.push_back(eid);
-      ws.queue[size_t(eid)].push_back(fi);
-    }
-    std::swap(ws.active, ws.still_active);
-    DCL_ENSURE(!ws.active.empty() || remaining == 0,
+  // Synchronous store-and-forward: per round every non-empty arc forwards
+  // its FIFO front, in ascending arc id, and an arriving flight joins its
+  // next arc's tail in that same order. Appending right away is safe: it
+  // never changes the front of a non-empty FIFO, and an arc that was empty
+  // is only marked for the next round, so a flight moves one hop per
+  // round. Every undelivered flight sits in exactly one FIFO, so a round
+  // with flights left but no active arc is a stall.
+  std::int64_t queued = std::int64_t(ws.flights.size());
+  auto& round = ws.round_arcs;
+  while (queued > 0) {
+    DCL_ENSURE(ws.active_count > 0,
                "router stalled with undelivered messages");
+    ++stats.rounds;
+    round.clear();
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = ws.active[w];
+      ws.active[w] = 0;
+      for (; bits != 0; bits &= bits - 1)
+        round.push_back(
+            std::int32_t((w << 6) | std::size_t(std::countr_zero(bits))));
+    }
+    ws.active_count = 0;
+    // This round's FIFO fronts are fixed before any flight moves, so the
+    // flights (and then their next path entries) a few arcs ahead can be
+    // fetched while the current one is forwarded.
+    const std::size_t k = round.size();
+    const auto front = [&](std::size_t j) -> const workspace::flight& {
+      return ws.flights[size_t(ws.fifos[size_t(round[j])].head)];
+    };
+    for (std::size_t i = 0; i < k; ++i) {
+      if (i + kPrefetchFlight < k)
+        __builtin_prefetch(&front(i + kPrefetchFlight));
+      if (i + kPrefetchPath < k)
+        __builtin_prefetch(ws.path_pool.data() +
+                           front(i + kPrefetchPath).cur + 1);
+      const std::int32_t arc = round[i];
+      auto& q = ws.fifos[size_t(arc)];
+      const std::int32_t fi = q.head;
+      auto& f = ws.flights[size_t(fi)];
+      q.head = f.next;
+      if (q.head != -1) mark_active(arc);
+      if (++f.cur == f.end)
+        --queued;
+      else
+        enqueue(ws.path_pool[f.cur], fi);
+    }
   }
 
   return stats;

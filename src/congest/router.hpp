@@ -9,9 +9,7 @@
 // per-message adjacency searches.
 
 #include <cstdint>
-#include <deque>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "congest/message.hpp"
@@ -46,7 +44,8 @@ class cluster_router {
   /// contents in place with the delivered messages in deterministic
   /// receiver order. Returns the measured cost of the batch. Repeated
   /// calls reuse an internal workspace — no per-call allocation after the
-  /// first batch.
+  /// first batch. On an out-of-range endpoint nothing is routed, `io` is
+  /// left as it was, and the router stays usable.
   route_stats route(message_batch& io);
 
   /// Accounting-only variant: same measured cost, but the delivered
@@ -55,52 +54,73 @@ class cluster_router {
   route_stats route_discard(message_batch& io);
 
   std::int32_t tree_depth() const { return max_depth_; }
-  int num_trees() const { return int(parents_.size()); }
+  int num_trees() const { return num_trees_; }
 
  private:
-  route_stats route_impl(std::span<const message> msgs, bool deliver);
+  /// Measures one batch: tree choice, path expansion, and the synchronous
+  /// store-and-forward simulation. The messages themselves never move —
+  /// the delivered multiset is the input batch, so route() reorders `io`
+  /// in place afterwards.
+  route_stats simulate(std::span<const message> msgs);
 
   /// Appends the arc ids of the full tree path src -> ... -> dst through
-  /// the LCA in tree t to `out`; `down` is recycled scratch for the
-  /// dst-side half.
-  void tree_path_arcs(int t, vertex src, vertex dst,
-                      std::vector<std::int64_t>& out,
-                      std::vector<std::int64_t>& down) const;
+  /// the LCA in tree t to the path pool, counting each arc's load.
+  void expand_path(int t, vertex src, vertex dst);
+
+  /// Appends flight `fi` to the tail of arc `arc`'s FIFO; an arc that was
+  /// empty joins the next round's active set.
+  void enqueue(std::int32_t arc, std::int32_t fi);
+  /// Adds `arc` to the active-arc set the next round drains.
+  void mark_active(std::int32_t arc);
+
+  /// One BFS tree entry of a vertex: its parent, its depth, and the arc
+  /// ids toward and from the parent (-1 at the root).
+  struct tree_node {
+    vertex parent = -1;
+    std::int32_t depth = 0;
+    std::int32_t up_arc = -1;
+    std::int32_t down_arc = -1;
+  };
 
   /// Recycled per-route state; sized once per router, reset cheaply. All
-  /// message paths live flattened in one shared pool (each flight keeps an
-  /// offset/length into it), and per-arc loads reset sparsely through the
-  /// touched list, so repeated route() calls allocate nothing once the
-  /// workspace capacity has warmed up.
+  /// message paths live flattened in one shared pool, and each flight is
+  /// only a cursor into it plus its FIFO link. The per-arc FIFOs are
+  /// intrusive singly linked lists through those links, so a hop moves a
+  /// 32-bit index, never a message. FIFOs, the active-arc bitset, and per-arc
+  /// loads are all empty/zero between routes, so repeated route() calls
+  /// allocate nothing once the workspace capacity has warmed up.
   struct workspace {
-    struct in_flight {
-      std::int64_t path_begin = 0;  // offset into path_pool
-      std::int64_t path_len = 0;
-      std::int64_t next = 0;        // hops already taken
-      message msg;
+    struct flight {
+      std::uint32_t cur = 0;  // path_pool index of the arc it queues on
+      std::uint32_t end = 0;  // one past its last arc
+      std::int32_t next = -1; // next flight in the same arc FIFO
     };
-    std::vector<std::int64_t> path_pool;  // directed arc ids, flattened
-    message_batch done;                   // delivered half of the buffer pair
-    std::vector<in_flight> flights;
-    std::vector<std::int64_t> edge_load;     // per-arc; zero between routes
-    std::vector<std::int64_t> edge_touched;  // arcs to reset after a route
+    struct fifo {
+      std::int32_t head = -1;  // -1: empty (tail is then stale)
+      std::int32_t tail = -1;
+    };
+    std::vector<std::int32_t> path_pool;  // directed arc ids, flattened
+    std::vector<flight> flights;
+    std::vector<fifo> fifos;                 // per arc
+    std::vector<std::int32_t> edge_load;     // per arc
+    std::vector<std::int32_t> edge_touched;  // arcs to reset after a route
     std::vector<std::int64_t> tree_load;
-    std::vector<int> lens;
-    std::vector<int> candidates;
-    std::vector<std::int64_t> path_down;
-    std::vector<std::deque<std::int32_t>> queue;  // empty between routes
-    std::vector<std::int64_t> active;
-    std::vector<std::int64_t> still_active;
-    std::vector<std::pair<std::int64_t, std::int32_t>> arrivals;
+    std::vector<std::int32_t> path_down;     // dst-side half of a path
+    // Arcs with a non-empty FIFO, as a bitset over arc ids (all zero
+    // between routes) and its population count. Each round drains it into
+    // `round_arcs` in ascending arc id before any flight moves, so arcs
+    // that fill up during the round wait for the next.
+    std::vector<std::uint64_t> active;
+    std::int64_t active_count = 0;
+    std::vector<std::int32_t> round_arcs;
   };
 
   const graph* g_;
   transport* tp_;
   transport owned_tp_;
-  std::vector<std::vector<vertex>> parents_;       // per tree
-  std::vector<std::vector<std::int32_t>> depths_;  // per tree
-  std::vector<std::vector<std::int64_t>> up_arcs_;   // v -> parent_t(v)
-  std::vector<std::vector<std::int64_t>> down_arcs_; // parent_t(v) -> v
+  int num_trees_ = 0;
+  std::vector<tree_node> nodes_;               // [t * n + v]
+  std::vector<std::int32_t> depth_by_vertex_;  // [v * num_trees + t]
   std::int32_t max_depth_ = 0;
   workspace ws_;
 };

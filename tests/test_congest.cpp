@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "congest/cluster_comm.hpp"
 #include "support/check.hpp"
@@ -10,6 +17,7 @@
 #include "congest/cost.hpp"
 #include "congest/network.hpp"
 #include "congest/router.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -332,6 +340,306 @@ TEST(Router, DeterministicRounds) {
   const auto s2 = r.route(b);
   EXPECT_EQ(s1.rounds, s2.rounds);
   EXPECT_EQ(a.vec(), b.vec());
+}
+
+// ------------------------------------------ router differential reference
+
+/// The store-and-forward router as it was first written, kept as the
+/// schedule every optimization of cluster_router must reproduce: the same
+/// BFS trees, the same least-loaded tree choice, and a simulator with one
+/// std::deque per arc whose active list is sorted and deduplicated every
+/// round. Delivered messages are returned in message_order, the order
+/// transport::deliver guarantees.
+class reference_router {
+ public:
+  reference_router(const graph& cluster, int num_trees) : g_(&cluster) {
+    const vertex n = cluster.num_vertices();
+    if (n == 1) return;
+    std::vector<vertex> roots;
+    {
+      vertex best = 0;
+      for (vertex v = 1; v < n; ++v)
+        if (cluster.degree(v) > cluster.degree(best)) best = v;
+      roots.push_back(best);
+    }
+    std::vector<std::int32_t> min_dist(
+        size_t(n), std::numeric_limits<std::int32_t>::max());
+    const int want = std::min<int>(num_trees, int(n));
+    while (int(roots.size()) < want) {
+      const auto t = bfs_from(cluster, roots.back());
+      for (vertex v = 0; v < n; ++v)
+        min_dist[size_t(v)] = std::min(min_dist[size_t(v)], t.dist[size_t(v)]);
+      vertex best = -1;
+      for (vertex v = 0; v < n; ++v) {
+        if (std::find(roots.begin(), roots.end(), v) != roots.end()) continue;
+        if (best == -1 || min_dist[size_t(v)] > min_dist[size_t(best)] ||
+            (min_dist[size_t(v)] == min_dist[size_t(best)] &&
+             cluster.degree(v) > cluster.degree(best)))
+          best = v;
+      }
+      if (best == -1) break;
+      roots.push_back(best);
+    }
+    for (vertex r : roots) {
+      const auto t = bfs_from(cluster, r);
+      std::vector<std::int64_t> up(size_t(n), -1), down(size_t(n), -1);
+      for (vertex v = 0; v < n; ++v)
+        if (t.parent[size_t(v)] != -1) {
+          const auto a = cluster.arc_id(v, t.parent[size_t(v)]);
+          up[size_t(v)] = a;
+          down[size_t(v)] = cluster.reverse_arc(a);
+        }
+      parents_.push_back(t.parent);
+      depths_.push_back(t.dist);
+      up_arcs_.push_back(std::move(up));
+      down_arcs_.push_back(std::move(down));
+    }
+  }
+
+  route_stats route(std::span<const message> msgs,
+                    std::vector<message>& delivered) const {
+    route_stats stats;
+    const graph& g = *g_;
+    const std::int64_t num_arcs = g.num_arcs();
+    struct in_flight {
+      std::int64_t path_begin = 0;
+      std::int64_t path_len = 0;
+      std::int64_t next = 0;
+      message msg;
+    };
+    std::vector<std::int64_t> path_pool, path_down;
+    std::vector<in_flight> flights;
+    std::vector<std::int64_t> edge_load(size_t(num_arcs), 0);
+    std::vector<std::int64_t> edge_touched;
+    std::vector<std::int64_t> tree_load(parents_.size(), 0);
+    std::vector<int> lens(parents_.size()), candidates;
+    delivered.clear();
+    for (const auto& m : msgs) {
+      if (m.src == m.dst) {
+        delivered.push_back(m);
+        continue;
+      }
+      int best_len = std::numeric_limits<int>::max();
+      for (int t = 0; t < int(parents_.size()); ++t) {
+        const auto& depth = depths_[size_t(t)];
+        lens[size_t(t)] = depth[size_t(m.src)] + depth[size_t(m.dst)];
+        best_len = std::min(best_len, lens[size_t(t)]);
+      }
+      candidates.clear();
+      for (int t = 0; t < int(parents_.size()); ++t)
+        if (lens[size_t(t)] <= best_len + 2) candidates.push_back(t);
+      int chosen = candidates[0];
+      for (int t : candidates) {
+        if (tree_load[size_t(t)] < tree_load[size_t(chosen)] ||
+            (tree_load[size_t(t)] == tree_load[size_t(chosen)] &&
+             (hash_pair(std::uint64_t(std::uint32_t(m.src)) + std::uint64_t(t),
+                        std::uint64_t(std::uint32_t(m.dst))) &
+              1) != 0))
+          chosen = t;
+      }
+      in_flight f;
+      f.msg = m;
+      f.path_begin = std::int64_t(path_pool.size());
+      tree_path_arcs(chosen, m.src, m.dst, path_pool, path_down);
+      f.path_len = std::int64_t(path_pool.size()) - f.path_begin;
+      for (std::int64_t i = f.path_begin; i < f.path_begin + f.path_len; ++i) {
+        const auto aid = path_pool[size_t(i)];
+        if (++edge_load[size_t(aid)] == 1) edge_touched.push_back(aid);
+      }
+      stats.messages += f.path_len;
+      stats.max_path = std::max(stats.max_path, f.path_len);
+      tree_load[size_t(chosen)] += f.path_len;
+      flights.push_back(f);
+    }
+    stats.arcs_touched = std::int64_t(edge_touched.size());
+    for (const auto aid : edge_touched)
+      stats.max_edge_load =
+          std::max(stats.max_edge_load, edge_load[size_t(aid)]);
+
+    std::vector<std::deque<std::int32_t>> queue(static_cast<size_t>(num_arcs));
+    std::vector<std::int64_t> active, still_active;
+    std::vector<std::pair<std::int64_t, std::int32_t>> arrivals;
+    auto enqueue = [&](std::int64_t eid, std::int32_t flight_idx) {
+      if (queue[size_t(eid)].empty()) active.push_back(eid);
+      queue[size_t(eid)].push_back(flight_idx);
+    };
+    for (std::int32_t i = 0; i < std::int32_t(flights.size()); ++i)
+      enqueue(path_pool[size_t(flights[size_t(i)].path_begin)], i);
+
+    std::int64_t remaining = std::int64_t(flights.size());
+    while (remaining > 0) {
+      ++stats.rounds;
+      arrivals.clear();
+      still_active.clear();
+      std::sort(active.begin(), active.end());
+      active.erase(std::unique(active.begin(), active.end()), active.end());
+      for (std::int64_t eid : active) {
+        auto& q = queue[size_t(eid)];
+        if (q.empty()) continue;
+        const std::int32_t fi = q.front();
+        q.pop_front();
+        auto& f = flights[size_t(fi)];
+        ++f.next;
+        if (f.next == f.path_len) {
+          delivered.push_back(f.msg);
+          --remaining;
+        } else {
+          arrivals.emplace_back(path_pool[size_t(f.path_begin + f.next)], fi);
+        }
+        if (!q.empty()) still_active.push_back(eid);
+      }
+      for (const auto& [eid, fi] : arrivals) {
+        if (queue[size_t(eid)].empty()) still_active.push_back(eid);
+        queue[size_t(eid)].push_back(fi);
+      }
+      std::swap(active, still_active);
+      if (active.empty() && remaining > 0) {
+        ADD_FAILURE() << "reference router stalled";
+        break;
+      }
+    }
+    std::sort(delivered.begin(), delivered.end(), message_order);
+    return stats;
+  }
+
+ private:
+  void tree_path_arcs(int t, vertex src, vertex dst,
+                      std::vector<std::int64_t>& out,
+                      std::vector<std::int64_t>& down) const {
+    const auto& parent = parents_[size_t(t)];
+    const auto& depth = depths_[size_t(t)];
+    const auto& up_arc = up_arcs_[size_t(t)];
+    const auto& down_arc = down_arcs_[size_t(t)];
+    down.clear();
+    vertex a = src, b = dst;
+    while (depth[size_t(a)] > depth[size_t(b)]) {
+      out.push_back(up_arc[size_t(a)]);
+      a = parent[size_t(a)];
+    }
+    while (depth[size_t(b)] > depth[size_t(a)]) {
+      down.push_back(down_arc[size_t(b)]);
+      b = parent[size_t(b)];
+    }
+    while (a != b) {
+      out.push_back(up_arc[size_t(a)]);
+      a = parent[size_t(a)];
+      down.push_back(down_arc[size_t(b)]);
+      b = parent[size_t(b)];
+    }
+    out.insert(out.end(), down.rbegin(), down.rend());
+  }
+
+  const graph* g_;
+  std::vector<std::vector<vertex>> parents_;
+  std::vector<std::vector<std::int32_t>> depths_;
+  std::vector<std::vector<std::int64_t>> up_arcs_;
+  std::vector<std::vector<std::int64_t>> down_arcs_;
+};
+
+void expect_stats_equal(const route_stats& got, const route_stats& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.rounds, want.rounds) << where;
+  EXPECT_EQ(got.messages, want.messages) << where;
+  EXPECT_EQ(got.max_path, want.max_path) << where;
+  EXPECT_EQ(got.max_edge_load, want.max_edge_load) << where;
+  EXPECT_EQ(got.arcs_touched, want.arcs_touched) << where;
+}
+
+/// Seeded batch shapes for the differential sweep.
+enum class batch_shape { random, many_to_one, with_self, empty };
+
+std::vector<message> make_shaped_batch(batch_shape shape, vertex n, prng& rng,
+                                       int size) {
+  std::vector<message> out;
+  if (shape == batch_shape::empty) return out;
+  const auto pick = [&] {
+    return vertex(rng.next_below(std::uint64_t(n)));
+  };
+  const vertex sink = pick();
+  for (int i = 0; i < size; ++i) {
+    message m;
+    m.tag = std::uint32_t(i % 5);
+    m.a = rng.next_below(4);  // small payloads: equal messages occur
+    m.b = std::uint64_t(i % 3);
+    switch (shape) {
+      case batch_shape::random:
+        m.src = pick();
+        m.dst = pick();
+        break;
+      case batch_shape::many_to_one:
+        // Every vertex ships several items to one collector, like the
+        // gather half of an allgather.
+        m.src = vertex(i % n);
+        m.dst = sink;
+        break;
+      case batch_shape::with_self:
+        m.src = pick();
+        m.dst = rng.next_below(3) == 0 ? m.src : pick();
+        break;
+      case batch_shape::empty:
+        break;
+    }
+    out.push_back(m);
+  }
+  return out;
+}
+
+graph connected_gnp(vertex n, double p, std::uint64_t seed) {
+  // A G(n, p) draw joined into one component by a spanning path.
+  edge_list edges = gen::gnp(n, p, seed).edges();
+  for (vertex v = 0; v + 1 < n; ++v) edges.push_back(make_edge(v, v + 1));
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return graph(n, edges);
+}
+
+TEST(Router, MatchesReferenceScheduleAcrossFamiliesAndBatches) {
+  struct family {
+    const char* name;
+    graph g;
+  };
+  edge_list path_edges, star_edges;
+  for (vertex v = 0; v + 1 < 12; ++v) path_edges.push_back({v, v + 1});
+  for (vertex v = 1; v < 15; ++v) star_edges.push_back({0, v});
+  const family families[] = {
+      {"hypercube", gen::hypercube(5)},
+      {"circulant", gen::circulant(48, {1, 5, 11})},
+      {"gnp", connected_gnp(70, 0.08, 3)},
+      {"path", graph(12, path_edges)},
+      {"single_edge", graph(2, {{0, 1}})},
+      {"star", graph(15, star_edges)},
+  };
+  const batch_shape shapes[] = {batch_shape::random, batch_shape::many_to_one,
+                                batch_shape::with_self, batch_shape::empty};
+  for (const auto& fam : families) {
+    const vertex n = fam.g.num_vertices();
+    for (const int trees : {1, 2, 8}) {
+      // One router per (family, trees) serves the whole batch sequence,
+      // so every batch after the first runs on a reused workspace.
+      cluster_router r(fam.g, trees);
+      const reference_router ref(fam.g, trees);
+      prng rng(std::uint64_t(n) * 131 + std::uint64_t(trees));
+      for (int rep = 0; rep < 3; ++rep)
+        for (const auto shape : shapes) {
+          const int size = 1 + int(rng.next_below(std::uint64_t(6 * n)));
+          const auto msgs = make_shaped_batch(shape, n, rng, size);
+          std::vector<message> want;
+          const route_stats want_stats = ref.route(msgs, want);
+          const std::string where = std::string(fam.name) + " trees=" +
+                                    std::to_string(trees) + " rep=" +
+                                    std::to_string(rep) + " shape=" +
+                                    std::to_string(int(shape));
+          message_batch io;
+          for (const auto& m : msgs) io.push(m);
+          expect_stats_equal(r.route(io), want_stats, where);
+          EXPECT_EQ(io.vec(), want) << where;
+          message_batch discard;
+          for (const auto& m : msgs) discard.push(m);
+          expect_stats_equal(r.route_discard(discard), want_stats, where);
+          EXPECT_TRUE(discard.empty()) << where;
+        }
+    }
+  }
 }
 
 TEST(ClusterComm, LocalIdsAndMaps) {

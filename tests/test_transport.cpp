@@ -249,6 +249,45 @@ TEST(TransportRounds, RouterCountersStayCleanAfterRejectedBatch) {
   ok.emplace(0, 1);
   const auto stats = r.route_discard(ok);
   EXPECT_EQ(stats.max_edge_load, 1);
+
+  // Every route_stats field — rounds and arcs touched come from the FIFO
+  // and active-arc state, not edge_load — and the delivered batch must
+  // match a router that never saw the rejected batch, after rejections
+  // through both entry points, for a bad src and a bad dst. The rejected
+  // batch itself is left as it was.
+  const auto g2 = gen::circulant(24, {1, 5});
+  cluster_router used(g2, 4);
+  prng rng(17);
+  for (int trial = 0; trial < 4; ++trial) {
+    message_batch rejected;
+    for (int i = 0; i < 50; ++i)
+      rejected.emplace(vertex(rng.next_below(24)), vertex(rng.next_below(24)));
+    if (trial % 2 == 0)
+      rejected.emplace(3, 24);  // bad dst after valid traffic
+    else
+      rejected.emplace(-1, 3);  // bad src after valid traffic
+    EXPECT_THROW(trial < 2 ? used.route(rejected)
+                           : used.route_discard(rejected),
+                 precondition_error);
+    EXPECT_EQ(rejected.size(), 51u) << "trial " << trial;
+
+    message_batch a, b;
+    for (int i = 0; i < 120; ++i) {
+      const message m{vertex(rng.next_below(24)), vertex(rng.next_below(24)),
+                      0, std::uint64_t(i), 0};
+      a.push(m);
+      b.push(m);
+    }
+    cluster_router fresh(g2, 4);
+    const auto got = used.route(a);
+    const auto want = fresh.route(b);
+    EXPECT_EQ(got.rounds, want.rounds) << "trial " << trial;
+    EXPECT_EQ(got.messages, want.messages) << "trial " << trial;
+    EXPECT_EQ(got.max_path, want.max_path) << "trial " << trial;
+    EXPECT_EQ(got.max_edge_load, want.max_edge_load) << "trial " << trial;
+    EXPECT_EQ(got.arcs_touched, want.arcs_touched) << "trial " << trial;
+    EXPECT_EQ(a.vec(), b.vec()) << "trial " << trial;
+  }
 }
 
 // -------------------------------------------------- shared-buffer reuse
