@@ -5,7 +5,7 @@
 // below (namespace legacy) so the comparison stays reproducible after the
 // deletion. Each case times the kernel under kernel_mode x simd_mode —
 // scalar compaction, dense bitmaps on the scalar word loops, dense bitmaps
-// on the detected vector tier (AVX2/NEON; column degenerates to the scalar
+// on the detected vector tier (AVX2; column degenerates to the scalar
 // bitmap on machines without one), and the double-auto configuration the
 // session API defaults to — plus a galloping/vector microbench on the
 // sorted-intersection routines. Emits one JSON document on stdout AND to
@@ -226,17 +226,17 @@ int main(int argc, char** argv) {
   constexpr simd_mode kSimdScalar = simd_mode::scalar;
   constexpr simd_mode kSimdAuto = simd_mode::auto_select;
 
-  // The five timed configurations of every case, in round-robin order.
-  struct config {
-    enumkernel::kernel_mode kernel;
-    simd_mode simd;
-  };
+  // The timed configurations of every case, in round-robin order, each
+  // resolved once up front exactly as a session resolves its options at
+  // bind.
+  using config = enumkernel::exec_config;
   const config kConfigs[] = {
-      {kScalar, kSimdScalar},  // scalar_seconds
-      {kBitmap, kSimdScalar},  // bitmap_scalar_seconds
-      {kBitmap, kVec},         // bitmap_vector_seconds
-      {kAuto, kSimdAuto},      // auto_seconds
+      enumkernel::resolve_exec(kScalar, kSimdScalar),  // scalar_seconds
+      enumkernel::resolve_exec(kBitmap, kSimdScalar),  // bitmap_scalar_seconds
+      enumkernel::resolve_exec(kBitmap, kVec),         // bitmap_vector_seconds
+      enumkernel::resolve_exec(kAuto, kSimdAuto),      // auto_seconds
   };
+  const config& kScalarConfig = kConfigs[0];
 
   // ---- graph entry: count every p-clique of one graph, once per kernel
   // configuration. `with_legacy` = false for the wide dense cases where the
@@ -247,15 +247,14 @@ int main(int argc, char** argv) {
                               int p, bool with_legacy) {
     const std::int64_t want =
         with_legacy ? legacy::count_cliques(g, p)
-                    : enumkernel::count_cliques(g, p, ws, kPolicy, kScalar,
-                                                kSimdScalar);
+                    : enumkernel::count_cliques(g, p, ws, kPolicy,
+                                                kScalarConfig);
     for (const auto& c : kConfigs)
-      if (enumkernel::count_cliques(g, p, ws, kPolicy, c.kernel, c.simd) !=
-          want)
+      if (enumkernel::count_cliques(g, p, ws, kPolicy, c) != want)
         std::abort();  // differential cross-check, every configuration
     const auto kernel_run = [&](config c) {
       return std::function<void()>([&, c] {
-        (void)enumkernel::count_cliques(g, p, ws, kPolicy, c.kernel, c.simd);
+        (void)enumkernel::count_cliques(g, p, ws, kPolicy, c);
       });
     };
     std::vector<std::function<void()>> variants;
@@ -280,15 +279,14 @@ int main(int argc, char** argv) {
     const auto& edges = g.edges();
     const auto want = legacy::cliques_in_edge_set(edges, p);
     for (const auto& c : kConfigs)
-      if (!(enumkernel::cliques_in_edge_set(edges, p, ws, c.kernel, c.simd) ==
-            want))
+      if (!(enumkernel::cliques_in_edge_set(edges, p, ws, c) == want))
         std::abort();
     const auto kernel_run = [&](config c) {
       return std::function<void()>([&, c] {
         clique_collector col(p);
         enumkernel::enumerate_cliques_in_edges(
             edges, p, ws, [&](std::span<const vertex> cl) { col.emit(cl); },
-            c.kernel, c.simd);
+            c);
         if (col.emitted() != want.size()) std::abort();
       });
     };
@@ -365,6 +363,8 @@ int main(int argc, char** argv) {
   // order is gallop-first).
   std::vector<intersection_result> xrows;
   {
+    const simd::simd_ops* kScalarOps = kScalarConfig.ops;
+    const simd::simd_ops* kVecOps = kConfigs[2].ops;  // bitmap_vector's tier
     const std::int64_t reps = smoke ? 50 : 2000;
     const auto xcase = [&](const std::string& name, std::int64_t short_len,
                            std::int64_t long_len) {
@@ -375,22 +375,22 @@ int main(int argc, char** argv) {
       for (std::int64_t i = 0; i < long_len; ++i) b.push_back(vertex(3 * i));
       std::sort(a.begin(), a.end());
       a.erase(std::unique(a.begin(), a.end()), a.end());
-      const auto run = [&](std::size_t factor, simd_mode simd) {
-        return std::function<void()>([&, factor, simd] {
+      const auto run = [&](std::size_t factor, const simd::simd_ops* ops) {
+        return std::function<void()>([&, factor, ops] {
           std::int64_t acc = 0;
           for (std::int64_t r = 0; r < reps; ++r)
-            acc += sorted_intersection_size(a, b, factor, simd);
+            acc += sorted_intersection_size(a, b, factor, ops);
           if (acc < 0) std::abort();
         });
       };
-      const std::int64_t want = sorted_intersection_size(a, b, 0, kSimdScalar);
-      if (sorted_intersection_size(a, b, kGallopFactor, kSimdScalar) != want ||
-          sorted_intersection_size(a, b, 0, kVec) != want ||
-          sorted_intersection_size(a, b, kGallopFactor, kVec) != want)
+      const std::int64_t want = sorted_intersection_size(a, b, 0, kScalarOps);
+      if (sorted_intersection_size(a, b, kGallopFactor, kScalarOps) != want ||
+          sorted_intersection_size(a, b, 0, kVecOps) != want ||
+          sorted_intersection_size(a, b, kGallopFactor, kVecOps) != want)
         std::abort();
-      const auto t = interleaved_best({run(0, kSimdScalar),
-                                       run(kGallopFactor, kSimdScalar),
-                                       run(0, kVec)},
+      const auto t = interleaved_best({run(0, kScalarOps),
+                                       run(kGallopFactor, kScalarOps),
+                                       run(0, kVecOps)},
                                       rounds);
       xrows.push_back({name, std::int64_t(a.size()), long_len, reps,
                        t[0], t[1], t[2]});

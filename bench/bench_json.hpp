@@ -83,7 +83,6 @@ inline std::string meta_json() {
      << "debug"
 #endif
      << "\", \"cpu_avx2\": " << (simd::cpu_has_avx2() ? "true" : "false")
-     << ", \"cpu_neon\": " << (simd::cpu_has_neon() ? "true" : "false")
      << ", \"simd_detected\": \""
      << simd::simd_mode_name(simd::detected_mode())
      << "\", \"timestamp_utc\": \"" << utc_timestamp() << "\"}";

@@ -22,8 +22,6 @@ serving_session::class_key serving_session::make_key(const listing_query& q,
   return class_key{edge_scoped,
                    q.p,
                    int(q.mode),
-                   int(q.kernel),
-                   int(q.simd),
                    int(q.lb),
                    q.seed,
                    q.epsilon,

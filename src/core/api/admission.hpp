@@ -12,8 +12,10 @@
 //
 // Compatibility: two queries share an admission class iff every
 // result-shaping knob matches — scope (full-graph vs edge-scoped), p,
-// sink mode, kernel mode, lb engine, seed, epsilon, beta, gamma,
-// max_levels, base_case_edges, and trace. Within a class:
+// sink mode, lb engine, seed, epsilon, beta, gamma, max_levels,
+// base_case_edges, and trace. (The kernel traversal and vector tier are
+// session-wide, so every query of one serving_session shares them.)
+// Within a class:
 //
 //   * full-graph queries are literally identical, so a batch executes the
 //     query once and every tenant receives a copy of the one result;
@@ -113,12 +115,11 @@ class serving_session {
 
  private:
   /// Everything the compatibility decision keys on, in one ordered tuple:
-  /// scope, p, mode, kernel, simd, lb, seed, epsilon, beta, gamma,
-  /// max_levels, base_case_edges, trace. (stream_batch_tuples is absent on
-  /// purpose — stream queries never enter the queue.)
-  using class_key =
-      std::tuple<bool, int, int, int, int, int, std::uint64_t, double,
-                 double, double, int, std::int64_t, bool>;
+  /// scope, p, mode, lb, seed, epsilon, beta, gamma, max_levels,
+  /// base_case_edges, trace. (stream_batch_tuples is absent on purpose —
+  /// stream queries never enter the queue.)
+  using class_key = std::tuple<bool, int, int, int, std::uint64_t, double,
+                               double, double, int, std::int64_t, bool>;
   static class_key make_key(const listing_query& q, bool edge_scoped);
 
   /// One tenant's in-flight query. The owning thread blocks in submit()

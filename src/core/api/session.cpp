@@ -94,7 +94,10 @@ void validate_query(const listing_query& q, listing_engine engine) {
 }
 
 listing_session::listing_session(const graph& g, const session_options& opt)
-    : g_(&g), opt_(opt), pool_(opt.threads) {
+    : g_(&g),
+      opt_(opt),
+      exec_(enumkernel::resolve_exec(opt.kernel, opt.simd)),
+      pool_(opt.threads) {
   if (opt_.grain < 1)
     throw precondition_error("session_options: grain = " +
                              std::to_string(opt_.grain) +
@@ -164,19 +167,17 @@ query_result listing_session::run_local(const listing_query& q,
                                         const stream_sink* sink,
                                         query_lease& lease,
                                         runtime::thread_pool& pool) {
-  const enumkernel::kernel_mode kmode = effective_kernel(q);
-  const simd_mode smode = effective_simd(q);
   query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::count) {
     // The counting twin: same traversal, no tuple assembly, no buffers, no
     // merge — nothing is materialized anywhere.
     res.count = local::count_cliques_parallel(
-        dag_, q.p, pool, lease.scratch, opt_.grain, nullptr, kmode, smode);
+        dag_, q.p, pool, lease.scratch, opt_.grain, nullptr, exec_);
     res.report.emitted = res.count;
     return res;
   }
   clique_set out = local::list_cliques_parallel(
-      dag_, q.p, pool, lease.scratch, opt_.grain, nullptr, kmode, smode);
+      dag_, q.p, pool, lease.scratch, opt_.grain, nullptr, exec_);
   res.count = out.size();
   res.report.emitted = out.size();
   if (q.mode == sink_mode::collect)
@@ -190,13 +191,12 @@ query_result listing_session::run_congest(const listing_query& q,
                                           const stream_sink* sink,
                                           query_lease& lease,
                                           runtime::thread_pool& pool) {
-  listing_query eq = q;
-  eq.kernel = effective_kernel(q);
-  eq.simd = effective_simd(q);
   clique_collector out(q.p);
   listing_report rep =
-      q.p == 3 ? list_triangles_congest(*g_, eq, pool, lease.scratch, out)
-               : list_kp_congest(*g_, eq, pool, lease.scratch, out);
+      q.p == 3 ? list_triangles_congest(*g_, q, pool, lease.scratch, out,
+                                        nullptr, exec_)
+               : list_kp_congest(*g_, q, pool, lease.scratch, out, nullptr,
+                                 exec_);
   query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::collect) {
     res.cliques = out.finalize();
@@ -229,19 +229,16 @@ shard_run_result listing_session::run_shard(const listing_query& q,
   auto lease = leases_.acquire();
   std::unique_lock<std::mutex> gate;
   runtime::thread_pool& pool = claim_pool(gate, *lease);
-  listing_query eq = q;
-  eq.kernel = effective_kernel(q);
-  eq.simd = effective_simd(q);
   shard_run_result res;
   congest_shard_plan scoped_plan = plan;
   scoped_plan.scoped = &res.scoped;
   clique_collector out(q.p);
   res.report =
       q.p == 3
-          ? list_triangles_congest(*g_, eq, pool, lease->scratch, out,
-                                   &scoped_plan)
-          : list_kp_congest(*g_, eq, pool, lease->scratch, out,
-                            &scoped_plan);
+          ? list_triangles_congest(*g_, q, pool, lease->scratch, out,
+                                   &scoped_plan, exec_)
+          : list_kp_congest(*g_, q, pool, lease->scratch, out, &scoped_plan,
+                            exec_);
   const std::span<const vertex> raw = out.raw_view();
   res.raw_tuples.assign(raw.begin(), raw.end());
   res.emitted = out.emitted();
@@ -285,13 +282,10 @@ query_result listing_session::run_edges(const listing_query& q,
 
   lease.scratch.ensure_workers(1);
   auto& scratch = lease.scratch.arena(0).get<edge_query_scratch>();
-  const enumkernel::kernel_mode kmode = effective_kernel(q);
-  const simd_mode smode = effective_simd(q);
   query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::count) {
     res.count = enumkernel::enumerate_cliques_in_edges(
-        edges, q.p, scratch.ws, [](std::span<const vertex>) {}, kmode,
-        smode);
+        edges, q.p, scratch.ws, [](std::span<const vertex>) {}, exec_);
     res.report.emitted = res.count;
     return res;
   }
@@ -303,7 +297,7 @@ query_result listing_session::run_edges(const listing_query& q,
       [&](std::span<const vertex> c) {
         scratch.buf.insert(scratch.buf.end(), c.begin(), c.end());
       },
-      kmode, smode);
+      exec_);
   clique_collector out(q.p);
   out.merge_buffer(scratch.buf, /*tuples_presorted=*/true);
   if (q.mode == sink_mode::collect) {
@@ -331,8 +325,6 @@ std::vector<query_result> listing_session::cliques_in_edges_batch(
   auto lease = leases_.acquire();
   lease->scratch.ensure_workers(1);
   auto& scratch = lease->scratch.arena(0).get<edge_query_scratch>();
-  const enumkernel::kernel_mode kmode = effective_kernel(q);
-  const simd_mode smode = effective_simd(q);
 
   // One owner-tagged concatenated buffer; segment i delimits tenant i's
   // slice. The sweep enumerates each slice exactly as that tenant's solo
@@ -357,7 +349,7 @@ std::vector<query_result> listing_session::cliques_in_edges_batch(
         [&](std::size_t owner, std::span<const vertex>) {
           ++out[owner].count;
         },
-        kmode, smode);
+        exec_);
     for (auto& r : out) r.report.emitted = r.count;
     return out;
   }
@@ -370,7 +362,7 @@ std::vector<query_result> listing_session::cliques_in_edges_batch(
       [&](std::size_t owner, std::span<const vertex> c) {
         bufs[owner].insert(bufs[owner].end(), c.begin(), c.end());
       },
-      kmode, smode);
+      exec_);
   for (std::size_t i = 0; i < edge_sets.size(); ++i) {
     clique_collector coll(q.p);
     coll.merge_buffer(bufs[i], /*tuples_presorted=*/true);

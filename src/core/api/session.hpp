@@ -14,8 +14,9 @@
 //
 // Construction performs every query-independent setup step exactly once —
 // the graph's directed-arc index and reverse-arc table (congest_sim), the
-// degeneracy/DAG orientation (local_kclist), the runtime worker pool, and
-// a warmed scratch lease with its parked kernel scratch / transport — so
+// degeneracy/DAG orientation (local_kclist), the kernel traversal and
+// vector tier (resolved into one exec_config), the runtime worker pool,
+// and a warmed scratch lease with its parked kernel scratch / transport — so
 // repeated run() calls reuse warm capacity instead of rebuilding the
 // world per query. The session aliases the graph; the graph must outlive
 // it.
@@ -78,15 +79,17 @@ struct session_options {
       enumkernel::orientation_policy::degeneracy;
   std::int64_t grain = 128;
   /// Session-wide enumeration-kernel traversal (DESIGN.md §11): scalar
-  /// adjacency compaction, dense bitmaps, or per-egonet auto-selection. A
-  /// query whose own listing_query::kernel is not auto_select overrides
-  /// this for that run. Purely a performance knob — cliques, counts,
-  /// stream batches, and reports are bit-identical across all values.
+  /// adjacency compaction, dense bitmaps, or per-egonet auto-selection.
   enumkernel::kernel_mode kernel = enumkernel::kernel_mode::auto_select;
   /// Session-wide vector backend for the kernel's bitmap loops and the
-  /// drivers' sorted intersections (DESIGN.md §13). Same override rule as
-  /// `kernel`: an explicit per-query listing_query::simd wins. Purely a
-  /// performance knob — every output is bit-identical across tiers.
+  /// drivers' sorted intersections (DESIGN.md §13); a tier the machine
+  /// cannot run degrades to scalar.
+  ///
+  /// These two are the only place a caller picks how enumeration runs:
+  /// the session resolves them once, at bind, into one exec_config that
+  /// every run of every query uses. Purely performance knobs — cliques,
+  /// counts, stream batches, reports, and traces are bit-identical across
+  /// all values.
   simd_mode simd = simd_mode::auto_select;
 };
 
@@ -206,18 +209,6 @@ class listing_session {
   runtime::lease_pool_stats lease_stats() const { return leases_.stats(); }
 
  private:
-  /// Per-run traversal: a query's explicit (non-auto) kernel wins; an
-  /// auto_select query defers to the session-wide knob.
-  enumkernel::kernel_mode effective_kernel(const listing_query& q) const {
-    return q.kernel != enumkernel::kernel_mode::auto_select ? q.kernel
-                                                            : opt_.kernel;
-  }
-
-  /// Per-run vector backend: same precedence as effective_kernel.
-  simd_mode effective_simd(const listing_query& q) const {
-    return q.simd != simd_mode::auto_select ? q.simd : opt_.simd;
-  }
-
   /// Checks out a lease and decides where this run executes: the first
   /// concurrent caller try-locks pool_gate_ and gets the wide pool_;
   /// everyone else runs inline on their lease's single-slot pool. `gate`
@@ -234,6 +225,7 @@ class listing_session {
 
   const graph* g_;
   session_options opt_;
+  enumkernel::exec_config exec_;  ///< opt_.{kernel, simd}, resolved at bind
   runtime::thread_pool pool_;
   enumkernel::dag dag_;  ///< local_kclist only; oriented once at bind
 

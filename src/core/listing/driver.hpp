@@ -53,7 +53,8 @@ enum class sink_mode { collect, count, stream };
 
 /// Everything that may change between two runs against the same bound
 /// graph. The graph-binding half (engine, worker-pool size, DAG
-/// orientation) lives in session_options (core/api/session.hpp).
+/// orientation, kernel traversal and vector tier) lives in session_options
+/// (core/api/session.hpp).
 struct listing_query {
   int p = 3;                                ///< clique arity
   sink_mode mode = sink_mode::collect;      ///< output shape of this run
@@ -74,15 +75,6 @@ struct listing_query {
   /// is a no-op on the hot path (one pointer null check per exchange).
   /// Ignored by local_kclist (no CONGEST accounting there to trace).
   bool trace = false;
-  /// Enumeration-kernel traversal (DESIGN.md §11): scalar compaction,
-  /// dense bitmaps, or per-egonet auto-selection. Cliques, counts, stream
-  /// batches, and the ledger are bit-identical across the three values.
-  enumkernel::kernel_mode kernel = enumkernel::kernel_mode::auto_select;
-  /// Vector backend for the kernel's bitmap loops and the drivers'
-  /// sorted intersections (DESIGN.md §13): auto_select resolves to the
-  /// best tier the CPU supports; a fixed tier the machine cannot run
-  /// degrades to scalar. Every output is bit-identical across tiers.
-  simd_mode simd = simd_mode::auto_select;
 };
 
 struct level_stats {
@@ -176,12 +168,18 @@ struct listing_report {
 /// stats, residual retirement, model rounds, used_fallback — is computed
 /// identically on every shard, while cliques, ledger charges, and trace
 /// scopes come only from owned branches.
+///
+/// `exec` is how every cluster's final local enumeration (and the drivers'
+/// sorted intersections) execute — the session's bind-time resolution of
+/// session_options::{kernel, simd}. Every output is bit-identical for
+/// every config.
 listing_report list_triangles_congest(const graph& g, const listing_query& q,
                                       runtime::thread_pool& pool,
                                       runtime::query_scratch& scratch,
                                       clique_collector& out,
                                       const congest_shard_plan* plan =
-                                          nullptr);
+                                          nullptr,
+                                      enumkernel::exec_config exec = {});
 
 /// Theorem 36 (unified driver for p >= 4; see DESIGN.md §2.4 on K4).
 /// Contract as list_triangles_congest.
@@ -189,6 +187,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
                                runtime::thread_pool& pool,
                                runtime::query_scratch& scratch,
                                clique_collector& out,
-                               const congest_shard_plan* plan = nullptr);
+                               const congest_shard_plan* plan = nullptr,
+                               enumkernel::exec_config exec = {});
 
 }  // namespace dcl

@@ -50,9 +50,7 @@ inline vertex cluster_rep(const cluster_anatomy& a) {
 /// charge (the driver absorbs it under the run-sequential trace scope).
 void central_fallback(
     const graph& cur, int p, clique_collector& out, cost_ledger& ledger,
-    trace_recorder* rec = nullptr,
-    enumkernel::kernel_mode kmode = enumkernel::kernel_mode::auto_select,
-    simd_mode smode = simd_mode::auto_select);
+    trace_recorder* rec = nullptr, enumkernel::exec_config exec = {});
 
 /// The graph minus a sorted, deduplicated list of removed edges.
 graph remove_edges(const graph& cur, const edge_list& removed);

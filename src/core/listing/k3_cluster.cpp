@@ -93,8 +93,7 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
                                          clique_collector& out,
                                          std::string_view phase,
                                          runtime::scratch_arena* scratch,
-                                         enumkernel::kernel_mode kmode,
-                                         simd_mode smode) {
+                                         enumkernel::exec_config exec) {
   cluster_listing_stats stats;
   cluster_comm cc(net_c, a.v_cluster, a.e_cluster, std::string(phase));
 
@@ -107,7 +106,7 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
                       &net_c.shared_transport(), net_c.recorder());
     two_hop_listing(local_net, cc.local_graph(), low_local, a.delta, 3, out,
                     std::string(phase) + "/twohop", cc.parent_vertices(),
-                    scratch, kmode, smode);
+                    scratch, exec);
   }
 
   // ---- High-degree side: triangles inside V−_C via a partition tree.
@@ -200,7 +199,7 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
             tri[size_t(z)] = cc.to_parent(pool[size_t(c[size_t(z)])]);
           out.emit(std::span<const vertex>(tri, 3));
         },
-        kmode, smode);
+        exec);
   }
   return stats;
 }

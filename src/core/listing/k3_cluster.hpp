@@ -45,7 +45,6 @@ cluster_listing_stats list_k3_in_cluster(
     network& net_c, const graph& g, const cluster_anatomy& a,
     lb_engine engine, std::uint64_t seed, clique_collector& out,
     std::string_view phase, runtime::scratch_arena* scratch = nullptr,
-    enumkernel::kernel_mode kmode = enumkernel::kernel_mode::auto_select,
-    simd_mode smode = simd_mode::auto_select);
+    enumkernel::exec_config exec = {});
 
 }  // namespace dcl

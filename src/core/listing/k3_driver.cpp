@@ -21,13 +21,13 @@ namespace detail {
 /// leader (cost charged exactly) and list centrally.
 void central_fallback(const graph& cur, int p, clique_collector& out,
                       cost_ledger& ledger, trace_recorder* rec,
-                      enumkernel::kernel_mode kmode, simd_mode smode) {
+                      enumkernel::exec_config exec) {
   network net(cur, ledger, nullptr, rec);
   net.charge_gather_all_edges("fallback/gather");
   enumkernel::enum_scratch ws;
   enumkernel::enumerate_cliques(
       cur, p, ws, [&](std::span<const vertex> c) { out.emit(c); },
-      enumkernel::orientation_policy::degeneracy, kmode, smode);
+      enumkernel::orientation_policy::degeneracy, exec);
 }
 
 graph remove_edges(const graph& cur, const edge_list& removed) {
@@ -48,7 +48,8 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
                                       runtime::thread_pool& pool,
                                       runtime::query_scratch& scratch,
                                       clique_collector& out,
-                                      const congest_shard_plan* plan) {
+                                      const congest_shard_plan* plan,
+                                      enumkernel::exec_config exec) {
   DCL_EXPECTS(q.p == 3, "use list_kp_congest for p >= 4");
   DCL_EXPECTS(q.epsilon < 1.0,
               "epsilon must be below 1 (0 selects the default)");
@@ -74,7 +75,7 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
     const auto t0 = std::chrono::steady_clock::now();
     if (seq_owned) {
       cost_ledger fb;
-      detail::central_fallback(c, 3, out, fb, seq, q.kernel, q.simd);
+      detail::central_fallback(c, 3, out, fb, seq, exec);
       if (plan != nullptr && plan->scoped != nullptr)
         plan->scoped->push_back({-1, kTraceBranchSequential, fb});
       rep.ledger.merge_sequential(fb);
@@ -142,7 +143,7 @@ listing_report list_triangles_congest(const graph& g, const listing_query& q,
           oc.stats = list_k3_in_cluster(
               net_c, cur, a, q.lb, splitmix64(q.seed + std::uint64_t(ci)),
               oc.cliques, "cluster" + std::to_string(ci),
-              &scratch.arena(worker), q.kernel, q.simd);
+              &scratch.arena(worker), exec);
           return oc;
         });
     for (std::size_t ci = 0; ci < anatomy.size(); ++ci) {

@@ -70,8 +70,7 @@ cluster_listing_stats list_kp_in_cluster(
     network& net_c, const graph& g, const cluster_anatomy& a,
     const delivered_edges& eprime, int p, lb_engine engine,
     std::uint64_t seed, clique_collector& out, std::string_view phase,
-    runtime::scratch_arena* scratch, enumkernel::kernel_mode kmode,
-    simd_mode smode) {
+    runtime::scratch_arena* scratch, enumkernel::exec_config exec) {
   cluster_listing_stats stats;
   if (a.v_minus.size() < 2) return stats;
   cluster_comm cc(net_c, a.v_cluster, a.e_cluster, std::string(phase));
@@ -207,7 +206,7 @@ cluster_listing_stats list_kp_in_cluster(
       // Learned edges already carry parent ids — emit kernel tuples as-is.
       enumkernel::enumerate_cliques_in_edges(
           le, p, ws.enum_ws,
-          [&](std::span<const vertex> c) { out.emit(c); }, kmode, smode);
+          [&](std::span<const vertex> c) { out.emit(c); }, exec);
     }
     stats.listers += std::int64_t(listers.size());
   }

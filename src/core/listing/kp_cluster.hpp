@@ -29,7 +29,6 @@ cluster_listing_stats list_kp_in_cluster(
     const delivered_edges& eprime, int p, lb_engine engine,
     std::uint64_t seed, clique_collector& out, std::string_view phase,
     runtime::scratch_arena* scratch = nullptr,
-    enumkernel::kernel_mode kmode = enumkernel::kernel_mode::auto_select,
-    simd_mode smode = simd_mode::auto_select);
+    enumkernel::exec_config exec = {});
 
 }  // namespace dcl

@@ -32,7 +32,8 @@ struct delivery_result {
 delivery_result deliver_eprime(network& net_c, const graph& g,
                                const cluster_anatomy& a,
                                std::int64_t n_budget,
-                               std::string_view phase, simd_mode smode) {
+                               std::string_view phase,
+                               enumkernel::exec_config exec) {
   delivery_result res;
   const std::int64_t k = std::int64_t(a.v_minus.size());
   std::vector<vertex> v1_index(size_t(g.num_vertices()), -1);
@@ -87,7 +88,7 @@ delivery_result deliver_eprime(network& net_c, const graph& g,
     rounds_i = std::max(rounds_i, std::int64_t(star_nbrs.size()));
     for (vertex u : star_nbrs) {
       sorted_intersection_into(g.neighbors(u), star_nbrs, common,
-                               kGallopFactor, smode);
+                               kGallopFactor, exec.ops);
       messages += std::int64_t(star_nbrs.size()) + std::int64_t(common.size());
       rounds_i = std::max(rounds_i, std::int64_t(common.size()));
       for (vertex w : common)
@@ -136,7 +137,8 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
                                runtime::thread_pool& pool,
                                runtime::query_scratch& scratch,
                                clique_collector& out,
-                               const congest_shard_plan* plan) {
+                               const congest_shard_plan* plan,
+                               enumkernel::exec_config exec) {
   DCL_EXPECTS(q.p >= 4 && q.p <= kCongestMaxP,
               "list_kp_congest supports 4 <= p <= 6");
   DCL_EXPECTS(q.epsilon < 1.0,
@@ -165,7 +167,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
     const auto t0 = std::chrono::steady_clock::now();
     if (seq_owned) {
       cost_ledger fb;
-      detail::central_fallback(c, q.p, out, fb, seq, q.kernel, q.simd);
+      detail::central_fallback(c, q.p, out, fb, seq, exec);
       if (plan != nullptr && plan->scoped != nullptr)
         plan->scoped->push_back({-1, kTraceBranchSequential, fb});
       rep.ledger.merge_sequential(fb);
@@ -238,8 +240,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
         // the exhaustive listing's workspace stays warm across levels and
         // queries instead of being rebuilt call-local.
         two_hop_listing(exh_net, cur, targets, alpha, q.p, exh_out,
-                        "exhaustive", {}, &scratch.arena(0), q.kernel,
-                        q.simd);
+                        "exhaustive", {}, &scratch.arena(0), exec);
         const auto found = exh_out.finalize();
         for (std::int64_t t = 0; t < found.size(); ++t) out.emit(found[t]);
         level_ledger.merge_parallel(exh_ledger);
@@ -289,7 +290,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
           const std::string cl = "cluster" + std::to_string(ci);
 
           const auto del = deliver_eprime(net_c, cur, a, n_budget,
-                                         cl + "/deliver", q.simd);
+                                         cl + "/deliver", exec);
           oc.bad_vertices = std::int64_t(del.s_bad.size());
 
           // Lemma 44 overload test: defer clusters whose communication
@@ -322,7 +323,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
           oc.stats = list_kp_in_cluster(
               net_c, cur, a, del.eprime, q.p, q.lb,
               splitmix64(q.seed + std::uint64_t(ci)), oc.cliques, cl,
-              &scratch.arena(worker), q.kernel, q.simd);
+              &scratch.arena(worker), exec);
           return oc;
         });
     for (std::size_t ci = 0; ci < anatomy.size(); ++ci) {

@@ -27,8 +27,7 @@ two_hop_stats two_hop_listing(network& net, const graph& g,
                               clique_collector& out, std::string_view phase,
                               std::span<const vertex> id_map,
                               runtime::scratch_arena* arena,
-                              enumkernel::kernel_mode kmode,
-                              simd_mode smode) {
+                              enumkernel::exec_config exec) {
   DCL_EXPECTS(p >= 3, "clique arity must be at least 3");
   DCL_EXPECTS(id_map.empty() || vertex(id_map.size()) == g.num_vertices(),
               "id_map must cover all vertices");
@@ -54,7 +53,7 @@ two_hop_stats two_hop_listing(network& net, const graph& g,
     stats.messages += std::int64_t(g.degree(v)) * g.degree(v);
     for (vertex u : g.neighbors(v)) {
       const auto common = sorted_intersection_size(
-          g.neighbors(u), g.neighbors(v), kGallopFactor, smode);
+          g.neighbors(u), g.neighbors(v), kGallopFactor, exec.ops);
       rounds_b = std::max(rounds_b, common);
       stats.messages += common;
     }
@@ -78,7 +77,7 @@ two_hop_stats two_hop_listing(network& net, const graph& g,
     learned.clear();
     for (vertex u : nv) {
       sorted_intersection_into(g.neighbors(u), nv, ws.common,
-                               kGallopFactor, smode);
+                               kGallopFactor, exec.ops);
       for (vertex w : ws.common) {
         if (w > u) learned.push_back({u, w});
       }
@@ -99,7 +98,7 @@ two_hop_stats two_hop_listing(network& net, const graph& g,
             for (auto& z : tuple) z = id_map[size_t(z)];
           out.emit(tuple);
         },
-        kmode, smode);
+        exec);
   }
   return stats;
 }

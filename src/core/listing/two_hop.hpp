@@ -39,7 +39,6 @@ two_hop_stats two_hop_listing(
     std::int64_t alpha, int p, clique_collector& out, std::string_view phase,
     std::span<const vertex> id_map = {},
     runtime::scratch_arena* arena = nullptr,
-    enumkernel::kernel_mode kmode = enumkernel::kernel_mode::auto_select,
-    simd_mode smode = simd_mode::auto_select);
+    enumkernel::exec_config exec = {});
 
 }  // namespace dcl

@@ -62,23 +62,21 @@ csr_view build_local_csr(enum_scratch& ws, vertex n_local) {
 }  // namespace detail
 
 std::int64_t count_cliques(const graph& g, int p, enum_scratch& ws,
-                           orientation_policy policy, kernel_mode mode,
-                           simd_mode simd) {
+                           orientation_policy policy, exec_config exec) {
   DCL_EXPECTS(p >= 2 && p <= kMaxCliqueArity,
               "clique arity must lie in [2, kMaxCliqueArity]");
   if (p == 2) return g.num_edges();
   orient_into(g.view(), policy, ws.orient_ws, ws.d);
-  arc_enumerator en(ws.d, p, ws, mode, simd);
+  arc_enumerator en(ws.d, p, ws, exec);
   return en.count_range(0, ws.d.num_arcs());
 }
 
 clique_set cliques_in_edge_set(const edge_list& edges, int p,
-                               enum_scratch& ws, kernel_mode mode,
-                               simd_mode simd) {
+                               enum_scratch& ws, exec_config exec) {
   clique_set out(p);
   enumerate_cliques_in_edges(
       edges, p, ws,
-      [&](std::span<const vertex> c) { out.add_flat(c, true); }, mode, simd);
+      [&](std::span<const vertex> c) { out.add_flat(c, true); }, exec);
   out.normalize();
   return out;
 }

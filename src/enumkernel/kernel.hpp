@@ -137,17 +137,18 @@ struct enum_scratch {
 class arc_enumerator {
  public:
   /// p in [3, kMaxCliqueArity]; `d` and `ws` must outlive the binding.
-  /// `mode` picks the level-descent strategy (auto_select decides per
-  /// egonet); `simd` picks the vector backend for the bitmap loops
-  /// (resolved once here via simd::ops_for — the scalar tier keeps the
-  /// fully inlined PR 7 word loops, so forcing scalar is exactly the old
-  /// kernel). Results are identical for every (mode, simd) pair.
-  arc_enumerator(const dag& d, int p, enum_scratch& ws,
-                 kernel_mode mode = kernel_mode::auto_select,
-                 simd_mode simd = simd_mode::auto_select)
-      : dag_(d), p_(p), top_(p - 2), mode_(mode), ws_(ws) {
-    const simd::simd_ops* resolved = simd::ops_for(simd);
-    vec_ = resolved->tier == simd_mode::scalar ? nullptr : resolved;
+  /// `exec.kernel` picks the level-descent strategy (auto_select decides
+  /// per egonet); `exec.ops` is the vector backend for the bitmap loops
+  /// (the scalar tier keeps the fully inlined word loops, so forcing
+  /// scalar runs no indirect call at all). Results are identical for every
+  /// config.
+  arc_enumerator(const dag& d, int p, enum_scratch& ws, exec_config exec = {})
+      : dag_(d),
+        p_(p),
+        top_(p - 2),
+        mode_(exec.kernel),
+        vec_(exec.ops->tier == simd_mode::scalar ? nullptr : exec.ops),
+        ws_(ws) {
     DCL_EXPECTS(p >= 3 && p <= kMaxCliqueArity,
                 "arc_enumerator supports p in [3, kMaxCliqueArity]");
     ws.builder.ensure(d.n);
@@ -161,7 +162,6 @@ class arc_enumerator {
   }
 
   int arity() const { return p_; }
-  kernel_mode mode() const { return mode_; }
 
   /// Calls sink(clique) for every p-clique rooted at arc `arc_index`
   /// (index into the flat arc order: source ascending, targets ascending
@@ -488,9 +488,9 @@ class arc_enumerator {
   const int p_;
   const std::int32_t top_;  ///< egonet levels = p - 2
   const kernel_mode mode_;
-  /// Resolved vector backend, or nullptr for the scalar tier (the PR 7
-  /// inline word loops — no indirect calls on the scalar path at all).
-  const simd::simd_ops* vec_ = nullptr;
+  /// Vector backend, or nullptr for the scalar tier (the inline word
+  /// loops — no indirect calls on the scalar path at all).
+  const simd::simd_ops* const vec_;
   enum_scratch& ws_;
 };
 
@@ -511,14 +511,13 @@ csr_view build_local_csr(enum_scratch& ws, vertex n_local);
 /// Enumerates every p-clique of `g` (p in [2, kMaxCliqueArity]), calling
 /// sink(clique) exactly once per clique with an ascending p-tuple span
 /// valid only during the call. Returns the clique count. Deterministic for
-/// a fixed (g, p, policy, mode) regardless of scratch history; the clique
-/// set is identical for every mode.
+/// a fixed (g, p, policy, exec) regardless of scratch history; the clique
+/// set is identical for every exec config.
 template <typename Sink>
 std::int64_t enumerate_cliques(
     const graph& g, int p, enum_scratch& ws, Sink&& sink,
     orientation_policy policy = orientation_policy::degeneracy,
-    kernel_mode mode = kernel_mode::auto_select,
-    simd_mode simd = simd_mode::auto_select) {
+    exec_config exec = {}) {
   DCL_EXPECTS(p >= 2 && p <= kMaxCliqueArity,
               "clique arity must lie in [2, kMaxCliqueArity]");
   if (p == 2) {
@@ -529,7 +528,7 @@ std::int64_t enumerate_cliques(
     return g.num_edges();
   }
   orient_into(g.view(), policy, ws.orient_ws, ws.d);
-  arc_enumerator en(ws.d, p, ws, mode, simd);
+  arc_enumerator en(ws.d, p, ws, exec);
   return en.list_range(0, ws.d.num_arcs(), sink);
 }
 
@@ -537,8 +536,7 @@ std::int64_t enumerate_cliques(
 std::int64_t count_cliques(
     const graph& g, int p, enum_scratch& ws,
     orientation_policy policy = orientation_policy::degeneracy,
-    kernel_mode mode = kernel_mode::auto_select,
-    simd_mode simd = simd_mode::auto_select);
+    exec_config exec = {});
 
 /// Enumerates every p-clique of an explicit edge set (not a full graph) —
 /// the cluster-local hot path: every CONGEST cluster finishes by listing
@@ -552,10 +550,7 @@ std::int64_t count_cliques(
 template <typename Sink>
 std::int64_t enumerate_cliques_in_edges(std::span<const edge> edges, int p,
                                         enum_scratch& ws, Sink&& sink,
-                                        kernel_mode mode =
-                                            kernel_mode::auto_select,
-                                        simd_mode simd =
-                                            simd_mode::auto_select) {
+                                        exec_config exec = {}) {
   DCL_EXPECTS(p >= 2 && p <= kMaxCliqueArity,
               "clique arity must lie in [2, kMaxCliqueArity]");
   const vertex n_local = detail::remap_edges_dense(edges, ws);
@@ -570,7 +565,7 @@ std::int64_t enumerate_cliques_in_edges(std::span<const edge> edges, int p,
   }
   const csr_view local = detail::build_local_csr(ws, n_local);
   orient_into(local, orientation_policy::degeneracy, ws.orient_ws, ws.d);
-  arc_enumerator en(ws.d, p, ws, mode, simd);
+  arc_enumerator en(ws.d, p, ws, exec);
   return en.list_range(
       0, ws.d.num_arcs(), [&](std::span<const vertex> local_clique) {
         // ws.members is ascending, so the monotone remap keeps the tuple
@@ -603,9 +598,7 @@ struct edge_segment {
 template <typename Sink>
 std::int64_t enumerate_cliques_in_edge_segments(
     std::span<const edge> edges, std::span<const edge_segment> segments,
-    int p, enum_scratch& ws, Sink&& sink,
-    kernel_mode mode = kernel_mode::auto_select,
-    simd_mode simd = simd_mode::auto_select) {
+    int p, enum_scratch& ws, Sink&& sink, exec_config exec = {}) {
   std::int64_t total = 0;
   for (std::size_t owner = 0; owner < segments.size(); ++owner) {
     const edge_segment& s = segments[owner];
@@ -614,7 +607,7 @@ std::int64_t enumerate_cliques_in_edge_segments(
                 "edge segment out of range");
     total += enumerate_cliques_in_edges(
         edges.subspan(size_t(s.begin), size_t(s.end - s.begin)), p, ws,
-        [&](std::span<const vertex> c) { sink(owner, c); }, mode, simd);
+        [&](std::span<const vertex> c) { sink(owner, c); }, exec);
   }
   return total;
 }
@@ -622,8 +615,6 @@ std::int64_t enumerate_cliques_in_edge_segments(
 /// Convenience wrapper collecting the edge-set cliques into a normalized
 /// clique_set (what the CONGEST listers historically returned).
 clique_set cliques_in_edge_set(const edge_list& edges, int p,
-                               enum_scratch& ws,
-                               kernel_mode mode = kernel_mode::auto_select,
-                               simd_mode simd = simd_mode::auto_select);
+                               enum_scratch& ws, exec_config exec = {});
 
 }  // namespace dcl::enumkernel

@@ -202,10 +202,9 @@ bool use_vector_path(std::span<const vertex> a, std::span<const vertex> b,
 std::int64_t sorted_intersection_size(std::span<const vertex> a,
                                       std::span<const vertex> b,
                                       std::size_t gallop_factor,
-                                      simd_mode simd) {
+                                      const simd::simd_ops* ops) {
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return 0;
-  const simd::simd_ops* ops = simd::ops_for(simd);
   if (use_vector_path(a, b, gallop_factor, ops))
     return ops->intersect_size(a.data(), std::int64_t(a.size()), b.data(),
                                std::int64_t(b.size()));
@@ -217,20 +216,20 @@ std::int64_t sorted_intersection_size(std::span<const vertex> a,
 std::vector<vertex> sorted_intersection(std::span<const vertex> a,
                                         std::span<const vertex> b,
                                         std::size_t gallop_factor,
-                                        simd_mode simd) {
+                                        const simd::simd_ops* ops) {
   std::vector<vertex> out;
-  sorted_intersection_into(a, b, out, gallop_factor, simd);
+  sorted_intersection_into(a, b, out, gallop_factor, ops);
   return out;
 }
 
 void sorted_intersection_into(std::span<const vertex> a,
                               std::span<const vertex> b,
                               std::vector<vertex>& out,
-                              std::size_t gallop_factor, simd_mode simd) {
+                              std::size_t gallop_factor,
+                              const simd::simd_ops* ops) {
   out.clear();
   if (a.size() > b.size()) std::swap(a, b);
   if (a.empty()) return;
-  const simd::simd_ops* ops = simd::ops_for(simd);
   if (use_vector_path(a, b, gallop_factor, ops)) {
     // The backend writes matches ascending; capacity min(|a|, |b|) = |a|.
     out.resize(a.size());

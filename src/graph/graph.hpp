@@ -195,22 +195,22 @@ inline constexpr std::size_t kGallopFactor = 32;
 
 // The intersection routines take strictly-ascending (duplicate-free)
 // ranges — what every adjacency list in this codebase is by construction.
-// The `simd` knob selects the vector backend for the balanced merge walk
-// (the 8x8 block-compare kernel relies on strict ascent); skewed pairs
-// gallop first regardless of tier, and the result — an exact set
-// intersection — is identical for every (gallop_factor, simd) pair.
+// `ops` is the resolved vector backend for the balanced merge walk (the
+// 8x8 block-compare kernel relies on strict ascent); skewed pairs gallop
+// first regardless of tier, and the result — an exact set intersection —
+// is identical for every (gallop_factor, ops) pair.
 
 /// Size of the intersection of two strictly-ascending ranges.
 std::int64_t sorted_intersection_size(
     std::span<const vertex> a, std::span<const vertex> b,
     std::size_t gallop_factor = kGallopFactor,
-    simd_mode simd = simd_mode::auto_select);
+    const simd::simd_ops* ops = simd::detected_ops());
 
 /// Intersection of two strictly-ascending ranges.
 std::vector<vertex> sorted_intersection(
     std::span<const vertex> a, std::span<const vertex> b,
     std::size_t gallop_factor = kGallopFactor,
-    simd_mode simd = simd_mode::auto_select);
+    const simd::simd_ops* ops = simd::detected_ops());
 
 /// Intersection into a caller-provided buffer (cleared first). The hot-path
 /// variant: repeated calls on one warm buffer are allocation-free, which is
@@ -220,6 +220,7 @@ void sorted_intersection_into(std::span<const vertex> a,
                               std::span<const vertex> b,
                               std::vector<vertex>& out,
                               std::size_t gallop_factor = kGallopFactor,
-                              simd_mode simd = simd_mode::auto_select);
+                              const simd::simd_ops* ops =
+                                  simd::detected_ops());
 
 }  // namespace dcl

@@ -15,8 +15,7 @@ clique_set list_cliques_parallel(const enumkernel::dag& d, int p,
                                  runtime::query_scratch& scratch,
                                  std::int64_t grain,
                                  parallel_listing_stats* stats,
-                                 enumkernel::kernel_mode kmode,
-                                 simd_mode smode) {
+                                 enumkernel::exec_config exec) {
   DCL_EXPECTS(p >= 3, "parallel lister handles p >= 3");
   const int t = pool.size();
   scratch.ensure_workers(t);
@@ -32,7 +31,7 @@ clique_set list_cliques_parallel(const enumkernel::dag& d, int p,
       d.num_arcs(), grain,
       [&](int w, std::int64_t begin, std::int64_t end) {
         auto& ws = scratch.arena(w).get<engine_worker_scratch>();
-        enumkernel::arc_enumerator en(d, p, ws.enum_ws, kmode, smode);
+        enumkernel::arc_enumerator en(d, p, ws.enum_ws, exec);
         auto& buf = ws.out;
         found[size_t(w)] +=
             en.list_range(begin, end, [&](std::span<const vertex> c) {
@@ -65,8 +64,7 @@ std::int64_t count_cliques_parallel(const enumkernel::dag& d, int p,
                                     runtime::query_scratch& scratch,
                                     std::int64_t grain,
                                     parallel_listing_stats* stats,
-                                    enumkernel::kernel_mode kmode,
-                                    simd_mode smode) {
+                                    enumkernel::exec_config exec) {
   DCL_EXPECTS(p >= 3, "parallel counter handles p >= 3");
   const int t = pool.size();
   scratch.ensure_workers(t);
@@ -77,7 +75,7 @@ std::int64_t count_cliques_parallel(const enumkernel::dag& d, int p,
       d.num_arcs(), grain,
       [&](int w, std::int64_t begin, std::int64_t end) {
         auto& ws = scratch.arena(w).get<engine_worker_scratch>();
-        enumkernel::arc_enumerator en(d, p, ws.enum_ws, kmode, smode);
+        enumkernel::arc_enumerator en(d, p, ws.enum_ws, exec);
         found[size_t(w)] += en.count_range(begin, end);
         roots[size_t(w)] += end - begin;
       });

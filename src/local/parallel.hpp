@@ -57,7 +57,7 @@ struct parallel_listing_stats {
 
 /// Lists every p-clique of the DAG's underlying graph (p >= 3). The result
 /// is normalized (sorted canonical tuples) and deterministic across thread
-/// counts, schedules, and kernel modes. `scratch` owns all per-run mutable
+/// counts, schedules, and exec configs. `scratch` owns all per-run mutable
 /// state (one engine_worker_scratch per worker slot); the DAG and pool are
 /// read strictly shared, so concurrent runs against one DAG are safe as
 /// long as each holds its own scratch bundle and pool job slot.
@@ -65,15 +65,13 @@ clique_set list_cliques_parallel(
     const enumkernel::dag& d, int p, thread_pool& pool,
     runtime::query_scratch& scratch, std::int64_t grain,
     parallel_listing_stats* stats = nullptr,
-    enumkernel::kernel_mode kmode = enumkernel::kernel_mode::auto_select,
-    simd_mode smode = simd_mode::auto_select);
+    enumkernel::exec_config exec = {});
 
 /// Counting-only twin of list_cliques_parallel — no buffers, no merge.
 std::int64_t count_cliques_parallel(
     const enumkernel::dag& d, int p, thread_pool& pool,
     runtime::query_scratch& scratch, std::int64_t grain,
     parallel_listing_stats* stats = nullptr,
-    enumkernel::kernel_mode kmode = enumkernel::kernel_mode::auto_select,
-    simd_mode smode = simd_mode::auto_select);
+    enumkernel::exec_config exec = {});
 
 }  // namespace dcl::local

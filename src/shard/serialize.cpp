@@ -49,8 +49,6 @@ void encode_query(wire_buf& b, const listing_query& q) {
   b.put(q.base_case_edges);
   b.put(q.stream_batch_tuples);
   put_bool(b, q.trace);
-  put_enum(b, q.kernel);
-  put_enum(b, q.simd);
 }
 
 listing_query decode_query(wire_cursor& c) {
@@ -66,10 +64,6 @@ listing_query decode_query(wire_cursor& c) {
   q.base_case_edges = c.get<std::int64_t>();
   q.stream_batch_tuples = c.get<std::int64_t>();
   q.trace = get_bool(c, "trace flag");
-  q.kernel = get_enum<enumkernel::kernel_mode>(
-      c, std::uint8_t(enumkernel::kernel_mode::bitmap), "kernel mode");
-  q.simd = get_enum<simd_mode>(c, std::uint8_t(simd_mode::neon),
-                               "simd mode");
   return q;
 }
 
@@ -225,7 +219,7 @@ shard_bind decode_bind(wire_cursor& c) {
   m.grain = c.get<std::int64_t>();
   m.kernel = get_enum<enumkernel::kernel_mode>(
       c, std::uint8_t(enumkernel::kernel_mode::bitmap), "kernel mode");
-  m.simd = get_enum<simd_mode>(c, std::uint8_t(simd_mode::neon),
+  m.simd = get_enum<simd_mode>(c, std::uint8_t(simd_mode::avx2),
                                "simd mode");
   c.expect_exhausted("bind");
   return m;

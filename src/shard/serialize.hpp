@@ -118,7 +118,9 @@ class wire_cursor {
 
 // --- protocol messages ------------------------------------------------------
 
-/// bind: everything a worker needs to stand up its listing_session.
+/// bind: everything a worker needs to stand up its listing_session —
+/// including the kernel traversal and vector tier, which are session-wide
+/// and never travel with a query.
 struct shard_bind {
   int shard = 0;
   int shards = 1;

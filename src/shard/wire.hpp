@@ -31,8 +31,11 @@ namespace dcl::shard {
 
 inline constexpr char kWireMagic[8] = {'D', 'C', 'L', 'S',
                                        'H', 'A', 'R', 'D'};
-/// Bumped on any layout change; both directions reject a mismatch.
-inline constexpr std::uint32_t kWireVersion = 1;
+/// Bumped on any layout change; both directions reject a mismatch, so a
+/// mixed-version coordinator and worker fail at the preamble instead of
+/// misparsing. Version 2: the query payload no longer carries the kernel
+/// and simd bytes (they ride only in the bind message).
+inline constexpr std::uint32_t kWireVersion = 2;
 
 /// Refuses absurd frame lengths before allocating (a garbage stream must
 /// fail loudly, not OOM).

@@ -3,13 +3,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__aarch64__) && defined(__linux__)
-#include <sys/auxv.h>
-#ifndef HWCAP_ASIMD
-#define HWCAP_ASIMD (1 << 1)
-#endif
-#endif
-
 namespace dcl::simd {
 
 // ------------------------------------------------------- scalar backend
@@ -114,28 +107,15 @@ bool cpu_has_avx2() {
 #endif
 }
 
-bool cpu_has_neon() {
-#if defined(__aarch64__) && defined(__linux__)
-  return (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
-#elif defined(__aarch64__)
-  return true;  // ASIMD is architecturally mandatory on AArch64
-#else
-  return false;
-#endif
-}
-
-simd_mode resolve_mode(const char* env, bool has_avx2, bool has_neon,
-                       bool force_scalar) {
+simd_mode resolve_mode(const char* env, bool has_avx2, bool force_scalar) {
   if (force_scalar) return simd_mode::scalar;
   if (env != nullptr) {
     if (std::strcmp(env, "scalar") == 0) return simd_mode::scalar;
     if (std::strcmp(env, "avx2") == 0)
       return has_avx2 ? simd_mode::avx2 : simd_mode::scalar;
-    if (std::strcmp(env, "neon") == 0)
-      return has_neon ? simd_mode::neon : simd_mode::scalar;
     // "auto" and unrecognized values fall through to detection.
   }
-  return choose_mode(has_avx2, has_neon, /*force_scalar=*/false);
+  return choose_mode(has_avx2, /*force_scalar=*/false);
 }
 
 simd_mode detected_mode() {
@@ -143,33 +123,24 @@ simd_mode detected_mode() {
   // its table was compiled in — either gap degrades to scalar.
   static const simd_mode mode = [] {
     const bool avx2 = cpu_has_avx2() && detail::avx2_table() != nullptr;
-    const bool neon = cpu_has_neon() && detail::neon_table() != nullptr;
     const char* force = std::getenv("DCL_FORCE_SCALAR");
     const bool force_scalar =
         force != nullptr && force[0] != '\0' && std::strcmp(force, "0") != 0;
-    return resolve_mode(std::getenv("DCL_SIMD"), avx2, neon, force_scalar);
+    return resolve_mode(std::getenv("DCL_SIMD"), avx2, force_scalar);
   }();
   return mode;
 }
 
 const simd_ops* ops_for(simd_mode mode) {
   if (mode == simd_mode::auto_select) mode = detected_mode();
-  switch (mode) {
-    case simd_mode::avx2:
-      if (const simd_ops* t = detail::avx2_table();
-          t != nullptr && cpu_has_avx2())
-        return t;
-      break;
-    case simd_mode::neon:
-      if (const simd_ops* t = detail::neon_table();
-          t != nullptr && cpu_has_neon())
-        return t;
-      break;
-    default:
-      break;
-  }
+  if (mode == simd_mode::avx2)
+    if (const simd_ops* t = detail::avx2_table();
+        t != nullptr && cpu_has_avx2())
+      return t;
   return &kScalarOps;
 }
+
+const simd_ops* detected_ops() { return ops_for(simd_mode::auto_select); }
 
 const char* simd_mode_name(simd_mode mode) {
   switch (mode) {
@@ -179,8 +150,6 @@ const char* simd_mode_name(simd_mode mode) {
       return "scalar";
     case simd_mode::avx2:
       return "avx2";
-    case simd_mode::neon:
-      return "neon";
   }
   return "?";
 }

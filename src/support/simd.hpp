@@ -5,10 +5,10 @@
 // counting, bit-scan listing) and the graph layer's sorted-intersection
 // walks are the per-word hot paths of every engine. This header exposes
 // them as a table of width-agnostic function pointers (`simd_ops`) with
-// three backends — scalar, AVX2, NEON — selected once per process from
-// cpuid/hwcaps and overridable per call site via the `simd_mode` knob,
-// which is plumbed like kernel_mode through session_options /
-// listing_query.
+// two backends — scalar and AVX2 — selected once per process from cpuid.
+// A session picks its tier once, at bind, through session_options::simd;
+// the resolved table (enumkernel::exec_config) is what the kernel and the
+// drivers receive, so no call site resolves a mode on its own.
 //
 // Determinism contract: every primitive is an exact integer/bitwise
 // computation (no floating point, no reordered reductions — OR and ADD
@@ -18,28 +18,27 @@
 // counts, stream batches, reports, and trace bytes are invariant across
 // simd_mode × kernel_mode × engines × sim_threads (tested).
 //
-// Dispatch contract: backends unavailable at compile time (the AVX2 TU
-// builds a stub unless the compiler accepts -mavx2; NEON likewise) or at
-// run time (CPU lacks the feature) degrade to scalar — a forced
-// simd_mode::avx2 on a non-AVX2 machine runs scalar rather than faulting.
-// `DCL_SIMD=scalar|avx2|neon|auto` and `DCL_FORCE_SCALAR=1` override
-// detection process-wide (read once, cached).
+// Dispatch contract: a backend unavailable at compile time (the AVX2 TU
+// builds a stub unless the compiler accepts -mavx2) or at run time (CPU
+// lacks the feature) degrades to scalar — a forced simd_mode::avx2 on a
+// non-AVX2 machine runs scalar rather than faulting.
+// `DCL_SIMD=scalar|avx2|auto` and `DCL_FORCE_SCALAR=1` override detection
+// process-wide (read once, cached).
 //
 // This header lives at the bottom of the include graph (no project
-// includes), so thin headers — graph.hpp, driver.hpp, session.hpp — can
-// name the knob without pulling in the kernel.
+// includes), so thin headers — graph.hpp, limits.hpp, session.hpp — can
+// name the tier without pulling in the kernel.
 
 #include <bit>
 #include <cstdint>
 
 namespace dcl {
 
-/// Vector backend selection, carried alongside kernel_mode everywhere a
-/// query travels. auto_select resolves to the best tier the CPU supports
-/// (AVX2 on x86-64, NEON on aarch64, scalar otherwise); a fixed tier that
-/// the machine cannot run falls back to scalar. Purely a performance knob:
-/// outputs are bit-identical across all values.
-enum class simd_mode { auto_select, scalar, avx2, neon };
+/// Vector backend selection (session_options::simd). auto_select resolves
+/// to the best tier the CPU supports (AVX2 on x86-64, scalar otherwise); a
+/// fixed tier that the machine cannot run falls back to scalar. Purely a
+/// performance knob: outputs are bit-identical across all values.
+enum class simd_mode { auto_select, scalar, avx2 };
 
 namespace simd {
 
@@ -47,7 +46,7 @@ namespace simd {
 /// elements. Pointers may be unaligned; n == 0 is valid everywhere.
 struct simd_ops {
   simd_mode tier;    ///< the tier this table implements (never auto_select)
-  const char* name;  ///< "scalar" / "avx2" / "neon"
+  const char* name;  ///< "scalar" / "avx2"
 
   /// dst[i] = a[i] & b[i] for i in [0, n). Returns a value that is nonzero
   /// iff any dst word is nonzero (backends may return the OR of all words
@@ -91,30 +90,24 @@ namespace detail {
 /// Per-backend tables, or nullptr when the TU was compiled without the
 /// matching ISA (so a generic build never references missing intrinsics).
 const simd_ops* avx2_table();
-const simd_ops* neon_table();
 }  // namespace detail
 
-/// True when the running CPU supports the feature (independent of whether
-/// the matching backend was compiled in).
+/// True when the running CPU supports AVX2 (independent of whether the
+/// backend was compiled in).
 bool cpu_has_avx2();
-bool cpu_has_neon();
 
 /// Pure tier choice from capability bits — the testable core of detection:
-/// force_scalar wins, then AVX2, then NEON, else scalar.
-constexpr simd_mode choose_mode(bool has_avx2, bool has_neon,
-                                bool force_scalar) {
+/// force_scalar wins, then AVX2, else scalar.
+constexpr simd_mode choose_mode(bool has_avx2, bool force_scalar) {
   if (force_scalar) return simd_mode::scalar;
-  if (has_avx2) return simd_mode::avx2;
-  if (has_neon) return simd_mode::neon;
-  return simd_mode::scalar;
+  return has_avx2 ? simd_mode::avx2 : simd_mode::scalar;
 }
 
-/// Pure resolution of a DCL_SIMD-style override ("scalar"/"avx2"/"neon"/
-/// "auto"/unset) against capability bits. An explicit tier the machine
-/// cannot run degrades to scalar — never a fault, never a silent switch to
-/// a different vector ISA. Unrecognized values behave like "auto".
-simd_mode resolve_mode(const char* env, bool has_avx2, bool has_neon,
-                       bool force_scalar);
+/// Pure resolution of a DCL_SIMD-style override ("scalar"/"avx2"/"auto"/
+/// unset) against capability bits. An explicit tier the machine cannot run
+/// degrades to scalar — never a fault. Unrecognized values behave like
+/// "auto".
+simd_mode resolve_mode(const char* env, bool has_avx2, bool force_scalar);
 
 /// The process-wide tier auto_select resolves to: resolve_mode over the
 /// real CPU bits and the DCL_SIMD / DCL_FORCE_SCALAR environment, computed
@@ -125,7 +118,14 @@ simd_mode detected_mode();
 /// The table for a requested mode: auto_select → detected_mode(); a fixed
 /// tier returns its table when compiled in AND supported by the CPU, else
 /// the scalar table (the graceful-fallback edge of the dispatch contract).
+/// Never null. Called once per session bind (enumkernel::resolve_exec),
+/// never per kernel call.
 const simd_ops* ops_for(simd_mode mode);
+
+/// ops_for(simd_mode::auto_select): the table a caller that picked no tier
+/// gets — the default of enumkernel::exec_config and of the graph layer's
+/// intersection routines.
+const simd_ops* detected_ops();
 
 /// Knob spelling for logs / bench JSON.
 const char* simd_mode_name(simd_mode mode);

@@ -92,13 +92,11 @@ clique_set kernel_collect(const graph& g, int p,
                           enumkernel::enum_scratch& ws,
                           enumkernel::orientation_policy policy =
                               enumkernel::orientation_policy::degeneracy,
-                          enumkernel::kernel_mode mode =
-                              enumkernel::kernel_mode::auto_select,
-                          simd_mode simd = simd_mode::auto_select) {
+                          enumkernel::exec_config exec = {}) {
   clique_set out(p);
   enumkernel::enumerate_cliques(
       g, p, ws, [&](std::span<const vertex> c) { out.add_flat(c, true); },
-      policy, mode, simd);
+      policy, exec);
   out.normalize();
   return out;
 }
@@ -108,10 +106,16 @@ constexpr enumkernel::kernel_mode kAllModes[] = {
     enumkernel::kernel_mode::bitmap};
 
 // Every simd_mode value: forcing a tier the machine lacks must degrade to
-// scalar and still be bit-identical, so sweeping all four is always valid
-// (and on an AVX2 or NEON machine it genuinely exercises the vector tier).
+// scalar and still be bit-identical, so sweeping all three is always valid
+// (and on an AVX2 machine it genuinely exercises the vector tier).
 constexpr simd_mode kAllSimd[] = {simd_mode::auto_select, simd_mode::scalar,
-                                  simd_mode::avx2, simd_mode::neon};
+                                  simd_mode::avx2};
+
+/// A kernel config built the way a session builds it at bind.
+enumkernel::exec_config exec_for(enumkernel::kernel_mode mode,
+                                 simd_mode simd = simd_mode::auto_select) {
+  return enumkernel::resolve_exec(mode, simd);
+}
 
 // ---------------------------------------------------------------------
 
@@ -129,12 +133,12 @@ TEST(EnumKernel, DifferentialSweepGnp) {
         EXPECT_TRUE(kernel_collect(
                         g, p, ws,
                         enumkernel::orientation_policy::degeneracy,
-                        mode) == want)
+                        exec_for(mode)) == want)
             << "n=" << n << " prob=" << prob << " p=" << p
             << " mode=" << int(mode);
         EXPECT_EQ(enumkernel::count_cliques(
                       g, p, ws, enumkernel::orientation_policy::degeneracy,
-                      mode),
+                      exec_for(mode)),
                   want.size());
       }
     }
@@ -158,18 +162,19 @@ TEST(EnumKernel, DifferentialSweepSimdTiers) {
     for (int p = 3; p <= 7; ++p) {
       const auto want =
           kernel_collect(g, p, ws, enumkernel::orientation_policy::degeneracy,
-                         enumkernel::kernel_mode::scalar, simd_mode::scalar);
+                         exec_for(enumkernel::kernel_mode::scalar,
+                                  simd_mode::scalar));
       for (const auto mode : kAllModes) {
         for (const auto simd : kAllSimd) {
           EXPECT_TRUE(kernel_collect(g, p, ws,
                                      enumkernel::orientation_policy::degeneracy,
-                                     mode, simd) == want)
+                                     exec_for(mode, simd)) == want)
               << "n=" << g.num_vertices() << " p=" << p << " mode="
               << int(mode) << " simd=" << simd::simd_mode_name(simd);
           EXPECT_EQ(
               enumkernel::count_cliques(
-                  g, p, ws, enumkernel::orientation_policy::degeneracy, mode,
-                  simd),
+                  g, p, ws, enumkernel::orientation_policy::degeneracy,
+                  exec_for(mode, simd)),
               want.size())
               << "n=" << g.num_vertices() << " p=" << p << " mode="
               << int(mode) << " simd=" << simd::simd_mode_name(simd);
@@ -189,10 +194,12 @@ TEST(EnumKernel, EdgeSetSimdTiersAgree) {
   enumkernel::enum_scratch ws;
   for (int p = 3; p <= 6; ++p) {
     const auto want = enumkernel::cliques_in_edge_set(
-        raw, p, ws, enumkernel::kernel_mode::scalar, simd_mode::scalar);
+        raw, p, ws,
+        exec_for(enumkernel::kernel_mode::scalar, simd_mode::scalar));
     for (const auto mode : kAllModes)
       for (const auto simd : kAllSimd)
-        EXPECT_TRUE(enumkernel::cliques_in_edge_set(raw, p, ws, mode, simd) ==
+        EXPECT_TRUE(enumkernel::cliques_in_edge_set(raw, p, ws,
+                                                    exec_for(mode, simd)) ==
                     want)
             << "p=" << p << " mode=" << int(mode)
             << " simd=" << simd::simd_mode_name(simd);
@@ -208,7 +215,7 @@ TEST(EnumKernel, DifferentialSweepKneser) {
     for (const auto mode : kAllModes)
       EXPECT_TRUE(kernel_collect(g, p, ws,
                                  enumkernel::orientation_policy::degeneracy,
-                                 mode) == want)
+                                 exec_for(mode)) == want)
           << "p=" << p << " mode=" << int(mode);
   }
   EXPECT_EQ(enumkernel::count_cliques(g, 7, ws), 0);
@@ -387,7 +394,7 @@ TEST(EnumKernel, ModesAgreeOnRealGraph) {
     for (const auto mode : kAllModes)
       EXPECT_TRUE(kernel_collect(g, p, ws,
                                  enumkernel::orientation_policy::degeneracy,
-                                 mode) == want)
+                                 exec_for(mode)) == want)
           << "p=" << p << " mode=" << int(mode);
   }
 }
@@ -401,7 +408,8 @@ TEST(EnumKernel, EdgeSetModesAgree) {
   for (int p = 3; p <= 6; ++p) {
     const auto want = naive_in_edge_set(raw, p);
     for (const auto mode : kAllModes)
-      EXPECT_TRUE(enumkernel::cliques_in_edge_set(raw, p, ws, mode) == want)
+      EXPECT_TRUE(enumkernel::cliques_in_edge_set(raw, p, ws,
+                                                  exec_for(mode)) == want)
           << "p=" << p << " mode=" << int(mode);
   }
 }
@@ -415,7 +423,7 @@ TEST(EnumKernel, BitmapScratchWarmReuse) {
   enumkernel::enum_scratch ws;
   const auto first =
       kernel_collect(g, 5, ws, enumkernel::orientation_policy::degeneracy,
-                     enumkernel::kernel_mode::bitmap);
+                     exec_for(enumkernel::kernel_mode::bitmap));
   ASSERT_GT(ws.bit_rows.capacity(), 0u);  // the bitmap path really ran
   const auto* rows_ptr = ws.bit_rows.data();
   const auto* masks_ptr = ws.bit_masks.data();
@@ -423,7 +431,7 @@ TEST(EnumKernel, BitmapScratchWarmReuse) {
   const auto masks_cap = ws.bit_masks.capacity();
   const auto again =
       kernel_collect(g, 5, ws, enumkernel::orientation_policy::degeneracy,
-                     enumkernel::kernel_mode::bitmap);
+                     exec_for(enumkernel::kernel_mode::bitmap));
   EXPECT_TRUE(first == again);
   EXPECT_EQ(rows_ptr, ws.bit_rows.data());
   EXPECT_EQ(masks_ptr, ws.bit_masks.data());
@@ -446,13 +454,15 @@ TEST(EnumKernel, GallopingThresholdIsOutputInvariant) {
                                      std::size_t{2}, std::size_t{32},
                                      std::size_t{1} << 40}) {
       for (const auto simd : kAllSimd) {
-        EXPECT_TRUE(sorted_intersection(a, b, factor, simd) == want)
+        const simd::simd_ops* ops =
+            exec_for(enumkernel::kernel_mode::auto_select, simd).ops;
+        EXPECT_TRUE(sorted_intersection(a, b, factor, ops) == want)
             << "v=" << v << " factor=" << factor
             << " simd=" << simd::simd_mode_name(simd);
-        EXPECT_EQ(sorted_intersection_size(a, b, factor, simd),
+        EXPECT_EQ(sorted_intersection_size(a, b, factor, ops),
                   std::int64_t(want.size()));
         std::vector<vertex> into;
-        sorted_intersection_into(a, b, into, factor, simd);
+        sorted_intersection_into(a, b, into, factor, ops);
         EXPECT_TRUE(into == want);
       }
     }

@@ -147,8 +147,6 @@ listing_query sample_query() {
   q.base_case_edges = 17;
   q.stream_batch_tuples = 123;
   q.trace = true;
-  q.kernel = enumkernel::kernel_mode::bitmap;
-  q.simd = simd_mode::neon;
   return q;
 }
 
@@ -170,8 +168,6 @@ TEST(ShardCodec, QueryRoundTrip) {
   EXPECT_EQ(d.base_case_edges, q.base_case_edges);
   EXPECT_EQ(d.stream_batch_tuples, q.stream_batch_tuples);
   EXPECT_EQ(d.trace, q.trace);
-  EXPECT_EQ(d.kernel, q.kernel);
-  EXPECT_EQ(d.simd, q.simd);
 }
 
 TEST(ShardCodec, EveryTruncationPrefixOfAQueryIsRejected) {
@@ -191,6 +187,68 @@ TEST(ShardCodec, GarbageEnumByteIsRejectedNotMaterialized) {
   bytes[4] = 200;  // the sink_mode byte, straight after the i32 arity
   wire_cursor c(bytes);
   EXPECT_THROW(shard::decode_query(c), shard_error);
+}
+
+// Every bind field off its default: the bind message is the only way the
+// session-wide kernel traversal and vector tier reach a worker.
+shard::shard_bind sample_bind() {
+  shard::shard_bind m;
+  m.shard = 2;
+  m.shards = 3;
+  m.part.scheme = shard::partition_scheme::hashed;
+  m.part.seed = 0x0123456789ABCDEFull;
+  shard::partitioner_spec slice_spec;
+  m.slice = shard::build_graph_slice(gen::ring_of_cliques(4, 5), slice_spec,
+                                     2, 3);
+  m.engine = listing_engine::local_kclist;
+  m.threads = 3;
+  m.orientation = enumkernel::orientation_policy::degree;
+  m.grain = 77;
+  m.kernel = enumkernel::kernel_mode::bitmap;
+  m.simd = simd_mode::scalar;
+  return m;
+}
+
+TEST(ShardCodec, BindRoundTrip) {
+  const shard::shard_bind m = sample_bind();
+  wire_buf b;
+  shard::encode_bind(b, m);
+  wire_cursor c(b.view());
+  const shard::shard_bind d = shard::decode_bind(c);
+  EXPECT_EQ(d.shard, m.shard);
+  EXPECT_EQ(d.shards, m.shards);
+  EXPECT_EQ(d.part, m.part);
+  EXPECT_EQ(d.slice.full_n, m.slice.full_n);
+  EXPECT_EQ(d.slice.to_original, m.slice.to_original);
+  EXPECT_EQ(d.slice.local.num_vertices(), m.slice.local.num_vertices());
+  EXPECT_EQ(d.slice.local.edges(), m.slice.local.edges());
+  EXPECT_EQ(d.engine, m.engine);
+  EXPECT_EQ(d.threads, m.threads);
+  EXPECT_EQ(d.orientation, m.orientation);
+  EXPECT_EQ(d.grain, m.grain);
+  EXPECT_EQ(d.kernel, enumkernel::kernel_mode::bitmap);
+  EXPECT_EQ(d.simd, simd_mode::scalar);
+}
+
+TEST(ShardCodec, EveryTruncationPrefixOfABindIsRejected) {
+  wire_buf b;
+  shard::encode_bind(b, sample_bind());
+  const auto full = b.view();
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    wire_cursor c(full.subspan(0, cut));
+    EXPECT_THROW(shard::decode_bind(c), shard_error) << "cut=" << cut;
+  }
+}
+
+TEST(ShardCodec, BindSimdByteOutOfRangeIsRejected) {
+  // The simd byte closes the bind payload; 3 is one past the last tier.
+  wire_buf b;
+  shard::encode_bind(b, sample_bind());
+  std::vector<std::uint8_t> bytes(b.view().begin(), b.view().end());
+  ASSERT_EQ(bytes.back(), std::uint8_t(simd_mode::scalar));
+  bytes.back() = 3;
+  wire_cursor c(bytes);
+  EXPECT_THROW(shard::decode_bind(c), shard_error);
 }
 
 TEST(ShardCodec, LedgerRoundTripPreservesTotalsSeparateFromPhases) {
@@ -524,6 +582,32 @@ TEST(ShardDifferential, ShardedRunsBitIdenticalToSoloBothEngines) {
         for (auto& w : workers) EXPECT_EQ(shard::wait_worker(w), 0);
       }
     }
+  }
+}
+
+TEST(ShardDifferential, BoundKernelAndSimdReachWorkersAndMatchSolo) {
+  // Forced bitmap traversal on the scalar tier, set once in the workers'
+  // session options and shipped in the bind message, must still fold back
+  // to the auto/auto solo answer (p = 5 so the bitmap descent really runs).
+  const graph g = gen::gnp(50, 0.3, 31);
+  listing_query q;
+  q.p = 5;
+  for (const auto engine :
+       {listing_engine::congest_sim, listing_engine::local_kclist}) {
+    listing_session solo(g, {.engine = engine});
+    const query_result want = solo.run(q);
+    auto workers = shard::launch_fork_workers(2);
+    shard::shard_options opt = sharded_options(engine);
+    opt.worker_session.kernel = enumkernel::kernel_mode::bitmap;
+    opt.worker_session.simd = simd_mode::scalar;
+    shard::shard_coordinator coord(g, shard::take_links(workers), opt);
+    const query_result got = coord.run(q);
+    EXPECT_EQ(got.cliques, want.cliques) << "engine=" << int(engine);
+    EXPECT_EQ(got.count, want.count);
+    if (engine == listing_engine::congest_sim)
+      expect_report_identical(got.report, want.report);
+    coord.shutdown();
+    for (auto& w : workers) EXPECT_EQ(shard::wait_worker(w), 0);
   }
 }
 

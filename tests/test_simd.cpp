@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "enumkernel/limits.hpp"
 #include "support/prng.hpp"
 #include "support/simd.hpp"
 
@@ -15,14 +16,12 @@ using simd::simd_ops;
 
 // Every backend this build can actually run: scalar always, a vector table
 // only when it was both compiled in and the CPU supports it (the same
-// condition ops_for uses). On an x86 CI runner this exercises scalar+AVX2;
-// on an aarch64 runner scalar+NEON; the differential bodies are identical.
+// condition ops_for uses). On an AVX2 machine this exercises scalar+AVX2;
+// elsewhere scalar alone; the differential bodies are identical.
 std::vector<const simd_ops*> runnable_tables() {
   std::vector<const simd_ops*> tables = {simd::scalar_ops()};
   if (simd::cpu_has_avx2() && simd::detail::avx2_table() != nullptr)
     tables.push_back(simd::detail::avx2_table());
-  if (simd::cpu_has_neon() && simd::detail::neon_table() != nullptr)
-    tables.push_back(simd::detail::neon_table());
   return tables;
 }
 
@@ -241,55 +240,65 @@ TEST(Simd, IntersectionMatchesAcrossBlockBoundaries) {
 
 TEST(Simd, ChooseModePrecedence) {
   using simd::choose_mode;
-  EXPECT_EQ(choose_mode(false, false, false), simd_mode::scalar);
-  EXPECT_EQ(choose_mode(true, false, false), simd_mode::avx2);
-  EXPECT_EQ(choose_mode(false, true, false), simd_mode::neon);
-  EXPECT_EQ(choose_mode(true, true, false), simd_mode::avx2);
-  // DCL_FORCE_SCALAR beats every capability bit.
-  EXPECT_EQ(choose_mode(true, true, true), simd_mode::scalar);
+  EXPECT_EQ(choose_mode(false, false), simd_mode::scalar);
+  EXPECT_EQ(choose_mode(true, false), simd_mode::avx2);
+  // DCL_FORCE_SCALAR beats the capability bit.
+  EXPECT_EQ(choose_mode(true, true), simd_mode::scalar);
+  EXPECT_EQ(choose_mode(false, true), simd_mode::scalar);
 }
 
 TEST(Simd, ResolveModeHonorsEnvAndDegradesGracefully) {
   using simd::resolve_mode;
   // Explicit tiers resolve when the CPU has them...
-  EXPECT_EQ(resolve_mode("avx2", true, false, false), simd_mode::avx2);
-  EXPECT_EQ(resolve_mode("neon", false, true, false), simd_mode::neon);
-  EXPECT_EQ(resolve_mode("scalar", true, true, false), simd_mode::scalar);
-  // ...and degrade to scalar (never to a different vector ISA) when not.
-  EXPECT_EQ(resolve_mode("avx2", false, true, false), simd_mode::scalar);
-  EXPECT_EQ(resolve_mode("neon", true, false, false), simd_mode::scalar);
+  EXPECT_EQ(resolve_mode("avx2", /*has_avx2=*/true, false), simd_mode::avx2);
+  EXPECT_EQ(resolve_mode("scalar", true, false), simd_mode::scalar);
+  // ...and degrade to scalar when not.
+  EXPECT_EQ(resolve_mode("avx2", /*has_avx2=*/false, false),
+            simd_mode::scalar);
   // auto / unset / unrecognized fall through to capability detection.
-  EXPECT_EQ(resolve_mode("auto", true, false, false), simd_mode::avx2);
-  EXPECT_EQ(resolve_mode(nullptr, false, true, false), simd_mode::neon);
-  EXPECT_EQ(resolve_mode("sse9", true, false, false), simd_mode::avx2);
-  EXPECT_EQ(resolve_mode(nullptr, false, false, false), simd_mode::scalar);
+  EXPECT_EQ(resolve_mode("auto", true, false), simd_mode::avx2);
+  EXPECT_EQ(resolve_mode(nullptr, true, false), simd_mode::avx2);
+  EXPECT_EQ(resolve_mode("sse9", true, false), simd_mode::avx2);
+  EXPECT_EQ(resolve_mode(nullptr, false, false), simd_mode::scalar);
   // DCL_FORCE_SCALAR wins over an explicit DCL_SIMD tier.
-  EXPECT_EQ(resolve_mode("avx2", true, true, true), simd_mode::scalar);
+  EXPECT_EQ(resolve_mode("avx2", true, true), simd_mode::scalar);
 }
 
 TEST(Simd, OpsForNeverReturnsAnUnrunnableTable) {
   // Whatever this machine is, every mode must resolve to a table that is
   // compiled in and CPU-supported — a forced tier the machine cannot run
   // degrades to scalar instead of faulting (tier stays truthful: the
-  // returned table reports what it actually is).
-  for (const simd_mode m : {simd_mode::auto_select, simd_mode::scalar,
-                            simd_mode::avx2, simd_mode::neon}) {
-    const simd_ops* ops = simd::ops_for(m);
+  // returned table reports what it actually is). Both resolution paths are
+  // inputs: ops_for itself and the bind-time resolver whose table every
+  // session hands to the kernel and drivers.
+  const auto check = [](const simd_ops* ops, simd_mode requested) {
     ASSERT_NE(ops, nullptr);
     EXPECT_NE(ops->tier, simd_mode::auto_select);
     if (ops->tier == simd_mode::avx2) {
       EXPECT_TRUE(simd::cpu_has_avx2());
     }
-    if (ops->tier == simd_mode::neon) {
-      EXPECT_TRUE(simd::cpu_has_neon());
+    if (requested == simd_mode::scalar) {
+      EXPECT_EQ(ops, simd::scalar_ops());
     }
     // And the table must answer a trivial query correctly.
     const std::uint64_t w[2] = {3, 5};
     EXPECT_EQ(ops->popcount_words(w, 2), 4);
+  };
+  for (const simd_mode m :
+       {simd_mode::auto_select, simd_mode::scalar, simd_mode::avx2}) {
+    check(simd::ops_for(m), m);
+    for (const auto k :
+         {enumkernel::kernel_mode::auto_select, enumkernel::kernel_mode::scalar,
+          enumkernel::kernel_mode::bitmap}) {
+      const enumkernel::exec_config exec = enumkernel::resolve_exec(k, m);
+      EXPECT_EQ(exec.kernel, k);
+      check(exec.ops, m);
+    }
   }
-  EXPECT_EQ(simd::ops_for(simd_mode::scalar), simd::scalar_ops());
+  check(enumkernel::exec_config{}.ops, simd_mode::auto_select);
   EXPECT_EQ(simd::ops_for(simd_mode::auto_select)->tier,
             simd::detected_mode());
+  EXPECT_EQ(simd::detected_ops(), simd::ops_for(simd_mode::auto_select));
 }
 
 TEST(Simd, IterateSetBitsAscendingOrder) {
@@ -308,7 +317,6 @@ TEST(Simd, IterateSetBitsAscendingOrder) {
 TEST(Simd, ModeNames) {
   EXPECT_STREQ(simd::simd_mode_name(simd_mode::scalar), "scalar");
   EXPECT_STREQ(simd::simd_mode_name(simd_mode::avx2), "avx2");
-  EXPECT_STREQ(simd::simd_mode_name(simd_mode::neon), "neon");
   EXPECT_STREQ(simd::simd_mode_name(simd_mode::auto_select), "auto_select");
 }
 
