@@ -193,10 +193,7 @@ query_result listing_session::run_congest(const listing_query& q,
                                           runtime::thread_pool& pool) {
   clique_collector out(q.p);
   listing_report rep =
-      q.p == 3 ? list_triangles_congest(*g_, q, pool, lease.scratch, out,
-                                        nullptr, exec_)
-               : list_kp_congest(*g_, q, pool, lease.scratch, out, nullptr,
-                                 exec_);
+      list_cliques_congest(*g_, q, pool, lease.scratch, out, nullptr, exec_);
   query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::collect) {
     res.cliques = out.finalize();
@@ -233,12 +230,8 @@ shard_run_result listing_session::run_shard(const listing_query& q,
   congest_shard_plan scoped_plan = plan;
   scoped_plan.scoped = &res.scoped;
   clique_collector out(q.p);
-  res.report =
-      q.p == 3
-          ? list_triangles_congest(*g_, q, pool, lease->scratch, out,
-                                   &scoped_plan, exec_)
-          : list_kp_congest(*g_, q, pool, lease->scratch, out, &scoped_plan,
-                            exec_);
+  res.report = list_cliques_congest(*g_, q, pool, lease->scratch, out,
+                                    &scoped_plan, exec_);
   const std::span<const vertex> raw = out.raw_view();
   res.raw_tuples.assign(raw.begin(), raw.end());
   res.emitted = out.emitted();

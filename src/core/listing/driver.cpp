@@ -1,13 +1,13 @@
+#include "core/listing/driver.hpp"
+
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <string>
 
 #include "congest/network.hpp"
-#include "core/listing/driver.hpp"
-#include "core/listing/driver_detail.hpp"
 #include "core/listing/kp_cluster.hpp"
 #include "core/listing/two_hop.hpp"
+#include "enumkernel/kernel.hpp"
 #include "expander/cost_model.hpp"
 #include "expander/decomposition.hpp"
 #include "runtime/merge.hpp"
@@ -20,127 +20,82 @@ namespace dcl {
 
 namespace {
 
-/// Lemma 43 delivery of E′ into one cluster, plus the S*/S classification
-/// (§6.1, with the graph-edge communication degrees of DESIGN.md §2.5).
-/// Returns the delivered edges and charges the measured exchange loads.
-struct delivery_result {
-  delivered_edges eprime;
-  std::vector<vertex> s_bad;  ///< S_C (current-level graph ids)
-  std::int64_t rounds = 0;
+/// Everything one cluster's listing task produces. Tasks run concurrently
+/// on the runtime pool, each against its own ledger/collector (the message
+/// layer is instance-local, so per-task instances make the level fan-out
+/// race-free); the driver then folds outcomes in cluster-index order —
+/// merge_parallel for the ledger, absorb for the cliques — so the merged
+/// report and clique set are identical for every sim_threads value.
+struct cluster_outcome {
+  explicit cluster_outcome(int p) : cliques(p) {}
+
+  cost_ledger ledger;
+  trace_recorder rec;  ///< filled only when the query enables tracing
+  clique_collector cliques;
+  cluster_listing_stats stats;
+  edge_list removed;              ///< E− edges this cluster retires
+  std::int64_t bad_vertices = 0;  ///< |S_C| (p >= 4)
+  bool considered = false;        ///< cluster entered the listing path
+  bool deferred = false;          ///< overloaded, deliver cost dropped (p >= 4)
+  /// This run listed the cluster's cliques. Solo: listed == considered &&
+  /// !deferred. Sharded (congest_shard_plan): false for clusters another
+  /// shard owns — their structural outputs (stats, removed edges) still
+  /// fold, but ledger, trace, and cliques are dropped here and supplied by
+  /// the owning shard instead.
+  bool listed = false;
 };
 
-delivery_result deliver_eprime(network& net_c, const graph& g,
-                               const cluster_anatomy& a,
-                               std::int64_t n_budget,
-                               std::string_view phase,
-                               enumkernel::exec_config exec) {
-  delivery_result res;
-  const std::int64_t k = std::int64_t(a.v_minus.size());
-  std::vector<vertex> v1_index(size_t(g.num_vertices()), -1);
-  for (std::int64_t i = 0; i < k; ++i)
-    v1_index[size_t(a.v_minus[size_t(i)])] = vertex(i);
+/// A parallel branch's ownership representative for congest_shard_plan:
+/// the smallest vertex of the cluster — a pure function of the anatomy, so
+/// every shard computes the same owner for the same branch.
+vertex cluster_rep(const cluster_anatomy& a) {
+  return *std::min_element(a.v_cluster.begin(), a.v_cluster.end());
+}
 
-  // deg into V− and outside degree for every outside vertex adjacent to V−.
-  // S*_C = outside u with 1 <= deg_{V−}(u) and
-  //        deg_{V−}(u) * n^{1-2/p} < deg_{V\V−}(u).
-  std::vector<vertex> adjacent_outside;
-  std::vector<bool> in_sstar(size_t(g.num_vertices()), false);
-  std::vector<bool> seen(size_t(g.num_vertices()), false);
-  for (vertex v : a.v_minus)
-    for (vertex u : g.neighbors(v)) {
-      if (v1_index[size_t(u)] >= 0 || seen[size_t(u)]) continue;
-      seen[size_t(u)] = true;
-      adjacent_outside.push_back(u);
-    }
-  for (vertex u : adjacent_outside) {
-    std::int64_t into_vm = 0;
-    for (vertex w : g.neighbors(u))
-      if (v1_index[size_t(w)] >= 0) ++into_vm;
-    const std::int64_t outside_deg = g.degree(u) - into_vm;
-    if (into_vm >= 1 && into_vm * n_budget < outside_deg)
-      in_sstar[size_t(u)] = true;
-  }
-  // S_C: V− vertices with too many S* neighbors.
-  std::vector<bool> is_bad(size_t(g.num_vertices()), false);
-  for (vertex v : a.v_minus) {
-    std::int64_t cnt = 0;
-    for (vertex u : g.neighbors(v))
-      if (in_sstar[size_t(u)]) ++cnt;
-    if (cnt > n_budget) {
-      res.s_bad.push_back(v);
-      is_bad[size_t(v)] = true;
-    }
-  }
+/// Wall-clock seconds elapsed since `t0` (listing_report::phase_seconds).
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
-  std::set<std::pair<edge, vertex>> delivered;  // (edge, holder index)
-  std::int64_t rounds_i = 0, rounds_ii = 0, messages = 0;
-  std::vector<vertex> common;  // reused across the case-(i) intersections
+/// Gathers the residual graph at a per-component leader (exact tree-
+/// congestion charge) and lists centrally — the unconditional-correctness
+/// fallback of DESIGN.md §2.6. `rec`, when given, records the gather
+/// charge (the driver absorbs it under the run-sequential trace scope).
+void central_fallback(const graph& cur, int p, clique_collector& out,
+                      cost_ledger& ledger, trace_recorder* rec,
+                      enumkernel::exec_config exec) {
+  network net(cur, ledger, nullptr, rec);
+  net.charge_gather_all_edges("fallback/gather");
+  enumkernel::enum_scratch ws;
+  enumkernel::enumerate_cliques(
+      cur, p, ws, [&](std::span<const vertex> c) { out.emit(c); },
+      enumkernel::orientation_policy::degeneracy, exec);
+}
 
-  // Case (i): each good v ∈ V−\S learns the induced edges among its S*
-  // neighbors. Per-edge loads: |N(v) ∩ S*| out, intersection sizes back.
-  for (std::int64_t i = 0; i < k; ++i) {
-    const vertex v = a.v_minus[size_t(i)];
-    if (is_bad[size_t(v)]) continue;
-    std::vector<vertex> star_nbrs;
-    for (vertex u : g.neighbors(v))
-      if (in_sstar[size_t(u)]) star_nbrs.push_back(u);
-    if (star_nbrs.size() < 2) continue;
-    rounds_i = std::max(rounds_i, std::int64_t(star_nbrs.size()));
-    for (vertex u : star_nbrs) {
-      sorted_intersection_into(g.neighbors(u), star_nbrs, common,
-                               kGallopFactor, exec.ops);
-      messages += std::int64_t(star_nbrs.size()) + std::int64_t(common.size());
-      rounds_i = std::max(rounds_i, std::int64_t(common.size()));
-      for (vertex w : common)
-        if (w > u) delivered.insert({edge{u, w}, vertex(i)});
-    }
+/// The graph minus a sorted, deduplicated list of removed edges.
+graph remove_edges(const graph& cur, const edge_list& removed) {
+  edge_list next;
+  next.reserve(cur.edges().size() - removed.size());
+  std::size_t ri = 0;
+  for (const auto& e : cur.edges()) {
+    while (ri < removed.size() && removed[ri] < e) ++ri;
+    if (ri < removed.size() && removed[ri] == e) continue;
+    next.push_back(e);
   }
-  // Case (ii): outside u ∉ S* with deg_{V−}(u) >= 1 partitions its outside
-  // edges into chunks shipped to its V− neighbors.
-  for (vertex u : adjacent_outside) {
-    if (in_sstar[size_t(u)]) continue;
-    std::vector<vertex> vm_nbrs, out_nbrs;
-    for (vertex w : g.neighbors(u)) {
-      if (v1_index[size_t(w)] >= 0)
-        vm_nbrs.push_back(w);
-      else
-        out_nbrs.push_back(w);
-    }
-    if (vm_nbrs.empty() || out_nbrs.empty()) continue;
-    const std::int64_t chunk =
-        ceil_div(std::int64_t(out_nbrs.size()), std::int64_t(vm_nbrs.size()));
-    rounds_ii = std::max(rounds_ii, chunk);
-    for (std::size_t t = 0; t < out_nbrs.size(); ++t) {
-      const vertex recv = vm_nbrs[t / size_t(chunk)];
-      delivered.insert(
-          {make_edge(u, out_nbrs[t]), v1_index[size_t(recv)]});
-      ++messages;
-    }
-  }
-  res.rounds = rounds_i + rounds_ii;
-  net_c.charge(phase, res.rounds, messages);
-
-  // Deduplicate per edge (keep the lowest holder) so |E′| is well-defined.
-  edge last{-1, -1};
-  for (const auto& [e, h] : delivered) {
-    if (e == last) continue;
-    last = e;
-    res.eprime.edges.push_back(e);
-    res.eprime.holder.push_back(h);
-  }
-  return res;
+  return graph(cur.num_vertices(), next);
 }
 
 }  // namespace
 
-listing_report list_kp_congest(const graph& g, const listing_query& q,
-                               runtime::thread_pool& pool,
-                               runtime::query_scratch& scratch,
-                               clique_collector& out,
-                               const congest_shard_plan* plan,
-                               enumkernel::exec_config exec) {
-  DCL_EXPECTS(q.p >= 4 && q.p <= kCongestMaxP,
-              "list_kp_congest supports 4 <= p <= 6");
+listing_report list_cliques_congest(const graph& g, const listing_query& q,
+                                    runtime::thread_pool& pool,
+                                    runtime::query_scratch& scratch,
+                                    clique_collector& out,
+                                    const congest_shard_plan* plan,
+                                    enumkernel::exec_config exec) {
+  DCL_EXPECTS(q.p >= 3 && q.p <= kCongestMaxP,
+              "list_cliques_congest supports 3 <= p <= 6");
   DCL_EXPECTS(q.epsilon < 1.0,
               "epsilon must be below 1 (0 selects the default)");
   listing_report rep;  // fresh per run — never resets caller state
@@ -158,21 +113,22 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
                       : std::shared_ptr<trace_log>{};
   trace_recorder seq_rec;  // fallback gathers: the run-sequential scope
   trace_recorder* seq = tracing ? &seq_rec : nullptr;
-  // Sharded runs: the fallback gathers form one sequential branch owned by
-  // exactly one shard (rep vertex 0); charges flow through a local ledger
-  // so the owner can export them as a scoped entry (see k3_driver).
+  // Sharded runs: the fallback gathers are one sequential branch; the plan
+  // assigns it to exactly one shard (rep vertex 0 by convention). Solo owns
+  // everything. The charges go through a capturable local ledger so the
+  // owning worker can export them as a (level -1, sequential) scoped entry.
   const bool seq_owned =
       plan == nullptr || plan->owns(-1, kTraceBranchSequential, 0);
   const auto run_fallback = [&](const graph& c) {
     const auto t0 = std::chrono::steady_clock::now();
     if (seq_owned) {
       cost_ledger fb;
-      detail::central_fallback(c, q.p, out, fb, seq, exec);
+      central_fallback(c, q.p, out, fb, seq, exec);
       if (plan != nullptr && plan->scoped != nullptr)
         plan->scoped->push_back({-1, kTraceBranchSequential, fb});
       rep.ledger.merge_sequential(fb);
     }
-    rep.phase_seconds["fallback"] += detail::seconds_since(t0);
+    rep.phase_seconds["fallback"] += seconds_since(t0);
   };
   const auto run_t0 = std::chrono::steady_clock::now();
   graph cur = g;
@@ -185,6 +141,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
     }
     level_stats ls;
     ls.edges_before = cur.num_edges();
+
     if (cur.num_edges() <= q.base_case_edges) {
       run_fallback(cur);
       rep.levels.push_back(ls);
@@ -198,18 +155,18 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
     const auto d = decompose(cur, dopt);
     rep.model_decomposition_rounds +=
         cs20_decomposition_rounds(cur.num_vertices(), epsilon);
-    rep.phase_seconds["decompose"] += detail::seconds_since(dec_t0);
+    rep.phase_seconds["decompose"] += seconds_since(dec_t0);
     const auto ana_t0 = std::chrono::steady_clock::now();
-    const auto anatomy =
-        build_anatomy(cur, d, {.p = q.p, .beta = q.beta});
-    rep.phase_seconds["anatomy"] += detail::seconds_since(ana_t0);
+    const auto anatomy = build_anatomy(cur, d, {.p = q.p, .beta = q.beta});
+    rep.phase_seconds["anatomy"] += seconds_since(ana_t0);
     ls.clusters = std::int64_t(anatomy.size());
 
     cost_ledger level_ledger;
     edge_list removed;
 
-    // Lemma 41: exhaustive search around the low-degree open vertices.
-    {
+    // Lemma 41 (p >= 4): exhaustive search around the low-degree open
+    // vertices.
+    if (q.p >= 4) {
       const auto exh_t0 = std::chrono::steady_clock::now();
       cost_ledger exh_ledger;
       trace_recorder exh_rec;
@@ -256,41 +213,54 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
         for (const auto& e : a.e_minus)
           if (is_low[size_t(e.u)] || is_low[size_t(e.v)])
             removed.push_back(e);
-      rep.phase_seconds["exhaustive"] += detail::seconds_since(exh_t0);
+      rep.phase_seconds["exhaustive"] += seconds_since(exh_t0);
     }
 
-    // Per cluster: delivery, overload test, split-tree listing — every
-    // cluster of the level simultaneously on the runtime pool. Each task is
-    // self-contained (own ledger, own collector, own delivery); outcomes
-    // fold back in cluster-index order so the report stays bit-identical
-    // for every sim_threads value. A deferred cluster's deliver cost is
-    // dropped with its ledger (and its trace), exactly as in the
-    // sequential formulation.
+    // All clusters of this level list simultaneously (the paper's
+    // within-level parallelism, now also hardware parallelism): each task
+    // runs against its own ledger/collector, and outcomes fold back in
+    // cluster-index order, so the merged ledger, report, trace and clique
+    // set are bit-identical for every sim_threads value. A deferred
+    // cluster's deliver cost is dropped with its ledger (and its trace),
+    // exactly as in the sequential formulation.
     const auto clu_t0 = std::chrono::steady_clock::now();
-    const auto outcomes = runtime::run_indexed<detail::cluster_outcome>(
+    const auto outcomes = runtime::run_indexed<cluster_outcome>(
         pool, std::int64_t(anatomy.size()),
         [&](int worker, std::int64_t ci) {
-          detail::cluster_outcome oc(q.p);
+          cluster_outcome oc(q.p);
           const auto& a = anatomy[size_t(ci)];
-          if (a.v_minus.size() < 2) return oc;
+          if (q.p == 3 ? a.e_minus.empty() : a.v_minus.size() < 2) return oc;
           oc.considered = true;
-          // Sharded: every shard still runs the cluster's control plane —
-          // E′ delivery (for S/S* and the overload test) and the removal
-          // rule are pure functions of the level graph — but only the
-          // owner lists and keeps the ledger/trace. A non-owner's deliver
+          // Sharded: a cluster another shard owns contributes only its
+          // structural outputs here (its E− retirement and level stats);
+          // the owner lists it and exports the ledger/trace/cliques. At
+          // p >= 4 every shard still runs the control plane — E′ delivery
+          // (for S/S* and the overload test) and the removal rule are pure
+          // functions of the level graph — and a non-owner's deliver
           // charges die with its dropped ledger.
           const bool owned =
               plan == nullptr ||
-              plan->owns(level, std::int64_t(ci), detail::cluster_rep(a));
+              plan->owns(level, std::int64_t(ci), cluster_rep(a));
           // The worker slot's lease-parked transport keeps delivery scratch
           // and staging outboxes capacity-warm across this slot's clusters.
           network net_c(cur, oc.ledger,
                         &scratch.arena(worker).get<transport>(),
                         (tracing && owned) ? &oc.rec : nullptr);
           const std::string cl = "cluster" + std::to_string(ci);
+          const std::uint64_t seed = splitmix64(q.seed + std::uint64_t(ci));
+
+          if (q.p == 3) {  // Lemma 34 covers every E− edge of the cluster
+            oc.removed = a.e_minus;
+            if (!owned) return oc;
+            oc.listed = true;
+            oc.stats = list_k3_in_cluster(net_c, cur, a, q.lb, seed,
+                                          oc.cliques, cl,
+                                          &scratch.arena(worker), exec);
+            return oc;
+          }
 
           const auto del = deliver_eprime(net_c, cur, a, n_budget,
-                                         cl + "/deliver", exec);
+                                          cl + "/deliver", exec);
           oc.bad_vertices = std::int64_t(del.s_bad.size());
 
           // Lemma 44 overload test: defer clusters whose communication
@@ -319,35 +289,38 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
           }
           if (!owned) return oc;
           oc.listed = true;
-
-          oc.stats = list_kp_in_cluster(
-              net_c, cur, a, del.eprime, q.p, q.lb,
-              splitmix64(q.seed + std::uint64_t(ci)), oc.cliques, cl,
-              &scratch.arena(worker), exec);
+          oc.stats = list_kp_in_cluster(net_c, cur, a, del.eprime, q.p, q.lb,
+                                        seed, oc.cliques, cl,
+                                        &scratch.arena(worker), exec);
           return oc;
         });
     for (std::size_t ci = 0; ci < anatomy.size(); ++ci) {
       const auto& oc = outcomes[ci];
       if (!oc.considered) continue;
+      const auto& a = anatomy[ci];
       ls.bad_vertices += oc.bad_vertices;
       if (oc.deferred) {
         ++ls.deferred_clusters;
         continue;
       }
       ++ls.clusters_listed;
+      if (q.p == 3)
+        ls.low_degree_targets +=
+            std::int64_t(a.v_cluster.size() - a.v_minus.size());
       removed.insert(removed.end(), oc.removed.begin(), oc.removed.end());
       if (!oc.listed) continue;
+      rep.max_normalized_load =
+          std::max(rep.max_normalized_load, oc.stats.max_normalized_load);
       level_ledger.merge_parallel(oc.ledger);
       if (plan != nullptr && plan->scoped != nullptr)
         plan->scoped->push_back({level, std::int64_t(ci), oc.ledger});
       if (tracing)
         tlog->absorb(oc.rec, level, std::int64_t(ci),
-                     std::int64_t(anatomy[ci].v_cluster.size()),
-                     anatomy[ci].certified_phi);
+                     std::int64_t(a.v_cluster.size()), a.certified_phi);
       out.absorb(oc.cliques);
     }
     rep.ledger.merge_sequential(level_ledger);
-    rep.phase_seconds["clusters"] += detail::seconds_since(clu_t0);
+    rep.phase_seconds["clusters"] += seconds_since(clu_t0);
 
     std::sort(removed.begin(), removed.end());
     removed.erase(std::unique(removed.begin(), removed.end()),
@@ -356,15 +329,18 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
     rep.levels.push_back(ls);
 
     if (removed.empty()) {
+      // No progress possible through the decomposition (degenerate input);
+      // fall back to central listing of the residual graph.
       run_fallback(cur);
       rep.used_fallback = true;
       done = true;
       break;
     }
-    cur = detail::remove_edges(cur, removed);
+    cur = remove_edges(cur, removed);
     if (cur.num_edges() == 0) done = true;
   }
   if (!done && cur.num_edges() > 0) {
+    // Level budget exhausted: unconditional correctness via the fallback.
     run_fallback(cur);
     rep.used_fallback = true;
   }
@@ -375,7 +351,7 @@ listing_report list_kp_congest(const graph& g, const listing_query& q,
     rep.trace_stats = tlog->summarize();
     rep.trace = std::move(tlog);
   }
-  rep.phase_seconds["total"] += detail::seconds_since(run_t0);
+  rep.phase_seconds["total"] += seconds_since(run_t0);
   return rep;
 }
 

@@ -1,11 +1,14 @@
 #pragma once
-// Top-level recursion drivers:
+// The CONGEST recursion driver, one level loop for every 3 <= p <= 6:
 //   Lemma 33 / Theorem 32 — deterministic triangle listing, n^{1/3+o(1)};
 //   Lemma 38 / Theorem 36 — deterministic K_p listing (p >= 4), n^{1-2/p+o(1)}.
 //
 // Per level: expander-decompose the residual graph, derive cluster anatomy,
 // list within clusters (in parallel — cluster ledgers merge with max-rounds
 // semantics), retire the fully-processed E− edges, recurse on the rest.
+// Only the per-cluster step depends on p: Lemma 34 at p = 3; at p >= 4 the
+// Lemma 41 exhaustive sweep, then per cluster the Lemma 43 E′ delivery, the
+// Lemma 44 overload deferral and Lemma 37 (DESIGN.md §2.4).
 // Lemma 8 bounds the residual to a constant fraction, giving logarithmic
 // depth; a gather-to-leader fallback guarantees unconditional progress on
 // degenerate inputs (DESIGN.md §2.6 — it never fires on benchmark families,
@@ -36,7 +39,7 @@ class query_scratch;
 ///                  fast, with no round/message accounting.
 enum class listing_engine { congest_sim, local_kclist };
 
-/// Largest arity the CONGEST drivers implement (Theorem 36 machinery); the
+/// Largest arity the CONGEST driver implements (Theorem 36 machinery); the
 /// local_kclist engine goes up to enumkernel::kMaxCliqueArity.
 inline constexpr int kCongestMaxP = 6;
 
@@ -140,8 +143,8 @@ struct listing_report {
   /// cluster_listing_stats::max_normalized_load).
   double max_normalized_load = 0.0;
   /// Wall-clock seconds per driver stage ("decompose", "anatomy",
-  /// "clusters", "exhaustive", "fallback", "total"), accumulated across
-  /// levels. Observability only: values depend on the machine and thread
+  /// "clusters", "exhaustive" at p >= 4 only, "fallback", "total"),
+  /// accumulated across levels. Observability only: values depend on the machine and thread
   /// count; every simulated number above stays deterministic.
   std::map<std::string, double> phase_seconds;
   /// The recorded transport trace when listing_query::trace was set (null
@@ -151,10 +154,11 @@ struct listing_report {
   trace_summary trace_stats;
 };
 
-/// Theorem 32. Appends every triangle of g into `out` (arity 3, must be
-/// unfinalized) and returns this run's fresh report — the driver never
-/// touches caller-held report state. The caller finalizes `out` to fit its
-/// sink mode and owns the emitted/duplicates bookkeeping afterwards.
+/// Theorems 32 and 36 for 3 <= q.p <= kCongestMaxP. Appends every K_p of
+/// g into `out` (arity q.p, must be unfinalized) and returns this run's
+/// fresh report — the driver never touches caller-held report state. The
+/// caller finalizes `out` to fit its sink mode and owns the
+/// emitted/duplicates bookkeeping afterwards.
 /// `pool` supplies the cluster-parallel workers; `scratch` supplies every
 /// piece of mutable per-run workspace (per-worker-slot transports and
 /// kernel scratch) — the driver touches no state shared beyond its
@@ -169,25 +173,15 @@ struct listing_report {
 /// identically on every shard, while cliques, ledger charges, and trace
 /// scopes come only from owned branches.
 ///
-/// `exec` is how every cluster's final local enumeration (and the drivers'
+/// `exec` is how every cluster's final local enumeration (and the driver's
 /// sorted intersections) execute — the session's bind-time resolution of
 /// session_options::{kernel, simd}. Every output is bit-identical for
 /// every config.
-listing_report list_triangles_congest(const graph& g, const listing_query& q,
-                                      runtime::thread_pool& pool,
-                                      runtime::query_scratch& scratch,
-                                      clique_collector& out,
-                                      const congest_shard_plan* plan =
-                                          nullptr,
-                                      enumkernel::exec_config exec = {});
-
-/// Theorem 36 (unified driver for p >= 4; see DESIGN.md §2.4 on K4).
-/// Contract as list_triangles_congest.
-listing_report list_kp_congest(const graph& g, const listing_query& q,
-                               runtime::thread_pool& pool,
-                               runtime::query_scratch& scratch,
-                               clique_collector& out,
-                               const congest_shard_plan* plan = nullptr,
-                               enumkernel::exec_config exec = {});
+listing_report list_cliques_congest(const graph& g, const listing_query& q,
+                                    runtime::thread_pool& pool,
+                                    runtime::query_scratch& scratch,
+                                    clique_collector& out,
+                                    const congest_shard_plan* plan = nullptr,
+                                    enumkernel::exec_config exec = {});
 
 }  // namespace dcl

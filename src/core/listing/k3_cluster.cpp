@@ -76,17 +76,6 @@ k3_tree_build build_baseline_tree(cluster_comm& cc,
 
 }  // namespace
 
-namespace {
-
-/// Recycled kernel workspace of the per-leaf local listing; keyed per
-/// worker in the runtime arena so capacity survives across clusters. The
-/// learn-exchange staging batches moved to the shared transport outboxes.
-struct k3_learn_scratch {
-  enumkernel::enum_scratch enum_ws;
-};
-
-}  // namespace
-
 cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
                                          const cluster_anatomy& a,
                                          lb_engine engine, std::uint64_t seed,
@@ -132,9 +121,10 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
   // Step 1: each lister sends the interval endpoints of the other anc parts
   // to every member of every anc part (O(1) words per member).
   // Step 2: members reply with their H-edges into the other parts.
-  k3_learn_scratch local_ws;
-  k3_learn_scratch& ws =
-      scratch != nullptr ? scratch->get<k3_learn_scratch>() : local_ws;
+  enumkernel::enum_scratch local_ws;
+  enumkernel::enum_scratch& ws =
+      scratch != nullptr ? scratch->get<enumkernel::enum_scratch>()
+                         : local_ws;
   // Request and reply traffic stage simultaneously, one per outbox.
   message_batch& requests = cc.outbox(0);
   message_batch& replies = cc.outbox(1);
@@ -192,7 +182,7 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
     // Cluster-local listing on the shared kernel: the learned edges are in
     // position space, so remap each emitted triangle back to parent ids.
     enumkernel::enumerate_cliques_in_edges(
-        le, 3, ws.enum_ws,
+        le, 3, ws,
         [&](std::span<const vertex> c) {
           vertex tri[3];
           for (int z = 0; z < 3; ++z)

@@ -5,7 +5,8 @@
 // K_p-partition tree is built (Theorem 26), its leaves are spread over
 // V*_C (Lemma 20), each known edge is routed to every lister whose leaf's
 // ancestor chain it crosses (Theorem 23 coverage), and listers enumerate
-// cliques in their learned edge sets.
+// cliques in their learned edge sets. Lemma 43 delivers E′ into the
+// cluster first (deliver_eprime).
 
 #include <string_view>
 
@@ -23,6 +24,21 @@ struct delivered_edges {
   edge_list edges;             ///< endpoints outside V−_C, u < v
   std::vector<vertex> holder;  ///< index into the cluster's sorted V−_C
 };
+
+/// Lemma 43 delivery of E′ into one cluster, plus the S*/S classification
+/// (§6.1, with the graph-edge communication degrees of DESIGN.md §2.5).
+/// Returns the delivered edges and charges the measured exchange loads.
+struct delivery_result {
+  delivered_edges eprime;
+  std::vector<vertex> s_bad;  ///< S_C (current-level graph ids)
+  std::int64_t rounds = 0;
+};
+
+delivery_result deliver_eprime(network& net_c, const graph& g,
+                               const cluster_anatomy& a,
+                               std::int64_t n_budget,
+                               std::string_view phase,
+                               enumkernel::exec_config exec = {});
 
 cluster_listing_stats list_kp_in_cluster(
     network& net_c, const graph& g, const cluster_anatomy& a,

@@ -1,4 +1,4 @@
-// Pinned fingerprints of the two CONGEST drivers. For p = 3..6 on three
+// Pinned fingerprints of the CONGEST recursion driver. For p = 3..6 on three
 // fixed seeded graphs, each run's ledger totals and phase count are pinned
 // exactly, and every ledger phase's (label, rounds, messages) and the bytes
 // of its trace_log::write_binary are pinned as FNV-1a digests. Any change to what the simulation charges
@@ -74,9 +74,7 @@ fingerprint run_driver(const graph& g, int p, int threads) {
   runtime::thread_pool pool(threads);
   runtime::query_scratch scratch;
   clique_collector out(p);
-  const listing_report rep =
-      p == 3 ? list_triangles_congest(g, q, pool, scratch, out)
-             : list_kp_congest(g, q, pool, scratch, out);
+  const listing_report rep = list_cliques_congest(g, q, pool, scratch, out);
 
   fingerprint f;
   f.rounds = rep.ledger.rounds();

@@ -33,12 +33,19 @@ TEST(FailureInjection, OptionsValidation) {
   q.p = 7;
   EXPECT_THROW(session.run(q), precondition_error);
   // The driver checks its own preconditions too, without the session.
-  q.p = 4;
-  q.epsilon = 1.5;
   runtime::thread_pool pool(1);
   runtime::query_scratch scratch;
+  for (const int p : {2, 7}) {
+    q.p = p;
+    clique_collector out(q.p);
+    EXPECT_THROW(list_cliques_congest(g, q, pool, scratch, out),
+                 precondition_error)
+        << "p=" << p;
+  }
+  q.p = 4;
+  q.epsilon = 1.5;
   clique_collector out(q.p);
-  EXPECT_THROW(list_kp_congest(g, q, pool, scratch, out),
+  EXPECT_THROW(list_cliques_congest(g, q, pool, scratch, out),
                precondition_error);
 }
 

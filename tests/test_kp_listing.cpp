@@ -98,6 +98,21 @@ TEST(KpListing, RandomizedEngineExact) {
   expect_exact_kp(gen::gnp(90, 0.12, 29), 4, opt);
 }
 
+TEST(KpListing, RandomizedEngineReshufflesLeafAssignment) {
+  // The randomized engine permutes the pool the Lemma 20 assignment walks,
+  // so the listers — and with them the learn traffic — move, while the
+  // cliques stay exact.
+  const auto g = gen::power_law(300, 2.1, 20.0, 9);
+  listing_query opt;
+  opt.p = 4;
+  const auto det = listing_session(g).run(opt);
+  opt.lb = lb_engine::randomized;
+  opt.seed = 7;
+  listing_report rnd;
+  expect_exact_kp(g, 4, opt, &rnd);
+  EXPECT_FALSE(rnd.ledger == det.report.ledger);
+}
+
 TEST(KpListing, UnbalancedEngineExact) {
   listing_query opt;
   opt.lb = lb_engine::unbalanced;
@@ -110,6 +125,13 @@ TEST(KpListing, ReportPopulated) {
   EXPECT_GT(rep.ledger.rounds(), 0);
   EXPECT_GT(rep.model_decomposition_rounds, 0);
   EXPECT_FALSE(rep.levels.empty());
+  // Only split-tree listers carry a Thm 6 load; this sparse graph has no
+  // V−-heavy cluster, so take a dense one where the §6 pipeline lists.
+  expect_exact_kp(gen::gnp(120, 0.35, 97), 4, {}, &rep);
+  std::int64_t listed = 0;
+  for (const auto& ls : rep.levels) listed += ls.clusters_listed;
+  EXPECT_GT(listed, 0);
+  EXPECT_GT(rep.max_normalized_load, 0.0);
 }
 
 TEST(KpListing, DeterministicTranscript) {

@@ -70,8 +70,7 @@ query_result direct_run(const graph& g, const listing_query& q,
     res.report.emitted = res.cliques.size();
   } else {
     clique_collector out(q.p);
-    res.report = q.p == 3 ? list_triangles_congest(g, q, pool, scratch, out)
-                          : list_kp_congest(g, q, pool, scratch, out);
+    res.report = list_cliques_congest(g, q, pool, scratch, out);
     res.cliques = out.finalize();
     res.report.emitted = out.emitted();
     res.report.duplicates = out.duplicates();

@@ -105,6 +105,12 @@ TEST(TraceReplay, SessionApiCarriesTraceThrough) {
   // Phase wall-clock timings ride along on every congest run.
   EXPECT_TRUE(r.report.phase_seconds.contains("total"));
   EXPECT_GE(r.report.phase_seconds.at("total"), 0.0);
+  // The Lemma 41 exhaustive sweep runs, and is timed, only at p >= 4.
+  EXPECT_TRUE(r.report.phase_seconds.contains("exhaustive"));
+  q.p = 3;
+  const auto r3 = session.run(q);
+  EXPECT_TRUE(r3.report.phase_seconds.contains("total"));
+  EXPECT_FALSE(r3.report.phase_seconds.contains("exhaustive"));
 }
 
 TEST(TraceSerialization, BinaryRoundTripIsExact) {
