@@ -1,27 +1,26 @@
 // Multi-process sharded serving benchmark (DESIGN.md §14): a forked worker
 // fleet behind one shard_coordinator versus a single-process
-// listing_session, per (engine × shards × p) cell. Reports per-query
-// latency (best of 3 on a warm fleet), bind time, and the wire footprint
-// (frames/bytes/flushes from the workers' stats frames) — the aggregation
-// ratio bytes_sent/frames_sent is the buffered-transport number tracked
-// across commits.
+// listing_session, per (engine × mode × shards × p) cell: collect cells for
+// both engines, count cells for local_kclist. Reports per-query latency
+// (best of 3 on a warm fleet), bind time, and the wire footprint of ONE
+// query (frames/bytes/flushes the workers sent for it, from stats-frame
+// deltas with the stats frames themselves taken out) — the aggregation
+// ratio bytes/frames is the buffered-transport number tracked across
+// commits.
 //
 //   ./bench_shard [--smoke] [out.json]
 //
-// Self-check (every mode, every cell): the sharded clique set AND — under
-// congest_sim — the full ledger must be bit-identical to the solo session;
-// any mismatch exits nonzero, so a clean exit IS the differential gate.
-//
-// Wall-clock caveat: the checked-in JSON comes from a 1-CPU container (see
-// "hardware_concurrency" in meta), where coordinator and workers share one
-// core — sharded latency reads as pure overhead there (serialization +
-// frame round-trips + redundant control-plane replication), not as a
-// speedup. The wire-footprint columns and the bit-identity gate are
-// schedule-independent; treat the *_seconds columns as loopback protocol
-// cost, not scaling data.
+// Gates (every mode, every cell), each exiting nonzero:
+//   * the sharded clique set and count AND — under congest_sim — the full
+//     ledger must be bit-identical to the solo session (a clean exit IS
+//     the differential gate);
+//   * a local_kclist count query must put less than kCountWireLimit bytes
+//     on the wire: each worker answers with its rooted count, never tuples.
 
 #include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,11 +35,14 @@
 namespace {
 
 using namespace dcl;
+using shard::wire_stats;
 
 constexpr int kShardCounts[] = {1, 2, 4};
+constexpr std::int64_t kCountWireLimit = 1024;
 
 struct cell {
   std::string engine;
+  std::string mode;
   int shards = 0;
   int p = 0;
   double bind_seconds = 0.0;
@@ -55,7 +57,8 @@ struct cell {
 
 void emit_cell(std::ostringstream& js, bool& first, const cell& c) {
   js << (first ? "" : ",") << "\n    {\"engine\": \"" << c.engine
-     << "\", \"shards\": " << c.shards << ", \"p\": " << c.p
+     << "\", \"mode\": \"" << c.mode << "\", \"shards\": " << c.shards
+     << ", \"p\": " << c.p
      << ", \"bind_seconds\": " << c.bind_seconds
      << ", \"query_seconds\": " << c.query_seconds
      << ", \"solo_seconds\": " << c.solo_seconds
@@ -65,6 +68,38 @@ void emit_cell(std::ostringstream& js, bool& first, const cell& c) {
      << ", \"wire_flushes\": " << c.wire_flushes << ", \"identical\": "
      << (c.identical ? "true" : "false") << "}";
   first = false;
+}
+
+/// What the workers have sent so far, summed over the fleet.
+wire_stats fleet_sent(shard::shard_coordinator& coord) {
+  wire_stats t;
+  for (const auto& s : coord.worker_stats()) {
+    t.frames_sent += s.wire.frames_sent;
+    t.bytes_sent += s.wire.bytes_sent;
+    t.flushes += s.wire.flushes;
+  }
+  return t;
+}
+
+wire_stats minus(const wire_stats& a, const wire_stats& b) {
+  wire_stats d;
+  d.frames_sent = a.frames_sent - b.frames_sent;
+  d.bytes_sent = a.bytes_sent - b.bytes_sent;
+  d.flushes = a.flushes - b.flushes;
+  return d;
+}
+
+/// The wire footprint of one run of `query`. A worker snapshots its
+/// counters before it sends the stats frame, so each reading includes the
+/// previous reading's stats frames: two back-to-back readings measure
+/// those, and they are taken out of the query's delta.
+wire_stats one_query_wire(shard::shard_coordinator& coord,
+                          const std::function<void()>& query) {
+  const wire_stats a = fleet_sent(coord);
+  const wire_stats b = fleet_sent(coord);
+  query();
+  const wire_stats c = fleet_sent(coord);
+  return minus(minus(c, b), minus(b, a));
 }
 
 }  // namespace
@@ -90,60 +125,77 @@ int main(int argc, char** argv) {
   js << "{\n  \"benchmark\": \"shard\",\n  " << bench::meta_json() << ",\n"
      << "  \"graph\": {\"family\": \"gnp\", \"n\": " << n
      << ", \"prob\": " << prob << "},\n  \"shards_swept\": [1, 2, 4],\n"
+     << "  \"count_wire_limit_bytes\": " << kCountWireLimit << ",\n"
      << "  \"results\": [";
   bool first = true;
   bool all_identical = true;
+  bool count_wire_ok = true;
 
   for (const auto engine :
        {listing_engine::congest_sim, listing_engine::local_kclist}) {
     session_options sopt;
     sopt.engine = engine;
-    // Forked children must not inherit pool threads; one worker thread per
-    // process is also the honest 1-CPU configuration.
+    // Forked children must not inherit pool threads, so the solo session
+    // the fleet forks from runs one thread, and so does every worker.
     sopt.threads = 1;
     listing_session solo(g, sopt);
-    for (const int p : arities) {
-      listing_query q;
-      q.p = p;
-      const double solo_seconds =
-          bench::best_seconds([&] { solo.run(q); });
-      const query_result want = solo.run(q);
-      for (const int shards : kShardCounts) {
-        cell c;
-        c.engine = engine == listing_engine::congest_sim ? "congest_sim"
-                                                         : "local_kclist";
-        c.shards = shards;
-        c.p = p;
-        c.solo_seconds = solo_seconds;
+    std::vector<sink_mode> modes = {sink_mode::collect};
+    if (engine == listing_engine::local_kclist)
+      modes.push_back(sink_mode::count);
+    for (const sink_mode mode : modes) {
+      for (const int p : arities) {
+        listing_query q;
+        q.p = p;
+        q.mode = mode;
+        const double solo_seconds =
+            bench::best_seconds([&] { solo.run(q); });
+        const query_result want = solo.run(q);
+        for (const int shards : kShardCounts) {
+          cell c;
+          c.engine = engine == listing_engine::congest_sim ? "congest_sim"
+                                                           : "local_kclist";
+          c.mode = mode == sink_mode::count ? "count" : "collect";
+          c.shards = shards;
+          c.p = p;
+          c.solo_seconds = solo_seconds;
 
-        auto workers = shard::launch_fork_workers(shards);
-        shard::shard_options opt;
-        opt.partitioner.scheme = shard::partition_scheme::hashed;
-        opt.partitioner.seed = 17;
-        opt.worker_session = sopt;
-        const double t0 = bench::now_seconds();
-        shard::shard_coordinator coord(g, shard::take_links(workers), opt);
-        c.bind_seconds = bench::now_seconds() - t0;
-        c.query_seconds = bench::best_seconds([&] { coord.run(q); });
-        const query_result got = coord.run(q);
-        c.cliques = got.count;
-        c.identical =
-            got.cliques == want.cliques && got.count == want.count &&
-            (engine != listing_engine::congest_sim ||
-             (got.report.ledger == want.report.ledger &&
-              got.report.levels == want.report.levels &&
-              got.report.emitted == want.report.emitted &&
-              got.report.duplicates == want.report.duplicates));
-        all_identical = all_identical && c.identical;
-        for (const auto& s : coord.worker_stats()) {
-          c.wire_frames += s.wire.frames_sent;
-          c.wire_bytes += s.wire.bytes_sent;
-          c.wire_flushes += s.wire.flushes;
+          auto workers = shard::launch_fork_workers(shards);
+          shard::shard_options opt;
+          opt.partitioner.scheme = shard::partition_scheme::hashed;
+          opt.partitioner.seed = 17;
+          opt.worker_session = sopt;
+          const double t0 = bench::now_seconds();
+          shard::shard_coordinator coord(g, shard::take_links(workers), opt);
+          c.bind_seconds = bench::now_seconds() - t0;
+          c.query_seconds = bench::best_seconds([&] { coord.run(q); });
+          std::optional<query_result> got;
+          const wire_stats wire =
+              one_query_wire(coord, [&] { got = coord.run(q); });
+          c.cliques = got->count;
+          c.wire_frames = wire.frames_sent;
+          c.wire_bytes = wire.bytes_sent;
+          c.wire_flushes = wire.flushes;
+          c.identical =
+              got->cliques == want.cliques && got->count == want.count &&
+              got->report.emitted == want.report.emitted &&
+              (engine != listing_engine::congest_sim ||
+               (got->report.ledger == want.report.ledger &&
+                got->report.levels == want.report.levels &&
+                got->report.duplicates == want.report.duplicates));
+          all_identical = all_identical && c.identical;
+          if (engine == listing_engine::local_kclist &&
+              mode == sink_mode::count && c.wire_bytes >= kCountWireLimit) {
+            std::cerr << "bench_shard: GATE FAILED: a local count query on "
+                      << shards << " shards put " << c.wire_bytes
+                      << " bytes on the wire (limit " << kCountWireLimit
+                      << ")\n";
+            count_wire_ok = false;
+          }
+          coord.shutdown();
+          for (auto& w : workers)
+            if (shard::wait_worker(w) != 0) all_identical = false;
+          emit_cell(js, first, c);
         }
-        coord.shutdown();
-        for (auto& w : workers)
-          if (shard::wait_worker(w) != 0) all_identical = false;
-        emit_cell(js, first, c);
       }
     }
   }
@@ -157,5 +209,6 @@ int main(int argc, char** argv) {
                  "the single-process session (see \"identical\" cells)\n";
     return 3;
   }
+  if (!count_wire_ok) return 4;
   return 0;
 }

@@ -165,8 +165,9 @@ class listing_session {
   /// branches `plan` owns, returning raw tuples and scoped ledgers for the
   /// coordinator's fold. q.mode is ignored — the coordinator applies the
   /// sink mode after folding. congest_sim sessions only; the local engine
-  /// shards by graph slicing instead (each worker binds its slice and
-  /// serves plain run() calls — see shard::build_graph_slice).
+  /// shards by graph slicing instead (each worker orients its slice by the
+  /// coordinator's global ranks and runs the kClist drivers rooted at the
+  /// vertices it owns, with no session — see shard::local_shard).
   shard_run_result run_shard(const listing_query& q,
                              const congest_shard_plan& plan);
 

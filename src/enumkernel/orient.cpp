@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -64,6 +65,28 @@ void peeling_order(const csr_view& g, orient_scratch& ws,
   }
 }
 
+/// The first half of an orientation: the policy's vertex order over `g`
+/// (order[r] = vertex of rank r), then its inverse into ws.rank. O(n + m)
+/// for the degeneracy policy (bucket peeling); the degree policy sorts.
+void policy_rank(const csr_view& g, orientation_policy policy,
+                 orient_scratch& ws) {
+  std::vector<vertex>& order = ws.order;
+  if (policy == orientation_policy::degeneracy) {
+    peeling_order(g, ws, order, nullptr);
+  } else {
+    // Ascending degree, ties broken by id (stable sort over iota keeps the
+    // tie-break deterministic).
+    order.resize(size_t(g.n));
+    std::iota(order.begin(), order.end(), vertex{0});
+    std::stable_sort(order.begin(), order.end(), [&](vertex a, vertex b) {
+      return g.degree(a) < g.degree(b);
+    });
+  }
+  ws.rank.resize(order.size());
+  for (vertex r = 0; r < vertex(order.size()); ++r)
+    ws.rank[size_t(order[size_t(r)])] = r;
+}
+
 }  // namespace
 
 std::vector<std::int32_t> core_numbers(const graph& g) {
@@ -74,26 +97,14 @@ std::vector<std::int32_t> core_numbers(const graph& g) {
   return core;
 }
 
-void orient_into(const csr_view& g, orientation_policy policy,
-                 orient_scratch& ws, dag& out) {
+void orient_by_rank(const csr_view& g, std::span<const vertex> rank,
+                    dag& out) {
   const vertex n = g.n;
+  DCL_EXPECTS(vertex(rank.size()) == n,
+              "orient_by_rank: one rank per vertex required");
   out.n = n;
   out.max_out_degree = 0;
-
-  if (policy == orientation_policy::degeneracy) {
-    peeling_order(g, ws, out.order, nullptr);
-  } else {
-    // Ascending degree, ties broken by id (stable sort over iota keeps the
-    // tie-break deterministic).
-    out.order.resize(size_t(n));
-    std::iota(out.order.begin(), out.order.end(), vertex{0});
-    std::stable_sort(out.order.begin(), out.order.end(),
-                     [&](vertex a, vertex b) {
-                       return g.degree(a) < g.degree(b);
-                     });
-  }
-  out.rank.resize(size_t(n));
-  for (vertex r = 0; r < n; ++r) out.rank[size_t(out.order[size_t(r)])] = r;
+  out.rank.assign(rank.begin(), rank.end());
 
   // Arcs point from lower to higher rank. Each out-list inherits the
   // ascending id order of the CSR adjacency it filters, so no per-list sort
@@ -119,8 +130,20 @@ void orient_into(const csr_view& g, orientation_policy policy,
         out.max_out_degree,
         std::int32_t(out.offsets[size_t(v) + 1] - out.offsets[size_t(v)]));
   }
-  DCL_ENSURE(out.num_arcs() * 2 == g.offsets[size_t(n)],
-             "orientation must keep all edges");
+  DCL_EXPECTS(out.num_arcs() * 2 == g.offsets[size_t(n)],
+              "orient_by_rank: adjacent vertices must differ in rank");
+}
+
+std::vector<vertex> vertex_rank(const graph& g, orientation_policy policy) {
+  orient_scratch ws;
+  policy_rank(g.view(), policy, ws);
+  return std::move(ws.rank);
+}
+
+void orient_into(const csr_view& g, orientation_policy policy,
+                 orient_scratch& ws, dag& out) {
+  policy_rank(g, policy, ws);
+  orient_by_rank(g, ws.rank, out);
 }
 
 dag orient(const graph& g, orientation_policy policy) {

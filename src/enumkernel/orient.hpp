@@ -31,8 +31,7 @@ struct dag {
   vertex n = 0;
   std::vector<std::int64_t> offsets = {0};  ///< size n+1
   std::vector<vertex> adj;                  ///< out-neighbors, id-ascending
-  std::vector<vertex> rank;   ///< rank[v] = position of v in the order
-  std::vector<vertex> order;  ///< order[r] = vertex with rank r
+  std::vector<vertex> rank;  ///< arcs run from lower to higher rank
   std::int32_t max_out_degree = 0;  ///< = degeneracy under the peeling order
 
   std::int32_t out_degree(vertex v) const {
@@ -54,11 +53,25 @@ struct orient_scratch {
   std::vector<std::int64_t> bin;
   std::vector<std::int64_t> pos;
   std::vector<std::int64_t> next;
+  std::vector<vertex> order;  ///< the policy's order (order[r] = vertex)
+  std::vector<vertex> rank;   ///< its inverse, handed to orient_by_rank
 };
 
-/// Computes the chosen vertex order over `g` and orients every edge
-/// low-rank -> high-rank into `out`, reusing its storage. O(n + m) for the
-/// degeneracy policy (bucket peeling); the degree policy sorts.
+/// The first half of an orientation: rank[v] = position of v in the
+/// policy's order over `g`. O(n + m) for the degeneracy policy (bucket
+/// peeling); the degree policy sorts. A shard coordinator computes it once
+/// and ships it, so every slice orients by the same global order
+/// (DESIGN.md §14).
+std::vector<vertex> vertex_rank(const graph& g, orientation_policy policy);
+
+/// The second half: orients every edge low-rank -> high-rank into `out`,
+/// reusing its storage. Only the order of the ranks matters, so any values
+/// that differ across every edge will do (a shard worker passes its slice
+/// vertices' global ranks as they are).
+void orient_by_rank(const csr_view& g, std::span<const vertex> rank,
+                    dag& out);
+
+/// Both halves: the policy's ranks, then orient_by_rank.
 void orient_into(const csr_view& g, orientation_policy policy,
                  orient_scratch& ws, dag& out);
 

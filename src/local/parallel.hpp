@@ -22,6 +22,7 @@
 // and schedule.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "enumkernel/kernel.hpp"
@@ -61,17 +62,26 @@ struct parallel_listing_stats {
 /// state (one engine_worker_scratch per worker slot); the DAG and pool are
 /// read strictly shared, so concurrent runs against one DAG are safe as
 /// long as each holds its own scratch bundle and pool job slot.
+///
+/// `roots`, when non-empty, restricts the run to the cliques whose
+/// lowest-rank vertex is in the set (ascending DAG vertex ids): chunks stay
+/// arc-granular over the concatenated out-arc ranges of those roots, so
+/// the results over any split of the vertices into root sets partition the
+/// full result. Empty means every arc. A shard worker roots the run at the
+/// vertices it owns (DESIGN.md §14).
 clique_set list_cliques_parallel(
     const enumkernel::dag& d, int p, thread_pool& pool,
     runtime::query_scratch& scratch, std::int64_t grain,
     parallel_listing_stats* stats = nullptr,
-    enumkernel::exec_config exec = {});
+    enumkernel::exec_config exec = {},
+    std::span<const vertex> roots = {});
 
 /// Counting-only twin of list_cliques_parallel — no buffers, no merge.
 std::int64_t count_cliques_parallel(
     const enumkernel::dag& d, int p, thread_pool& pool,
     runtime::query_scratch& scratch, std::int64_t grain,
     parallel_listing_stats* stats = nullptr,
-    enumkernel::exec_config exec = {});
+    enumkernel::exec_config exec = {},
+    std::span<const vertex> roots = {});
 
 }  // namespace dcl::local

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/listing/collector.hpp"
+#include "enumkernel/orient.hpp"
 #include "support/check.hpp"
 
 namespace dcl::shard {
@@ -51,6 +52,30 @@ bool scope_before(const scope_ref& a, const scope_ref& b) {
 
 }  // namespace
 
+shard_bind make_bind(const graph& g, const shard_options& opt,
+                     std::span<const vertex> rank, int shard, int shards) {
+  shard_bind bind;
+  bind.shard = shard;
+  bind.shards = shards;
+  bind.part = opt.partitioner;
+  bind.engine = opt.worker_session.engine;
+  if (bind.engine == listing_engine::local_kclist) {
+    DCL_EXPECTS(vertex(rank.size()) == g.num_vertices(),
+                "make_bind: one global rank per vertex required");
+    bind.slice = build_graph_slice(g, opt.partitioner, shard, shards);
+    bind.rank.reserve(bind.slice.to_original.size());
+    for (const vertex v : bind.slice.to_original)
+      bind.rank.push_back(rank[std::size_t(v)]);
+  } else {
+    bind.slice = identity_slice(g);
+  }
+  bind.threads = opt.worker_session.threads;
+  bind.grain = opt.worker_session.grain;
+  bind.kernel = opt.worker_session.kernel;
+  bind.simd = opt.worker_session.simd;
+  return bind;
+}
+
 shard_coordinator::shard_coordinator(
     const graph& g, std::vector<std::unique_ptr<byte_channel>> links,
     const shard_options& opt)
@@ -62,24 +87,16 @@ shard_coordinator::shard_coordinator(
     DCL_EXPECTS(ch != nullptr, "shard_coordinator: null channel");
     peers_.push_back(std::make_unique<peer>(std::move(ch), opt_.wire));
   }
+  // The one orientation of the whole graph every local slice roots by.
+  const std::vector<vertex> rank =
+      opt_.worker_session.engine == listing_engine::local_kclist
+          ? enumkernel::vertex_rank(g, opt_.worker_session.orientation)
+          : std::vector<vertex>{};
   // Ship every bind first (the frames aggregate per peer), then collect
-  // the acks — workers bind their sessions concurrently.
+  // the acks — workers bind concurrently.
   for (int i = 0; i < n_shards; ++i) {
-    shard_bind bind;
-    bind.shard = i;
-    bind.shards = n_shards;
-    bind.part = opt_.partitioner;
-    bind.slice = opt_.worker_session.engine == listing_engine::local_kclist
-                     ? build_graph_slice(g, opt_.partitioner, i, n_shards)
-                     : identity_slice(g);
-    bind.engine = opt_.worker_session.engine;
-    bind.threads = opt_.worker_session.threads;
-    bind.orientation = opt_.worker_session.orientation;
-    bind.grain = opt_.worker_session.grain;
-    bind.kernel = opt_.worker_session.kernel;
-    bind.simd = opt_.worker_session.simd;
     wire_buf b;
-    encode_bind(b, bind);
+    encode_bind(b, make_bind(g, opt_, rank, i, n_shards));
     peers_[std::size_t(i)]->writer.send(frame_type::bind, b.view());
     peers_[std::size_t(i)]->writer.flush();
   }
@@ -179,6 +196,7 @@ query_result shard_coordinator::run_impl(const listing_query& q,
                           " answered query id " +
                           std::to_string(results[i].qid) + ", expected " +
                           std::to_string(qid));
+      check_reply(results[i], q.mode, opt_.worker_session.engine, int(i));
     } catch (const shard_error& e) {
       if (first_error.empty()) first_error = e.what();
     }
@@ -292,27 +310,33 @@ query_result shard_coordinator::fold_congest(
 query_result shard_coordinator::fold_local(const listing_query& q,
                                            std::vector<shard_result>& results,
                                            const stream_sink* sink) {
-  // Min-vertex ownership partitions the solo clique set exactly: each
-  // shard ships only cliques whose smallest vertex it owns, already in
-  // original ids. finalize() sorts canonically, so shard order is
-  // unobservable in the set; duplicates must come out 0, as solo.
+  // DAG-root ownership partitions the solo clique set exactly: each shard
+  // enumerates only the cliques rooted at the vertices it owns. A count is
+  // the sum of the shards' counts; collect and stream absorb each shard's
+  // canonical run (original ids) and finalize() sorts, so shard order is
+  // unobservable in the set. duplicates must come out 0, as solo.
+  query_result res{clique_set(q.p), 0, {}};
+  if (q.mode == sink_mode::count) {
+    for (const shard_result& r : results) res.count += r.emitted;
+    res.report.emitted = res.count;
+    return res;
+  }
   clique_collector out(q.p);
   for (const shard_result& r : results)
     out.merge_buffer(r.raw_tuples, /*tuples_presorted=*/true);
-  query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::collect) {
     res.cliques = out.finalize();
     res.count = res.cliques.size();
   } else {
     const clique_set& canon = out.finalize_in_place();
     res.count = canon.size();
-    if (q.mode == sink_mode::stream)
-      stream_batches(canon, q.stream_batch_tuples, *sink);
+    stream_batches(canon, q.stream_batch_tuples, *sink);
   }
   if (out.duplicates() != 0)
     throw shard_error(
-        "local shard fold produced duplicate cliques — min-vertex "
-        "ownership is broken (partitioner disagreement between workers?)");
+        "local shard fold produced duplicate cliques — DAG-root "
+        "ownership is broken (rank or partitioner disagreement between "
+        "workers?)");
   res.report.emitted = out.emitted();
   return res;
 }

@@ -2,12 +2,15 @@
 // The coordinator half of multi-process sharded serving (DESIGN.md §14).
 //
 // A shard_coordinator owns one framed channel per worker (the per-peer send
-// queues of the wire layer), binds each worker's listing_session over the
-// wire — congest_sim workers bind the full graph and split work by branch
-// ownership; local_kclist workers bind closed-neighborhood slices and split
-// by min-vertex clique ownership — then serves run() calls whose results
-// are bit-identical to a single-process listing_session on the same graph:
-// the clique set, count, stream batches, AND the full listing_report ledger
+// queues of the wire layer), binds each worker over the wire (wire version
+// 3) — congest_sim workers bind the full graph and split work by branch
+// ownership; local_kclist workers bind closed-neighborhood slices plus the
+// global rank of each slice vertex, from one orientation of the whole graph
+// computed here at bind, and split by DAG-root ownership: each clique is
+// enumerated once fleet-wide, by the owner of its lowest-rank vertex, and a
+// count reply is one i64 — then serves run() calls whose results are
+// bit-identical to a single-process listing_session on the same graph: the
+// clique set, count, stream batches, AND the full listing_report ledger
 // (plus the trace when requested).
 //
 // Determinism argument (tested in tests/test_shard.cpp): every fold below
@@ -21,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/api/session.hpp"
@@ -33,15 +37,24 @@ namespace dcl::shard {
 
 struct shard_options {
   /// Evaluated identically by coordinator and every worker (pure function
-  /// of the spec); picks branch owners (congest) or slice membership
-  /// (local).
+  /// of the spec); picks branch owners (congest) or slice membership and
+  /// root ownership (local).
   partitioner_spec partitioner{};
   /// Per-worker session knobs: engine picks the sharding strategy; threads,
-  /// kernel, simd, orientation, and grain apply inside each worker process
-  /// (none of them change any output — DESIGN.md §6/§11/§13).
+  /// kernel, simd, and grain apply inside each worker process; orientation
+  /// picks the global rank the coordinator ships to local workers (none of
+  /// them change any output — DESIGN.md §6/§11/§13).
   session_options worker_session{};
   wire_options wire{};
 };
+
+/// Shard `shard`'s bind message. congest_sim: the full graph. local_kclist:
+/// the shard's slice and each slice vertex's global rank, read from `rank`
+/// (enumkernel::vertex_rank of the whole graph under
+/// opt.worker_session.orientation, computed once per fleet; ignored under
+/// congest_sim).
+shard_bind make_bind(const graph& g, const shard_options& opt,
+                     std::span<const vertex> rank, int shard, int shards);
 
 class shard_coordinator {
  public:

@@ -10,12 +10,14 @@
 // shard_of_vertex — both sides pick it up through the spec.
 //
 // Slices serve the local engine: shard s binds the subgraph induced on the
-// union of closed neighborhoods of its owned vertices. A K_p whose smallest
-// vertex is v lies inside N[v], so the shard owning v sees the whole clique
-// in its slice; the min-vertex ownership filter in the worker then keeps
-// each clique on exactly one shard. The id remap is ascending (monotone),
-// so per-slice canonical tuple order maps back to the global canonical
-// order and the coordinator's shard-index fold reproduces the solo set.
+// union of closed neighborhoods of its owned vertices, and clique ownership
+// is by global DAG root (DESIGN.md §14). The coordinator orients the whole
+// graph once and ships each slice vertex's global rank in the bind; the
+// worker orients its slice by those ranks and roots the kernel only at the
+// vertices it owns. A K_p's lowest-rank vertex u has every other member in
+// N(u), so u's owner holds the whole clique and enumerates it; no other
+// shard roots it. The id remap is ascending (monotone), so per-slice
+// canonical tuple order maps back to the global canonical order.
 // congest_sim workers instead bind the full graph (identity_slice) and
 // shard by branch ownership inside the driver (congest_shard_plan).
 
@@ -60,7 +62,7 @@ struct graph_slice {
 
 /// The local-engine slice for `shard`: induced subgraph on the union of
 /// closed neighborhoods N[v] over owned v (see file comment for why this
-/// covers exactly the cliques the shard must list).
+/// holds every clique the shard roots).
 graph_slice build_graph_slice(const graph& g, const partitioner_spec& spec,
                               int shard, int shards);
 

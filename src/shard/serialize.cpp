@@ -1,5 +1,6 @@
 #include "shard/serialize.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -33,6 +34,25 @@ bool get_bool(wire_cursor& c, const char* what) {
   if (raw > 1)
     throw shard_error(std::string("shard payload: invalid ") + what);
   return raw == 1;
+}
+
+/// A local bind's ranks are distinct global ranks, one per slice vertex; a
+/// congest bind carries none (its workers orient nothing).
+void check_bind_rank(const shard_bind& m) {
+  if (m.engine == listing_engine::congest_sim) {
+    if (!m.rank.empty())
+      throw shard_error("shard payload: congest_sim bind carries ranks");
+    return;
+  }
+  if (m.rank.size() != m.slice.to_original.size())
+    throw shard_error("shard payload: bind rank count != slice vertices");
+  std::vector<vertex> sorted = m.rank;
+  std::sort(sorted.begin(), sorted.end());
+  if (!sorted.empty() &&
+      (sorted.front() < 0 || sorted.back() >= m.slice.full_n))
+    throw shard_error("shard payload: bind rank outside [0, full_n)");
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+    throw shard_error("shard payload: duplicate bind rank");
 }
 
 }  // namespace
@@ -193,8 +213,8 @@ void encode_bind(wire_buf& b, const shard_bind& m) {
   b.put(m.part.seed);
   encode_slice(b, m.slice);
   put_enum(b, m.engine);
+  b.put_vector(m.rank);
   b.put(std::int32_t(m.threads));
-  put_enum(b, m.orientation);
   b.put(m.grain);
   put_enum(b, m.kernel);
   put_enum(b, m.simd);
@@ -212,11 +232,16 @@ shard_bind decode_bind(wire_cursor& c) {
   m.slice = decode_slice(c);
   m.engine = get_enum<listing_engine>(
       c, std::uint8_t(listing_engine::local_kclist), "engine");
+  m.rank = c.get_vector<vertex>();
+  check_bind_rank(m);
   m.threads = c.get<std::int32_t>();
-  m.orientation = get_enum<enumkernel::orientation_policy>(
-      c, std::uint8_t(enumkernel::orientation_policy::degree),
-      "orientation");
+  if (m.threads > kMaxShardThreads)
+    throw shard_error("shard payload: bind threads " +
+                      std::to_string(m.threads) + " above the cap " +
+                      std::to_string(kMaxShardThreads));
   m.grain = c.get<std::int64_t>();
+  if (m.grain < 1)
+    throw shard_error("shard payload: bind grain must be at least 1");
   m.kernel = get_enum<enumkernel::kernel_mode>(
       c, std::uint8_t(enumkernel::kernel_mode::bitmap), "kernel mode");
   m.simd = get_enum<simd_mode>(c, std::uint8_t(simd_mode::avx2),
@@ -249,8 +274,8 @@ shard_result decode_result(wire_cursor& c) {
     throw shard_error(
         "shard payload: result tuple buffer not a multiple of p");
   m.emitted = c.get<std::int64_t>();
-  if (m.emitted != std::int64_t(m.raw_tuples.size()) / m.p)
-    throw shard_error("shard payload: result emitted count mismatch");
+  if (m.emitted < 0)
+    throw shard_error("shard payload: negative result emitted count");
   m.scoped = decode_scoped_ledgers(c);
   m.model_decomposition_rounds = c.get<std::int64_t>();
   m.levels = c.get_vector<level_stats>();
@@ -259,6 +284,20 @@ shard_result decode_result(wire_cursor& c) {
   m.trace_blob = c.get_vector<std::uint8_t>();
   c.expect_exhausted("result");
   return m;
+}
+
+void check_reply(const shard_result& r, sink_mode mode,
+                 listing_engine engine, int shard) {
+  const std::int64_t tuples = std::int64_t(r.raw_tuples.size()) / r.p;
+  if (engine == listing_engine::local_kclist && mode == sink_mode::count) {
+    if (!r.raw_tuples.empty())
+      throw shard_error("shard " + std::to_string(shard) +
+                        " answered a local count with tuples");
+  } else if (r.emitted != tuples) {
+    throw shard_error("shard " + std::to_string(shard) + " reported " +
+                      std::to_string(r.emitted) + " emitted for " +
+                      std::to_string(tuples) + " shipped tuples");
+  }
 }
 
 void encode_worker_stats(wire_buf& b, const shard_worker_stats& m) {

@@ -118,24 +118,33 @@ class wire_cursor {
 
 // --- protocol messages ------------------------------------------------------
 
-/// bind: everything a worker needs to stand up its listing_session —
-/// including the kernel traversal and vector tier, which are session-wide
-/// and never travel with a query.
+/// Largest worker pool a bind may ask for. A bind is peer input: the cap
+/// keeps a corrupted threads field from spawning billions of threads.
+inline constexpr int kMaxShardThreads = 1024;
+
+/// bind: everything a worker needs to stand up its engine — including the
+/// kernel traversal and vector tier, which are session-wide and never
+/// travel with a query.
 struct shard_bind {
   int shard = 0;
   int shards = 1;
   partitioner_spec part;
   graph_slice slice;
   listing_engine engine = listing_engine::congest_sim;
-  int threads = 1;
-  enumkernel::orientation_policy orientation =
-      enumkernel::orientation_policy::degeneracy;
+  /// local_kclist: the global rank of each slice vertex (rank[i] belongs
+  /// to slice.to_original[i]) in the coordinator's one orientation of the
+  /// whole graph, so every slice orients by the same order and each clique
+  /// is rooted at one vertex fleet-wide. Empty under congest_sim.
+  std::vector<vertex> rank;
+  int threads = 1;  ///< <= 0 → hardware concurrency; <= kMaxShardThreads
   std::int64_t grain = 128;
   enumkernel::kernel_mode kernel = enumkernel::kernel_mode::auto_select;
   simd_mode simd = simd_mode::auto_select;
 };
 
-/// result: one shard's answer to one query.
+/// result: one shard's answer to one query. A local-engine count reply is
+/// `emitted` alone (the shard's rooted count, no tuples); every other reply
+/// ships its tuples and emitted = tuples / p (see check_reply).
 struct shard_result {
   std::uint64_t qid = 0;
   int p = 0;
@@ -182,6 +191,14 @@ shard_bind decode_bind(wire_cursor& c);
 
 void encode_result(wire_buf& b, const shard_result& m);
 shard_result decode_result(wire_cursor& c);
+
+/// The reply contract the coordinator holds every decoded result to,
+/// given the query's mode and the fleet's engine: a local-engine count
+/// reply carries no tuples; every other reply carries emitted = tuples / p
+/// (congest workers ship their raw tuples in every mode, for the
+/// cross-shard dedup). Throws shard_error naming `shard` otherwise.
+void check_reply(const shard_result& r, sink_mode mode,
+                 listing_engine engine, int shard);
 
 void encode_worker_stats(wire_buf& b, const shard_worker_stats& m);
 shard_worker_stats decode_worker_stats(wire_cursor& c);

@@ -34,8 +34,10 @@ inline constexpr char kWireMagic[8] = {'D', 'C', 'L', 'S',
 /// Bumped on any layout change; both directions reject a mismatch, so a
 /// mixed-version coordinator and worker fail at the preamble instead of
 /// misparsing. Version 2: the query payload no longer carries the kernel
-/// and simd bytes (they ride only in the bind message).
-inline constexpr std::uint32_t kWireVersion = 2;
+/// and simd bytes (they ride only in the bind message). Version 3: the
+/// bind carries each slice vertex's global rank instead of an orientation
+/// byte, and a local count reply is its emitted count alone.
+inline constexpr std::uint32_t kWireVersion = 3;
 
 /// Refuses absurd frame lengths before allocating (a garbage stream must
 /// fail loudly, not OOM).

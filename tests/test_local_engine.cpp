@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "core/api/session.hpp"
 #include "enumkernel/orient.hpp"
 #include "graph/clique_enum.hpp"
 #include "graph/generators.hpp"
 #include "local/parallel.hpp"
+#include "support/check.hpp"
 
 namespace dcl {
 namespace {
@@ -181,6 +183,109 @@ TEST(LocalEngine, ThreadCountInvariance) {
       EXPECT_EQ(st.roots, g.num_edges());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Root restriction: a run rooted at a vertex set lists exactly the cliques
+// whose lowest-rank vertex is in the set, so runs over the parts of any
+// split of the vertices sum (count) or union (list) to the full result.
+
+TEST(Orient, ByRankMatchesThePolicyOrientation) {
+  const auto g = gen::power_law(150, 2.3, 10.0, 53);
+  for (const auto policy :
+       {orientation_policy::degeneracy, orientation_policy::degree}) {
+    const auto want = enumkernel::orient(g, policy);
+    const auto rank = enumkernel::vertex_rank(g, policy);
+    EXPECT_EQ(rank, want.rank);
+    enumkernel::dag got;
+    enumkernel::orient_by_rank(g.view(), rank, got);
+    EXPECT_EQ(got.offsets, want.offsets);
+    EXPECT_EQ(got.adj, want.adj);
+    EXPECT_EQ(got.max_out_degree, want.max_out_degree);
+  }
+  // Only the order matters: ranks spread over a wider range orient alike.
+  auto spread = enumkernel::vertex_rank(g, orientation_policy::degeneracy);
+  for (vertex& r : spread) r = 3 * r + 1000;
+  enumkernel::dag wide;
+  enumkernel::orient_by_rank(g.view(), spread, wide);
+  EXPECT_EQ(wide.adj,
+            enumkernel::orient(g, orientation_policy::degeneracy).adj);
+  // A tie across an edge would drop it.
+  enumkernel::dag d;
+  const std::vector<vertex> ties(std::size_t(g.num_vertices()), 0);
+  EXPECT_THROW(enumkernel::orient_by_rank(g.view(), ties, d),
+               precondition_error);
+}
+
+TEST(LocalEngine, RootSplitsPartitionCountAndList) {
+  const auto g = gen::planted_cliques(120, 0.05, 3, 9, 41);
+  const auto d = enumkernel::orient(g, orientation_policy::degeneracy);
+  const vertex n = g.num_vertices();
+  for (int p = 3; p <= 6; ++p) {
+    const auto want = collect_cliques(g, p);
+    // Splits: all roots in one part, contiguous halves, residues mod 3,
+    // and a part holding one hub alone.
+    const std::vector<std::vector<int>> splits = [&] {
+      std::vector<std::vector<int>> out(4, std::vector<int>(std::size_t(n)));
+      for (vertex v = 0; v < n; ++v) {
+        out[1][std::size_t(v)] = v < n / 2 ? 0 : 1;
+        out[2][std::size_t(v)] = v % 3;
+        out[3][std::size_t(v)] = d.rank[std::size_t(v)] == 0 ? 1 : 0;
+      }
+      return out;
+    }();
+    for (const int threads : {1, 2, 4}) {
+      local::thread_pool pool(threads);
+      runtime::query_scratch scratch;
+      for (const auto& part_of : splits) {
+        const int parts =
+            *std::max_element(part_of.begin(), part_of.end()) + 1;
+        std::int64_t counted = 0;
+        clique_set listed(p);
+        for (int part = 0; part < parts; ++part) {
+          std::vector<vertex> roots;
+          for (vertex v = 0; v < n; ++v)
+            if (part_of[std::size_t(v)] == part) roots.push_back(v);
+          local::parallel_listing_stats st;
+          counted += local::count_cliques_parallel(
+              d, p, pool, scratch, /*grain=*/8, &st, {}, roots);
+          std::int64_t arcs = 0;
+          for (const vertex u : roots) arcs += d.out_degree(u);
+          EXPECT_EQ(st.roots, arcs);
+          const auto run = local::list_cliques_parallel(
+              d, p, pool, scratch, /*grain=*/8, nullptr, {}, roots);
+          for (std::int64_t i = 0; i < run.size(); ++i) {
+            const vertex lowest = *std::min_element(
+                run[i].begin(), run[i].end(), [&](vertex a, vertex b) {
+                  return d.rank[std::size_t(a)] < d.rank[std::size_t(b)];
+                });
+            EXPECT_EQ(part_of[std::size_t(lowest)], part);
+          }
+          listed.add_flat(run.flat_view(), /*tuples_presorted=*/true);
+        }
+        EXPECT_EQ(counted, want.size())
+            << "p=" << p << " threads=" << threads << " parts=" << parts;
+        EXPECT_EQ(listed.normalize(), 0) << "parts overlap";
+        EXPECT_TRUE(listed == want)
+            << "p=" << p << " threads=" << threads << " parts=" << parts;
+      }
+    }
+  }
+}
+
+TEST(LocalEngine, RootSetMustBeAscendingDagVertices) {
+  const auto g = gen::gnp(30, 0.2, 5);
+  const auto d = enumkernel::orient(g, orientation_policy::degeneracy);
+  local::thread_pool pool(1);
+  runtime::query_scratch scratch;
+  const std::vector<vertex> descending = {3, 1};
+  const std::vector<vertex> outside = {g.num_vertices()};
+  EXPECT_THROW(local::count_cliques_parallel(d, 3, pool, scratch, 8, nullptr,
+                                             {}, descending),
+               precondition_error);
+  EXPECT_THROW(local::count_cliques_parallel(d, 3, pool, scratch, 8, nullptr,
+                                             {}, outside),
+               precondition_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 // The multi-process shard runtime (DESIGN.md §14): partitioner and slice
-// contracts, payload codec round-trips with truncation/garbage rejection,
+// contracts, DAG-root partition exactness (each shard's rooted count and
+// collect run, in process), payload codec round-trips with
+// truncation/garbage rejection, bind hardening and the reply contract,
 // frame-layer preamble/version/EOF discipline and flush-delay aggregation,
 // and — the acceptance gate — the differential sweep: sharded runs over
 // forked worker processes, shards ∈ {1, 2, 4}, p = 3..6, both engines,
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/api/session.hpp"
+#include "enumkernel/orient.hpp"
 #include "graph/generators.hpp"
 #include "shard/channel.hpp"
 #include "shard/coordinator.hpp"
@@ -134,6 +138,63 @@ TEST(ShardPartition, SliceContainsClosedNeighborhoodsAscending) {
 
 // --- payload codecs ---------------------------------------------------------
 
+// DAG-root ownership: each shard's worker, run in process on its bind,
+// roots the kernel at the vertices it owns, so the shards' counts sum to
+// the solo count and their collect runs partition the solo set — for every
+// shard count, partitioner and orientation.
+TEST(ShardPartition, RootedShardsPartitionTheSoloSet) {
+  const graph graphs[] = {gen::gnp(50, 0.3, 31), gen::ring_of_cliques(4, 8),
+                          gen::planted_cliques(90, 0.04, 2, 8, 61)};
+  for (const graph& g : graphs) {
+    for (const auto orientation : {enumkernel::orientation_policy::degeneracy,
+                                   enumkernel::orientation_policy::degree}) {
+      shard::shard_options opt;
+      opt.worker_session.engine = listing_engine::local_kclist;
+      opt.worker_session.orientation = orientation;
+      listing_session solo(g, opt.worker_session);
+      const auto rank = enumkernel::vertex_rank(g, orientation);
+      for (const auto scheme :
+           {shard::partition_scheme::block, shard::partition_scheme::hashed}) {
+        opt.partitioner = {scheme, 17};
+        for (int shards = 1; shards <= 4; ++shards) {
+          std::vector<std::unique_ptr<shard::local_shard>> fleet;
+          for (int i = 0; i < shards; ++i)
+            fleet.push_back(std::make_unique<shard::local_shard>(
+                shard::make_bind(g, opt, rank, i, shards)));
+          for (int p = 3; p <= 6; ++p) {
+            listing_query q;
+            q.p = p;
+            const query_result want = solo.run(q);
+            listing_query qc = q;
+            qc.mode = sink_mode::count;
+            std::int64_t counted = 0;
+            clique_set listed(p);
+            std::int64_t listed_total = 0;
+            for (auto& worker : fleet) {
+              const shard::shard_result c = worker->serve(1, qc);
+              EXPECT_TRUE(c.raw_tuples.empty());
+              counted += c.emitted;
+              const shard::shard_result l = worker->serve(2, q);
+              EXPECT_EQ(l.emitted, c.emitted);
+              listed_total += l.emitted;
+              listed.add_flat(l.raw_tuples, /*tuples_presorted=*/true);
+            }
+            const std::string cell =
+                "scheme=" + std::string(shard::partition_scheme_name(scheme)) +
+                " orientation=" + std::to_string(int(orientation)) +
+                " shards=" + std::to_string(shards) +
+                " p=" + std::to_string(p);
+            EXPECT_EQ(counted, want.count) << cell;
+            EXPECT_EQ(listed.normalize(), 0) << "shards overlap: " << cell;
+            EXPECT_EQ(listed_total, want.count) << cell;
+            EXPECT_EQ(listed, want.cliques) << cell;
+          }
+        }
+      }
+    }
+  }
+}
+
 listing_query sample_query() {
   listing_query q;
   q.p = 5;
@@ -198,11 +259,14 @@ shard::shard_bind sample_bind() {
   m.part.scheme = shard::partition_scheme::hashed;
   m.part.seed = 0x0123456789ABCDEFull;
   shard::partitioner_spec slice_spec;
-  m.slice = shard::build_graph_slice(gen::ring_of_cliques(4, 5), slice_spec,
-                                     2, 3);
+  const graph g = gen::ring_of_cliques(4, 5);
+  m.slice = shard::build_graph_slice(g, slice_spec, 2, 3);
   m.engine = listing_engine::local_kclist;
+  const auto rank =
+      enumkernel::vertex_rank(g, enumkernel::orientation_policy::degree);
+  for (const vertex v : m.slice.to_original)
+    m.rank.push_back(rank[std::size_t(v)]);
   m.threads = 3;
-  m.orientation = enumkernel::orientation_policy::degree;
   m.grain = 77;
   m.kernel = enumkernel::kernel_mode::bitmap;
   m.simd = simd_mode::scalar;
@@ -223,8 +287,8 @@ TEST(ShardCodec, BindRoundTrip) {
   EXPECT_EQ(d.slice.local.num_vertices(), m.slice.local.num_vertices());
   EXPECT_EQ(d.slice.local.edges(), m.slice.local.edges());
   EXPECT_EQ(d.engine, m.engine);
+  EXPECT_EQ(d.rank, m.rank);
   EXPECT_EQ(d.threads, m.threads);
-  EXPECT_EQ(d.orientation, m.orientation);
   EXPECT_EQ(d.grain, m.grain);
   EXPECT_EQ(d.kernel, enumkernel::kernel_mode::bitmap);
   EXPECT_EQ(d.simd, simd_mode::scalar);
@@ -249,6 +313,71 @@ TEST(ShardCodec, BindSimdByteOutOfRangeIsRejected) {
   bytes.back() = 3;
   wire_cursor c(bytes);
   EXPECT_THROW(shard::decode_bind(c), shard_error);
+}
+
+// --- bind hardening: each field a corrupted bind could abuse -----------------
+
+void expect_bind_rejected(const shard::shard_bind& m) {
+  wire_buf b;
+  shard::encode_bind(b, m);
+  wire_cursor c(b.view());
+  EXPECT_THROW(shard::decode_bind(c), shard_error);
+}
+
+TEST(ShardCodec, BindRankCountOtherThanSliceVerticesIsRejected) {
+  shard::shard_bind m = sample_bind();
+  m.rank.pop_back();
+  expect_bind_rejected(m);
+  m = sample_bind();
+  m.rank.push_back(m.slice.full_n - 1);
+  expect_bind_rejected(m);
+}
+
+TEST(ShardCodec, BindRankOutsideTheGraphIsRejected) {
+  shard::shard_bind m = sample_bind();
+  m.rank[0] = m.slice.full_n;
+  expect_bind_rejected(m);
+  m.rank[0] = -1;
+  expect_bind_rejected(m);
+}
+
+TEST(ShardCodec, BindDuplicateRankIsRejected) {
+  shard::shard_bind m = sample_bind();
+  ASSERT_GE(m.rank.size(), 2u);
+  m.rank[1] = m.rank[0];
+  expect_bind_rejected(m);
+}
+
+TEST(ShardCodec, BindRanksUnderCongestAreRejected) {
+  shard::shard_bind m = sample_bind();
+  m.engine = listing_engine::congest_sim;
+  expect_bind_rejected(m);
+  m.rank.clear();
+  wire_buf b;
+  shard::encode_bind(b, m);
+  wire_cursor c(b.view());
+  EXPECT_NO_THROW(shard::decode_bind(c));
+}
+
+TEST(ShardCodec, BindGrainBelowOneIsRejected) {
+  shard::shard_bind m = sample_bind();
+  m.grain = 0;
+  expect_bind_rejected(m);
+  m.grain = -5;
+  expect_bind_rejected(m);
+}
+
+TEST(ShardCodec, BindThreadsAboveTheCapAreRejected) {
+  shard::shard_bind m = sample_bind();
+  m.threads = shard::kMaxShardThreads + 1;
+  expect_bind_rejected(m);
+  m.threads = INT32_MAX;
+  expect_bind_rejected(m);
+  m.threads = shard::kMaxShardThreads;  // the cap itself is allowed
+  wire_buf b;
+  shard::encode_bind(b, m);
+  wire_cursor c(b.view());
+  EXPECT_EQ(shard::decode_bind(c).threads, shard::kMaxShardThreads);
 }
 
 TEST(ShardCodec, LedgerRoundTripPreservesTotalsSeparateFromPhases) {
@@ -345,6 +474,63 @@ TEST(ShardCodec, ResultRoundTripAndConsistencyChecks) {
   shard::encode_result(bb, bad);
   wire_cursor cb(bb.view());
   EXPECT_THROW(shard::decode_result(cb), shard_error);
+
+  // A negative emitted count → rejected.
+  shard::shard_result negative = r;
+  negative.raw_tuples.clear();
+  negative.emitted = -1;
+  wire_buf nb;
+  shard::encode_result(nb, negative);
+  wire_cursor nc(nb.view());
+  EXPECT_THROW(shard::decode_result(nc), shard_error);
+
+  // A local count reply is one count and no tuples; it round-trips.
+  shard::shard_result count;
+  count.qid = 7;
+  count.p = 4;
+  count.emitted = 391969;
+  wire_buf kb;
+  shard::encode_result(kb, count);
+  {
+    wire_cursor c(kb.view());
+    const shard::shard_result d = shard::decode_result(c);
+    EXPECT_EQ(d.emitted, count.emitted);
+    EXPECT_TRUE(d.raw_tuples.empty());
+  }
+  EXPECT_LT(kb.view().size(), 128u);
+
+  // A reply holding only p, tuples and emitted = tuples / p round-trips.
+  shard::shard_result bare;
+  bare.p = 3;
+  bare.raw_tuples = {0, 1, 2, 3, 4, 5};
+  bare.emitted = 2;
+  wire_buf eb;
+  shard::encode_result(eb, bare);
+  {
+    wire_cursor c(eb.view());
+    EXPECT_EQ(shard::decode_result(c).emitted, 2);
+  }
+
+  // The reply contract, per query mode and engine.
+  using shard::check_reply;
+  const auto local = listing_engine::local_kclist;
+  const auto congest = listing_engine::congest_sim;
+  EXPECT_NO_THROW(check_reply(count, sink_mode::count, local, 0));
+  EXPECT_NO_THROW(check_reply(r, sink_mode::collect, local, 0));
+  EXPECT_NO_THROW(check_reply(r, sink_mode::stream, local, 0));
+  EXPECT_NO_THROW(check_reply(r, sink_mode::count, congest, 0));
+  EXPECT_NO_THROW(check_reply(bare, sink_mode::collect, local, 0));
+  // Tuples in a local count reply.
+  EXPECT_THROW(check_reply(r, sink_mode::count, local, 1), shard_error);
+  // A count without its tuples where tuples are due.
+  for (const auto mode : {sink_mode::collect, sink_mode::stream})
+    EXPECT_THROW(check_reply(count, mode, local, 1), shard_error);
+  EXPECT_THROW(check_reply(count, sink_mode::count, congest, 1), shard_error);
+  // emitted disagreeing with the tuples shipped.
+  shard::shard_result off = r;
+  off.emitted = 3;
+  EXPECT_THROW(check_reply(off, sink_mode::collect, local, 1), shard_error);
+  EXPECT_THROW(check_reply(off, sink_mode::count, congest, 1), shard_error);
 }
 
 TEST(ShardCodec, TraceBlobRoundTripsBitIdentically) {
@@ -645,6 +831,51 @@ TEST(ShardDifferential, CountAndStreamModesMatchSolo) {
 
   coord.shutdown();
   for (auto& w : workers) EXPECT_EQ(shard::wait_worker(w), 0);
+}
+
+TEST(ShardDifferential, LocalCountIsOneCountPerShardAndStreamMatchesSolo) {
+  const graph g = gen::planted_cliques(120, 0.05, 3, 9, 41);
+  for (const int p : {3, 5}) {
+    listing_query q;
+    q.p = p;
+    listing_session solo(g, {.engine = listing_engine::local_kclist});
+    const query_result want = solo.run(q);
+    auto workers = shard::launch_fork_workers(3);
+    shard::shard_coordinator coord(
+        g, shard::take_links(workers),
+        sharded_options(listing_engine::local_kclist));
+
+    listing_query qc = q;
+    qc.mode = sink_mode::count;
+    const auto sent = [&] {
+      std::int64_t bytes = 0;
+      for (const auto& s : coord.worker_stats()) bytes += s.wire.bytes_sent;
+      return bytes;
+    };
+    const std::int64_t b0 = sent();
+    const std::int64_t b1 = sent();  // b1 - b0: one stats frame per worker
+    const query_result counted = coord.run(qc);
+    const std::int64_t b2 = sent();
+    EXPECT_EQ(counted.count, want.count);
+    EXPECT_EQ(counted.report.emitted, want.count);
+    EXPECT_EQ(counted.cliques.size(), 0);
+    // Three result frames of a few dozen bytes: no tuples on the wire.
+    EXPECT_LT((b2 - b1) - (b1 - b0), 3 * 128) << "p=" << p;
+
+    listing_query qs = q;
+    qs.mode = sink_mode::stream;
+    qs.stream_batch_tuples = 5;
+    clique_set restreamed(p);
+    const query_result streamed =
+        coord.run(qs, [&](std::span<const vertex> batch) {
+          EXPECT_LE(batch.size(), std::size_t(p) * 5);
+          restreamed.add_flat(batch, /*tuples_presorted=*/true);
+        });
+    EXPECT_EQ(streamed.count, want.count);
+    EXPECT_EQ(restreamed, want.cliques);
+    coord.shutdown();
+    for (auto& w : workers) EXPECT_EQ(shard::wait_worker(w), 0);
+  }
 }
 
 TEST(ShardDifferential, MergedTraceBytesEqualSolo) {
