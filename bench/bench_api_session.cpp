@@ -1,7 +1,7 @@
 // Session API cost model: cold one-shot (a freshly bound listing_session
 // plus one run, per query) vs. warm per-query latency on a bound
 // listing_session — burst mean plus per-query p50/p99 from the shared
-// percentile helper (bench_common.hpp, same definition bench_serving
+// percentile helper (bench_json.hpp, same definition bench_serving
 // uses) — and collect vs. count output modes, per backend. The
 // warm path is the serving shape the session API exists for: orientation /
 // arc index / worker pool / scratch arenas amortize across queries.
@@ -14,7 +14,7 @@
 //
 // Emits one JSON document to stdout AND to the output file (default
 // BENCH_api_session.json) so the perf trajectory is tracked across
-// commits. Self-contained on purpose: no google-benchmark dependency.
+// commits.
 
 #include <cstdlib>
 #include <sstream>
@@ -22,7 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "core/api/session.hpp"
 #include "graph/generators.hpp"

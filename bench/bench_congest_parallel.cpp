@@ -11,7 +11,7 @@
 //
 // Emits one JSON document to stdout AND to the output file (default
 // BENCH_congest_parallel.json) so the perf trajectory is tracked across
-// commits. Self-contained on purpose: no google-benchmark dependency.
+// commits.
 
 #include <cstdlib>
 #include <iostream>

@@ -28,9 +28,7 @@
 //
 // Real-graph rows load tests/data/karate.txt through the SNAP loader
 // (tools/fetch_corpus drops larger corpus graphs next to it; any graph
-// present is picked up by name). Self-contained on purpose: no
-// google-benchmark dependency, so it builds and runs even where only the
-// core toolchain is present.
+// present is picked up by name).
 
 #include <cstdlib>
 #include <fstream>

@@ -1,10 +1,9 @@
 #pragma once
-// Shared helpers for the self-contained JSON benches (bench_local_engine,
-// bench_congest_parallel): wall-clock timing and the checked emit path —
-// print the document to stdout for humans and write it to the BENCH_*.json
-// file CI archives. A file that cannot be written is a hard failure — a
-// bench that exits 0 without its JSON would silently empty the perf
-// trajectory.
+// Shared helpers for every bench: wall-clock timing, per-query latency
+// percentiles, and the checked emit path — print the document to stdout
+// for humans and write it to the BENCH_*.json file CI archives. A file
+// that cannot be written is a hard failure — a bench that exits 0 without
+// its JSON would silently empty the perf trajectory.
 
 #include <algorithm>
 #include <array>
@@ -17,8 +16,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "support/simd.hpp"
+#include "support/stats.hpp"
 
 namespace dcl::bench {
 
@@ -38,6 +39,30 @@ double best_seconds(Fn&& fn) {
     best = std::min(best, now_seconds() - t0);
   }
   return best;
+}
+
+/// Per-query latency distribution over a sample set. Percentiles are
+/// dcl::percentile's nearest rank (the ceil(q*n)-th smallest), so a
+/// reported p99 is an observed latency, never an interpolation below one.
+struct latency_summary {
+  std::int64_t samples = 0;
+  double p50 = 0.0, p95 = 0.0, p99 = 0.0;
+  double mean = 0.0, min = 0.0, max = 0.0;
+};
+
+/// Summarizes latency samples (seconds, any order).
+inline latency_summary summarize_latencies(const std::vector<double>& xs) {
+  latency_summary s;
+  if (xs.empty()) return s;
+  const auto d = dcl::summarize(xs);
+  s.samples = std::int64_t(d.count);
+  s.p50 = dcl::percentile(xs, 50);
+  s.p95 = dcl::percentile(xs, 95);
+  s.p99 = dcl::percentile(xs, 99);
+  s.mean = d.mean;
+  s.min = d.min;
+  s.max = d.max;
+  return s;
 }
 
 /// The commit every BENCH_*.json row is attributed to: $GITHUB_SHA in CI,

@@ -11,9 +11,6 @@
 // thread counts 1, 2, 4, ..., max_threads (default 8). Both count-mode
 // (pure enumeration) and list-mode (enumeration + buffer merge) are timed;
 // count-mode is the scaling headline, list-mode is what the oracle pays.
-//
-// Self-contained on purpose: no google-benchmark dependency, so it builds
-// and runs even where only the core toolchain is present.
 
 #include <cstdlib>
 #include <sstream>

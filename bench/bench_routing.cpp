@@ -27,12 +27,10 @@
 //   ./bench_routing [--smoke] [out.json]
 //
 // --smoke shrinks every case for CI smoke runs (too few loads for a fit:
-// the gate only runs in full mode). Self-contained on purpose: no
-// google-benchmark dependency.
+// the gate only runs in full mode).
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +44,7 @@
 #include "graph/generators.hpp"
 #include "graph/spectral.hpp"
 #include "support/prng.hpp"
+#include "support/stats.hpp"
 
 namespace legacy {
 
@@ -134,22 +133,6 @@ struct case_result {
   double dst_density = 0;   ///< shape.dsts_touched / n
 };
 
-/// Log-log OLS slope of (x, y) pairs — the scaling exponent y ~ x^slope.
-double loglog_slope(const std::vector<std::pair<double, double>>& pts) {
-  if (pts.size() < 2) return 0.0;
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (const auto& [x, y] : pts) {
-    const double lx = std::log(x), ly = std::log(std::max(1.0, y));
-    sx += lx;
-    sy += ly;
-    sxx += lx * lx;
-    sxy += lx * ly;
-  }
-  const double n = double(pts.size());
-  const double denom = n * sxx - sx * sx;
-  return denom != 0.0 ? (n * sxy - sx * sy) / denom : 0.0;
-}
-
 struct family_fit {
   std::string cluster;
   double measured_exponent = 0;
@@ -182,8 +165,8 @@ int main(int argc, char** argv) {
     const auto g = make_cluster(kind, smoke);
     cluster_router router(g, 8);
     const auto spec = second_eigen(g);
-    // (load, rounds) points of this family, for the exponent fit.
-    std::vector<std::pair<double, double>> measured_pts, model_pts;
+    // Load and round series of this family, for the exponent fit.
+    std::vector<double> fit_loads, measured_rounds, model_rounds;
     for (const auto load : loads) {
       case_result r;
       r.cluster = kind_name(kind);
@@ -256,16 +239,18 @@ int main(int argc, char** argv) {
       // Fit over the load-dominated regime only: below L=4 the fixed
       // tree-depth term flattens both curves.
       if (load >= 4) {
-        measured_pts.emplace_back(double(load), double(r.route_rounds));
-        model_pts.emplace_back(double(load), r.cs20_model);
+        fit_loads.push_back(double(load));
+        measured_rounds.push_back(double(r.route_rounds));
+        model_rounds.push_back(r.cs20_model);
       }
     }
-    if (measured_pts.size() >= 2) {
+    // dcl::loglog_slope needs two points; smoke mode has one.
+    if (fit_loads.size() >= 2) {
       family_fit f;
       f.cluster = kind_name(kind);
-      f.measured_exponent = loglog_slope(measured_pts);
-      f.model_exponent = loglog_slope(model_pts);
-      f.points = int(measured_pts.size());
+      f.measured_exponent = loglog_slope(fit_loads, measured_rounds);
+      f.model_exponent = loglog_slope(fit_loads, model_rounds);
+      f.points = int(fit_loads.size());
       f.within_tolerance =
           std::abs(f.measured_exponent - f.model_exponent) <= kFitTolerance;
       fits.push_back(f);

@@ -16,12 +16,11 @@
 // clients start. Bit-identity under concurrency and coalescing is the
 // tentpole invariant, so the bench refuses to report numbers without it.
 //
-// Wall-clock caveat: the checked-in JSON comes from a 1-CPU container
-// (see "hardware_concurrency" in meta), where concurrent clients share
-// one core — multi-client throughput reads ~flat there and the
-// *_scaling numbers are not meaningful hardware speedups. The coalescing
-// ratio (kernel_sweeps / queries) is schedule-independent and is the
-// number tracked across commits.
+// Wall-clock caveat: multi-client throughput is bounded by the cores in
+// meta's "hardware_concurrency" — with more clients than cores they share
+// cores and throughput reads ~flat. The coalescing ratio (kernel_sweeps /
+// queries) is schedule-independent and is the number tracked across
+// commits.
 
 #include <atomic>
 #include <cstdlib>
@@ -31,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "core/api/admission.hpp"
 #include "graph/generators.hpp"
@@ -151,7 +149,7 @@ cell_result run_closed_loop(dcl::listing_session& session, bool batching,
     res.queries += std::int64_t(v.size());
     all.insert(all.end(), v.begin(), v.end());
   }
-  res.lat = summarize_latencies(std::move(all));
+  res.lat = summarize_latencies(all);
   res.stats = server.stats();
   return res;
 }
@@ -204,7 +202,7 @@ cell_result run_open_loop(dcl::listing_session& session, bool batching,
     res.queries += std::int64_t(v.size());
     all.insert(all.end(), v.begin(), v.end());
   }
-  res.lat = summarize_latencies(std::move(all));
+  res.lat = summarize_latencies(all);
   res.stats = server.stats();
   return res;
 }
@@ -266,9 +264,9 @@ int main(int argc, char** argv) {
 
   std::ostringstream js;
   js << "{\n  \"benchmark\": \"serving\",\n  " << bench::meta_json() << ",\n"
-     << "  \"note\": \"latencies include queueing; on a 1-CPU container "
-        "clients share one core, so multi-client throughput reads ~flat "
-        "and only the coalescing ratio (kernel_sweeps/queries) is a "
+     << "  \"note\": \"latencies include queueing; clients beyond "
+        "meta.hardware_concurrency share cores, so throughput flattens "
+        "there; the coalescing ratio (kernel_sweeps/queries) is the "
         "hardware-independent signal\",\n"
      << "  \"cells\": [\n";
   bool first = true;

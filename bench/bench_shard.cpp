@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "core/api/session.hpp"
 #include "graph/generators.hpp"

@@ -144,6 +144,7 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
 
     if (cur.num_edges() <= q.base_case_edges) {
       run_fallback(cur);
+      ls.edges_removed = ls.edges_before;  // the gather lists every edge
       rep.levels.push_back(ls);
       done = true;
       break;

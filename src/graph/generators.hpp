@@ -1,7 +1,7 @@
 #pragma once
 // Deterministic workload generators. Random families take an explicit seed;
 // structured families are fully deterministic. These are the workloads of
-// every benchmark in EXPERIMENTS.md.
+// every benchmark, including the paper experiments in BENCH_paper.json.
 
 #include <cstdint>
 

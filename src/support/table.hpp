@@ -1,6 +1,6 @@
 #pragma once
-// Minimal aligned-table printer; benches and examples use it to emit the
-// paper-style result tables recorded in EXPERIMENTS.md.
+// Minimal aligned-table printer; the examples use it to print paper-style
+// result tables (the paper experiments' rows are in BENCH_paper.json).
 
 #include <ostream>
 #include <string>

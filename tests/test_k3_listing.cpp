@@ -115,15 +115,23 @@ TEST(K3Listing, UnbalancedEngineExact) {
 }
 
 TEST(K3Listing, ReportIspopulated) {
-  listing_report rep;
-  const auto g = gen::gnp(150, 0.08, 43);
-  expect_exact(g, {}, &rep);
-  EXPECT_GT(rep.ledger.rounds(), 0);
-  EXPECT_GT(rep.model_decomposition_rounds, 0);
-  EXPECT_FALSE(rep.levels.empty());
-  EXPECT_GE(rep.emitted, rep.duplicates);
-  // Level 0 retires a solid fraction of edges (Lemma 8 behaviour).
-  EXPECT_GT(rep.levels[0].edges_removed, 0);
+  // The ring's bridges survive level 0 and end in a base-case gather.
+  for (const auto& g :
+       {gen::gnp(150, 0.08, 43), gen::ring_of_cliques(32, 8)}) {
+    listing_report rep;
+    expect_exact(g, {}, &rep);
+    EXPECT_GT(rep.ledger.rounds(), 0);
+    EXPECT_GT(rep.model_decomposition_rounds, 0);
+    ASSERT_FALSE(rep.levels.empty());
+    EXPECT_GE(rep.emitted, rep.duplicates);
+    // Level 0 retires a solid fraction of edges (Lemma 8 behaviour).
+    EXPECT_GT(rep.levels[0].edges_removed, 0);
+    // Without the fallback, the levels retire every edge exactly once.
+    ASSERT_FALSE(rep.used_fallback);
+    std::int64_t removed = 0;
+    for (const auto& ls : rep.levels) removed += ls.edges_removed;
+    EXPECT_EQ(removed, g.num_edges());
+  }
 }
 
 TEST(K3Listing, LogarithmicLevels) {

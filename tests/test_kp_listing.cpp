@@ -119,19 +119,32 @@ TEST(KpListing, UnbalancedEngineExact) {
   expect_exact_kp(gen::gnp(90, 0.12, 31), 4, opt);
 }
 
+// Without the fallback, the levels retire every edge of `g` exactly once.
+void expect_levels_retire_all_edges(const graph& g,
+                                    const listing_report& rep) {
+  ASSERT_FALSE(rep.used_fallback);
+  std::int64_t removed = 0;
+  for (const auto& ls : rep.levels) removed += ls.edges_removed;
+  EXPECT_EQ(removed, g.num_edges());
+}
+
 TEST(KpListing, ReportPopulated) {
   listing_report rep;
-  expect_exact_kp(gen::gnp(110, 0.1, 37), 4, {}, &rep);
+  const auto sparse = gen::gnp(110, 0.1, 37);
+  expect_exact_kp(sparse, 4, {}, &rep);
   EXPECT_GT(rep.ledger.rounds(), 0);
   EXPECT_GT(rep.model_decomposition_rounds, 0);
   EXPECT_FALSE(rep.levels.empty());
+  expect_levels_retire_all_edges(sparse, rep);
   // Only split-tree listers carry a Thm 6 load; this sparse graph has no
   // V−-heavy cluster, so take a dense one where the §6 pipeline lists.
-  expect_exact_kp(gen::gnp(120, 0.35, 97), 4, {}, &rep);
+  const auto dense = gen::gnp(120, 0.35, 97);
+  expect_exact_kp(dense, 4, {}, &rep);
   std::int64_t listed = 0;
   for (const auto& ls : rep.levels) listed += ls.clusters_listed;
   EXPECT_GT(listed, 0);
   EXPECT_GT(rep.max_normalized_load, 0.0);
+  expect_levels_retire_all_edges(dense, rep);
 }
 
 TEST(KpListing, DeterministicTranscript) {
