@@ -9,8 +9,8 @@
 //   ./bench_api_session [--smoke] [out.json]
 //
 // Self-checks (abort on failure, so a clean exit IS the equivalence
-// check): warm and cold runs return identical clique sets, and count mode
-// agrees with collect mode on every family.
+// check): warm and cold runs return identical clique sets and ledger
+// totals, and count mode agrees with collect mode on every family.
 //
 // Emits one JSON document to stdout AND to the output file (default
 // BENCH_api_session.json) so the perf trajectory is tracked across
@@ -64,14 +64,20 @@ int main(int argc, char** argv) {
     workloads.push_back({"gnp_k4_local", gen::gnp(120, 0.15, 7), 4,
                          listing_engine::local_kclist, 2});
   } else {
-    // The congest rows are deliberately small: per-query simulation work
-    // shrinks toward the per-bind overhead (pool spin-up, arena/transport
-    // warm-up) the session amortizes, which is the regime query serving
-    // lives in. The local rows carry the bind-heavy orientation cost.
+    // The first two congest rows are deliberately small: per-query
+    // simulation work shrinks toward the per-bind overhead (pool spin-up,
+    // arena/transport warm-up) the session amortizes, which is the regime
+    // query serving lives in. The planted-partition row is sized so the
+    // expander decomposition is most of a cold query — the work the
+    // session's skeleton memo saves every warm query. The local rows carry
+    // the bind-heavy orientation cost.
     workloads.push_back({"ring_k3_sim", gen::ring_of_cliques(5, 6), 3,
                          listing_engine::congest_sim, 4});
     workloads.push_back({"gnp_k4_sim", gen::gnp(56, 0.18, 23), 4,
                          listing_engine::congest_sim, 4});
+    workloads.push_back({"planted_k4_sim",
+                         gen::planted_partition(10, 40, 0.4, 0.003, 5), 4,
+                         listing_engine::congest_sim, 2});
     workloads.push_back({"gnp_k3_local", gen::gnp(4000, 0.004, 7), 3,
                          listing_engine::local_kclist, 2});
     workloads.push_back({"gnp_k5_local", gen::gnp(400, 0.12, 11), 5,
@@ -108,7 +114,10 @@ int main(int argc, char** argv) {
     // the arenas grow to their steady-state capacity first.
     listing_session session(w.g, sopt);
     auto warm_res = session.run(q);
-    if (!(warm_res.cliques == ref.cliques)) std::abort();
+    if (!(warm_res.cliques == ref.cliques) ||
+        warm_res.report.ledger.rounds() != ref.report.ledger.rounds() ||
+        warm_res.report.ledger.messages() != ref.report.ledger.messages())
+      std::abort();
     // Each query is also timed individually (across all three bursts) so
     // the row reports the tail, not just the mean — the number a serving
     // deployment actually budgets for.

@@ -21,19 +21,21 @@
 // "bitmap_speedup" (scalar/bitmap) >= 2x on at least one dense p >= 4
 // case; "vector_speedup" (bitmap_scalar/bitmap_vector) >= 1.3x on at least
 // one wide dense case when a vector tier exists; "auto_vs_best" (double-
-// auto / best fixed configuration) <= 1.05 everywhere. The last bar is
-// enforced: in full (non-smoke) mode the process exits 1 when any case
-// breaks it, so CI fails instead of silently archiving a regressed
-// heuristic.
+// auto / best fixed configuration, the median over adjacent timed pairs)
+// <= 1.05 everywhere. The last bar is enforced: in
+// full (non-smoke) mode the process exits 1 when any case breaks it, so CI
+// fails instead of silently archiving a regressed heuristic.
 //
 // Real-graph rows load tests/data/karate.txt through the SNAP loader
 // (tools/fetch_corpus drops larger corpus graphs next to it; any graph
 // present is picked up by name).
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,6 +49,7 @@
 #include "graph/clique_enum.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "support/stats.hpp"
 
 namespace legacy {
 
@@ -138,6 +141,21 @@ clique_set cliques_in_edge_set(const edge_list& edges, int p) {
 
 namespace {
 
+/// The auto_vs_best gate statistic. The best fixed configuration is picked
+/// by its median over the interleaved rounds; the gate then times it and
+/// double-auto back to back, alternating which runs first, and takes the
+/// median over those pairs of auto / best. A shared machine's noise is
+/// mostly slow drift, which two adjacent runs share, so a pair's ratio
+/// cancels it; the median ignores the odd pair a hiccup lands in. Picking
+/// the configuration on samples other than the gate's keeps the gate from
+/// comparing auto against whichever near-tied configuration drew the
+/// luckiest samples.
+struct auto_gate {
+  double ratio = 0.0;              ///< median over pairs of auto / best fixed
+  double best_fixed_median = 0.0;  ///< best fixed's median paired seconds
+  double auto_floor = 0.0;         ///< auto's fastest paired run
+};
+
 struct case_result {
   std::string name;
   std::string entry;
@@ -150,6 +168,7 @@ struct case_result {
   double bitmap_scalar_seconds;  // kernel_mode bitmap, simd scalar
   double bitmap_vector_seconds;  // kernel_mode bitmap, detected simd tier
   double auto_seconds;           // double auto: the session-API default
+  auto_gate gate;                // auto vs the best fixed configuration
 };
 
 struct intersection_result {
@@ -162,19 +181,66 @@ struct intersection_result {
   double vector_seconds;   // gallop_factor = 0, detected vector tier
 };
 
-/// Interleaved best-of-N: one timing per variant per round, so the slow
-/// drift a loaded 1-CPU container exhibits hits every variant equally
-/// instead of biasing whichever sequential block ran last. Returns the
-/// per-variant minimum.
-std::vector<double> interleaved_best(
+/// Wall-clock seconds of one call.
+double seconds_of(const std::function<void()>& fn) {
+  const double t0 = dcl::bench::now_seconds();
+  fn();
+  return dcl::bench::now_seconds() - t0;
+}
+
+/// Interleaved timing: one sample per variant per round, so the slow drift
+/// of a loaded shared machine hits every variant equally instead of biasing
+/// whichever sequential block ran last. Returns samples[variant][round].
+std::vector<std::vector<double>> interleaved_samples(
     const std::vector<std::function<void()>>& variants, int rounds) {
-  std::vector<double> best(variants.size(), 1e100);
+  std::vector<std::vector<double>> samples(variants.size());
   for (int r = 0; r < rounds; ++r)
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      const double t0 = dcl::bench::now_seconds();
-      variants[i]();
-      best[i] = std::min(best[i], dcl::bench::now_seconds() - t0);
+    for (std::size_t i = 0; i < variants.size(); ++i)
+      samples[i].push_back(seconds_of(variants[i]));
+  return samples;
+}
+
+/// Per-variant floor (minimum over rounds): the reported *_seconds columns.
+std::vector<double> floors(const std::vector<std::vector<double>>& samples) {
+  std::vector<double> out;
+  for (const auto& xs : samples)
+    out.push_back(*std::min_element(xs.begin(), xs.end()));
+  return out;
+}
+
+/// Times `best` and `autorun` in `pairs` adjacent pairs (see auto_gate).
+auto_gate time_auto_vs_best(const std::function<void()>& best,
+                            const std::function<void()>& autorun, int pairs) {
+  std::vector<double> best_t, auto_t, ratios;
+  for (int i = 0; i < pairs; ++i) {
+    double tb = 0.0, ta = 0.0;
+    if (i % 2 == 0) {
+      tb = seconds_of(best);
+      ta = seconds_of(autorun);
+    } else {
+      ta = seconds_of(autorun);
+      tb = seconds_of(best);
     }
+    best_t.push_back(tb);
+    auto_t.push_back(ta);
+    if (tb > 0) ratios.push_back(ta / tb);
+  }
+  auto_gate g;
+  g.ratio = ratios.empty() ? 0.0 : dcl::percentile(ratios, 50);
+  g.best_fixed_median = dcl::percentile(best_t, 50);
+  g.auto_floor = *std::min_element(auto_t.begin(), auto_t.end());
+  return g;
+}
+
+/// Index, within `samples`, of the variant in [first, first + 3) with the
+/// lowest median: the best of the three fixed configurations.
+std::size_t fastest_fixed(const std::vector<std::vector<double>>& samples,
+                          std::size_t first) {
+  std::size_t best = first;
+  for (std::size_t i = first + 1; i < first + 3; ++i)
+    if (dcl::percentile(samples[i], 50) <
+        dcl::percentile(samples[best], 50))
+      best = i;
   return best;
 }
 
@@ -204,9 +270,12 @@ int main(int argc, char** argv) {
   }
 
   // Nine interleaved rounds in full mode: min-of-9 with round-robin order
-  // converges each variant to its floor, which keeps the auto_vs_best
-  // column stable to a few percent even on a noisy shared machine.
+  // converges each variant to its floor (the *_seconds columns). The
+  // auto_vs_best gate then takes 25 adjacent (best fixed, auto) pairs: a
+  // single pair's ratio spreads about ±5% on a busy shared machine, and
+  // the median of 25 is what keeps a ~1.02x case clear of the 1.05x bar.
   const int rounds = smoke ? 3 : 9;
+  const int gate_pairs = smoke ? 3 : 25;
 
   enumkernel::enum_scratch ws;  // warm kernel scratch shared by all cases
   std::vector<case_result> results;
@@ -235,6 +304,8 @@ int main(int argc, char** argv) {
       enumkernel::resolve_exec(kAuto, kSimdAuto),      // auto_seconds
   };
   const config& kScalarConfig = kConfigs[0];
+  const std::span<const config> kFixedConfigs = std::span(kConfigs).first(3);
+  const config& kAutoConfig = kConfigs[3];
 
   // ---- graph entry: count every p-clique of one graph, once per kernel
   // configuration. `with_legacy` = false for the wide dense cases where the
@@ -258,12 +329,15 @@ int main(int argc, char** argv) {
     std::vector<std::function<void()>> variants;
     if (with_legacy)
       variants.push_back([&] { (void)legacy::count_cliques(g, p); });
-    for (const auto& c : kConfigs) variants.push_back(kernel_run(c));
-    const auto t = interleaved_best(variants, rounds);
+    for (const auto& c : kFixedConfigs) variants.push_back(kernel_run(c));
+    const auto samples = interleaved_samples(variants, rounds);
+    const auto t = floors(samples);
     const std::size_t k = with_legacy ? 1 : 0;
+    const auto gate = time_auto_vs_best(variants[fastest_fixed(samples, k)],
+                                        kernel_run(kAutoConfig), gate_pairs);
     results.push_back({name, "graph", g.num_vertices(), g.num_edges(), p,
                        want, with_legacy ? t[0] : 0.0, t[k], t[k + 1],
-                       t[k + 2], t[k + 3]});
+                       t[k + 2], gate.auto_floor, gate});
   };
 
   // ---- edge-list entry: the cluster-local hot path, measured exactly as
@@ -295,10 +369,14 @@ int main(int argc, char** argv) {
       for (std::int64_t i = 0; i < found.size(); ++i) col.emit(found[i]);
       if (col.emitted() != want.size()) std::abort();
     });
-    for (const auto& c : kConfigs) variants.push_back(kernel_run(c));
-    const auto t = interleaved_best(variants, rounds);
+    for (const auto& c : kFixedConfigs) variants.push_back(kernel_run(c));
+    const auto samples = interleaved_samples(variants, rounds);
+    const auto t = floors(samples);
+    const auto gate = time_auto_vs_best(variants[fastest_fixed(samples, 1)],
+                                        kernel_run(kAutoConfig), gate_pairs);
     results.push_back({name, "edges", g.num_vertices(), g.num_edges(), p,
-                       want.size(), t[0], t[1], t[2], t[3], t[4]});
+                       want.size(), t[0], t[1], t[2], t[3], gate.auto_floor,
+                       gate});
   };
 
   // ---- real-graph rows through the SNAP loader. karate.txt is checked
@@ -386,10 +464,10 @@ int main(int argc, char** argv) {
           sorted_intersection_size(a, b, 0, kVecOps) != want ||
           sorted_intersection_size(a, b, kGallopFactor, kVecOps) != want)
         std::abort();
-      const auto t = interleaved_best({run(0, kScalarOps),
-                                       run(kGallopFactor, kScalarOps),
-                                       run(0, kVecOps)},
-                                      rounds);
+      const auto t = floors(interleaved_samples({run(0, kScalarOps),
+                                                 run(kGallopFactor, kScalarOps),
+                                                 run(0, kVecOps)},
+                                                rounds));
       xrows.push_back({name, std::int64_t(a.size()), long_len, reps,
                        t[0], t[1], t[2]});
     };
@@ -410,17 +488,15 @@ int main(int argc, char** argv) {
   for (const auto& r : results) {
     if (!first) js << ",\n";
     first = false;
-    const double best_fixed =
-        std::min({r.scalar_seconds, r.bitmap_scalar_seconds,
-                  r.bitmap_vector_seconds});
-    const double auto_vs_best =
-        best_fixed > 0 ? r.auto_seconds / best_fixed : 0.0;
-    // The enforced bar, with a 100 microsecond absolute floor so timer
-    // granularity on sub-millisecond cases cannot fake a regression.
-    if (!smoke && r.auto_seconds > best_fixed * 1.05 + 1e-4) {
-      std::cerr << "auto_vs_best gate failed on case " << r.name << ": auto "
-                << r.auto_seconds << "s vs best fixed " << best_fixed
-                << "s (" << auto_vs_best << "x)\n";
+    const double auto_vs_best = r.gate.ratio;
+    // The enforced bar (auto <= 1.05x best fixed), with a 100 microsecond
+    // absolute floor on the excess so timer granularity on sub-millisecond
+    // cases cannot fake a regression.
+    if (!smoke && (auto_vs_best - 1.05) * r.gate.best_fixed_median > 1e-4) {
+      std::cerr << "auto_vs_best gate failed on case " << r.name
+                << ": median paired auto / best fixed " << auto_vs_best
+                << "x, best fixed median " << r.gate.best_fixed_median
+                << "s\n";
       gate_failed = true;
     }
     js << "    {\"name\": \"" << r.name << "\", \"entry\": \"" << r.entry

@@ -7,7 +7,8 @@
 // wall time; that goes to stderr) plus the log-log slope of each series,
 // so everything outside "meta" is reproducible bit for bit. Self-checks:
 //   * every listing cell (E1 with its naive series, E2, E8, E10 and the
-//     ε-listing ablation) equals the sequential collect_cliques oracle;
+//     ε-listing ablation) equals the sequential collect_cliques oracle,
+//     and every E10 cell lists at least one clique;
 //   * E4/E5: the Def 14 / Def 22 validators report ok, every slack <= 1;
 //   * E6 and the φ-schedule ablation: remainder fraction <= ε;
 //   * E8: the run never takes the central fallback (DESIGN.md §2.6);
@@ -454,13 +455,18 @@ void e9_anatomy(section& s) {
 }
 
 // E10 (§1.3): the DLP12 congested-clique lister. The naive CONGEST
-// gather sits next to the paper pipeline in E1.
+// gather sits next to the paper pipeline in E1. DLP12's n^{1-2/p} bound is
+// a dense-graph bound (an owner's load grows with the edges inside its
+// group tuple), so the family has constant density; 0.25 is dense enough
+// that every cell, K5 at n = 64 included, has cliques to list — an empty
+// cell would pass its oracle check vacuously.
 void e10_dlp12(section& s) {
-  for (const vertex n : {128, 256, 512, 1024}) {
-    const auto g = gen::gnp(n, 10.0 / double(n), 31);
+  for (const vertex n : {64, 128, 256, 512}) {
+    const auto g = gen::gnp(n, 0.25, 31);
     for (const int p : {3, 4, 5}) {
       const auto res = baseline::dlp12_list_cliques(g, p);
       const std::string series = "dlp12/K" + std::to_string(p);
+      s.expect(res.cliques.size() > 0, cell(series, n) + " lists cliques");
       s.expect(res.cliques == collect_cliques(g, p),
                cell(series, n) + " listing");
       s.add({{"p", p}, {"n", n}, {"rounds", res.ledger.rounds()},

@@ -193,7 +193,8 @@ query_result listing_session::run_congest(const listing_query& q,
                                           runtime::thread_pool& pool) {
   clique_collector out(q.p);
   listing_report rep =
-      list_cliques_congest(*g_, q, pool, lease.scratch, out, nullptr, exec_);
+      list_cliques_congest(*g_, q, pool, lease.scratch, out, nullptr, exec_,
+                           &skeleton_);
   query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::collect) {
     res.cliques = out.finalize();
@@ -231,7 +232,7 @@ shard_run_result listing_session::run_shard(const listing_query& q,
   scoped_plan.scoped = &res.scoped;
   clique_collector out(q.p);
   res.report = list_cliques_congest(*g_, q, pool, lease->scratch, out,
-                                    &scoped_plan, exec_);
+                                    &scoped_plan, exec_, &skeleton_);
   const std::span<const vertex> raw = out.raw_view();
   res.raw_tuples.assign(raw.begin(), raw.end());
   res.emitted = out.emitted();

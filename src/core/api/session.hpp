@@ -18,14 +18,20 @@
 // vector tier (resolved into one exec_config), the runtime worker pool,
 // and a warmed scratch lease with its parked kernel scratch / transport — so
 // repeated run() calls reuse warm capacity instead of rebuilding the
-// world per query. The session aliases the graph; the graph must outlive
-// it.
+// world per query. Setup that depends on the query is done once per
+// distinct shape, at its first use: the congest_sim recursion skeleton
+// (each level's expander decomposition and cluster anatomy, keyed on
+// (p, ε, β, γ)) is memoized in a skeleton_memo, so later congest queries
+// and run_shard calls of that shape skip decompose and build_anatomy. The
+// session aliases the graph; the graph must outlive it.
 //
 // Concurrency (DESIGN.md §12): run() and cliques_in_edges() are safe to
 // call from any number of threads at once. Everything a query mutates
 // lives in a query_lease checked out from the session's lease pool for
 // the duration of that run; the bound graph, its arc index, and the DAG
-// are strictly read-only shared state. The wide worker pool serves one
+// are strictly read-only shared state, and the skeleton memo is shared
+// under its own mutex (first published skeleton wins; every racer
+// computed the same one). The wide worker pool serves one
 // query at a time (first caller wins a try-lock); every other in-flight
 // query runs inline on its lease's single-slot pool. Because all outputs
 // are bit-identical across thread counts (DESIGN.md §6), which pool a
@@ -235,6 +241,9 @@ class listing_session {
   /// written only under the pool's or the lease pool's own locking.
   mutable runtime::lease_pool<query_lease> leases_;
   std::mutex pool_gate_;  ///< wide-pool ownership: one query at a time
+  /// congest_sim: per-level anatomy of every recent query shape (at most
+  /// skeleton_memo::kMaxKeys), shared by run() and run_shard().
+  skeleton_memo skeleton_;
 };
 
 }  // namespace dcl

@@ -1,6 +1,7 @@
 #include "core/listing/driver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <string>
 
@@ -35,10 +36,9 @@ struct cluster_outcome {
   cluster_listing_stats stats;
   edge_list removed;              ///< E− edges this cluster retires
   std::int64_t bad_vertices = 0;  ///< |S_C| (p >= 4)
-  bool considered = false;        ///< cluster entered the listing path
   bool deferred = false;          ///< overloaded, deliver cost dropped (p >= 4)
-  /// This run listed the cluster's cliques. Solo: listed == considered &&
-  /// !deferred. Sharded (congest_shard_plan): false for clusters another
+  /// This run listed the cluster's cliques. Solo: listed == !deferred.
+  /// Sharded (congest_shard_plan): false for clusters another
   /// shard owns — their structural outputs (stats, removed edges) still
   /// fold, but ledger, trace, and cliques are dropped here and supplied by
   /// the owning shard instead.
@@ -56,6 +56,14 @@ vertex cluster_rep(const cluster_anatomy& a) {
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Bitwise key equality: a memo key is an exact replay of the query's
+/// doubles, never a tolerance match.
+bool same_key(const skeleton_memo::key& a, const skeleton_memo::key& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  return a.p == b.p && bits(a.epsilon) == bits(b.epsilon) &&
+         bits(a.beta) == bits(b.beta) && bits(a.gamma) == bits(b.gamma);
 }
 
 /// Gathers the residual graph at a per-component leader (exact tree-
@@ -88,12 +96,48 @@ graph remove_edges(const graph& cur, const edge_list& removed) {
 
 }  // namespace
 
+skeleton_memo::slot* skeleton_memo::lookup(const key& k) {
+  for (auto& s : slots_)
+    if (same_key(s.k, k)) return &s;
+  return nullptr;
+}
+
+skeleton_memo::level_anatomy skeleton_memo::find(const key& k, int level,
+                                                 const graph& cur) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const slot* s = lookup(k);
+  if (s == nullptr || std::size_t(level) >= s->levels.size()) return nullptr;
+  const level_entry& e = s->levels[std::size_t(level)];
+  if (!e.anatomy) return nullptr;
+  DCL_ENSURE(e.n == cur.num_vertices() && e.m == cur.num_edges(),
+             "skeleton_memo: level graph differs from the one its memoized "
+             "anatomy was built from (the key misses a query field)");
+  return e.anatomy;
+}
+
+void skeleton_memo::publish(const key& k, int level, const graph& cur,
+                            level_anatomy anatomy) {
+  std::lock_guard<std::mutex> lock(mu_);
+  slot* s = lookup(k);
+  if (s == nullptr) {
+    if (slots_.size() == kMaxKeys) slots_.pop_front();
+    s = &slots_.emplace_back();
+    s->k = k;
+  }
+  if (std::size_t(level) >= s->levels.size())
+    s->levels.resize(std::size_t(level) + 1);
+  level_entry& e = s->levels[std::size_t(level)];
+  if (e.anatomy) return;  // first writer wins; a racer built the same bytes
+  e = {cur.num_vertices(), cur.num_edges(), std::move(anatomy)};
+}
+
 listing_report list_cliques_congest(const graph& g, const listing_query& q,
                                     runtime::thread_pool& pool,
                                     runtime::query_scratch& scratch,
                                     clique_collector& out,
                                     const congest_shard_plan* plan,
-                                    enumkernel::exec_config exec) {
+                                    enumkernel::exec_config exec,
+                                    skeleton_memo* memo) {
   DCL_EXPECTS(q.p >= 3 && q.p <= kCongestMaxP,
               "list_cliques_congest supports 3 <= p <= 6");
   DCL_EXPECTS(q.epsilon < 1.0,
@@ -106,6 +150,7 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
 
   const double epsilon =
       q.epsilon > 0 ? q.epsilon : (q.p == 4 ? 1.0 / 12.0 : 1.0 / 18.0);
+  const skeleton_memo::key memo_key{q.p, epsilon, q.beta, q.gamma};
   const std::int64_t n_budget =
       budget_n_1_minus_2_over_p(g.num_vertices(), q.p);
   const bool tracing = q.trace;
@@ -150,16 +195,28 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
       break;
     }
 
-    decomposition_options dopt;
-    dopt.epsilon = epsilon;
+    // The level's skeleton: memoized (a pure function of the level graph
+    // and memo_key), or decomposed and derived here and then published.
     const auto dec_t0 = std::chrono::steady_clock::now();
-    const auto d = decompose(cur, dopt);
+    skeleton_memo::level_anatomy skeleton =
+        memo != nullptr ? memo->find(memo_key, level, cur) : nullptr;
+    expander_decomposition d;
+    if (!skeleton) {
+      decomposition_options dopt;
+      dopt.epsilon = epsilon;
+      d = decompose(cur, dopt);
+    }
     rep.model_decomposition_rounds +=
         cs20_decomposition_rounds(cur.num_vertices(), epsilon);
     rep.phase_seconds["decompose"] += seconds_since(dec_t0);
     const auto ana_t0 = std::chrono::steady_clock::now();
-    const auto anatomy = build_anatomy(cur, d, {.p = q.p, .beta = q.beta});
+    if (!skeleton) {
+      skeleton = std::make_shared<const std::vector<cluster_anatomy>>(
+          build_anatomy(cur, d, {.p = q.p, .beta = q.beta}));
+      if (memo != nullptr) memo->publish(memo_key, level, cur, skeleton);
+    }
     rep.phase_seconds["anatomy"] += seconds_since(ana_t0);
+    const std::vector<cluster_anatomy>& anatomy = *skeleton;
     ls.clusters = std::int64_t(anatomy.size());
 
     cost_ledger level_ledger;
@@ -223,15 +280,23 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
     // cluster-index order, so the merged ledger, report, trace and clique
     // set are bit-identical for every sim_threads value. A deferred
     // cluster's deliver cost is dropped with its ledger (and its trace),
-    // exactly as in the sequential formulation.
+    // exactly as in the sequential formulation. Only clusters with
+    // something to list (an E− at p = 3, two V− vertices at p >= 4 — a
+    // pure function of the anatomy) enter the fan-out; the rest add
+    // nothing to the fold, and a level without any wakes no pool worker.
     const auto clu_t0 = std::chrono::steady_clock::now();
+    std::vector<std::int64_t> active;
+    for (std::size_t ci = 0; ci < anatomy.size(); ++ci) {
+      const auto& a = anatomy[ci];
+      if (q.p == 3 ? !a.e_minus.empty() : a.v_minus.size() >= 2)
+        active.push_back(std::int64_t(ci));
+    }
     const auto outcomes = runtime::run_indexed<cluster_outcome>(
-        pool, std::int64_t(anatomy.size()),
-        [&](int worker, std::int64_t ci) {
+        pool, std::int64_t(active.size()),
+        [&](int worker, std::int64_t k) {
+          const std::int64_t ci = active[size_t(k)];
           cluster_outcome oc(q.p);
           const auto& a = anatomy[size_t(ci)];
-          if (q.p == 3 ? a.e_minus.empty() : a.v_minus.size() < 2) return oc;
-          oc.considered = true;
           // Sharded: a cluster another shard owns contributes only its
           // structural outputs here (its E− retirement and level stats);
           // the owner lists it and exports the ledger/trace/cliques. At
@@ -241,7 +306,7 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
           // charges die with its dropped ledger.
           const bool owned =
               plan == nullptr ||
-              plan->owns(level, std::int64_t(ci), cluster_rep(a));
+              plan->owns(level, ci, cluster_rep(a));
           // The worker slot's lease-parked transport keeps delivery scratch
           // and staging outboxes capacity-warm across this slot's clusters.
           network net_c(cur, oc.ledger,
@@ -295,10 +360,10 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
                                         &scratch.arena(worker), exec);
           return oc;
         });
-    for (std::size_t ci = 0; ci < anatomy.size(); ++ci) {
-      const auto& oc = outcomes[ci];
-      if (!oc.considered) continue;
-      const auto& a = anatomy[ci];
+    for (std::size_t k = 0; k < active.size(); ++k) {
+      const std::int64_t ci = active[k];
+      const auto& oc = outcomes[k];
+      const auto& a = anatomy[size_t(ci)];
       ls.bad_vertices += oc.bad_vertices;
       if (oc.deferred) {
         ++ls.deferred_clusters;
@@ -314,9 +379,9 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
           std::max(rep.max_normalized_load, oc.stats.max_normalized_load);
       level_ledger.merge_parallel(oc.ledger);
       if (plan != nullptr && plan->scoped != nullptr)
-        plan->scoped->push_back({level, std::int64_t(ci), oc.ledger});
+        plan->scoped->push_back({level, ci, oc.ledger});
       if (tracing)
-        tlog->absorb(oc.rec, level, std::int64_t(ci),
+        tlog->absorb(oc.rec, level, ci,
                      std::int64_t(a.v_cluster.size()), a.certified_phi);
       out.absorb(oc.cliques);
     }

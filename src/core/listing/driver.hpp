@@ -15,15 +15,18 @@
 // and the report records if it did).
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "congest/cost.hpp"
 #include "congest/trace.hpp"
 #include "core/listing/k3_cluster.hpp"
+#include "expander/anatomy.hpp"
 #include "graph/clique_enum.hpp"
 
 namespace dcl {
@@ -130,6 +133,60 @@ struct congest_shard_plan {
   }
 };
 
+/// The recursion skeleton of one bound graph, memoized per session
+/// (DESIGN.md §2.1): for every (p, resolved ε, β, γ) key and recursion
+/// level, the cluster anatomy that level's decomposition produced. Those
+/// four query fields are every input that reaches a level graph or its
+/// anatomy — ε and p/β shape the decomposition and anatomy, γ decides which
+/// clusters defer and so which edges the next level keeps — while lb, seed,
+/// mode, trace, the stream batch size, max_levels and base_case_edges only
+/// choose what is listed or whether a level is reached. A hit therefore
+/// returns exactly the anatomy a cold run would rebuild, and the driver
+/// skips decompose and build_anatomy; everything that charges the ledger,
+/// emits cliques or records trace events still runs per query. Level graphs
+/// are not kept: each query re-derives them with the same edge retirement.
+///
+/// Thread-safe: lookups and publication take one mutex, the caller computes
+/// a miss outside it, and the first publisher of a (key, level) wins — a
+/// racing publisher computed the same bytes. At most kMaxKeys keys are
+/// held; publishing a new key evicts the oldest.
+class skeleton_memo {
+ public:
+  static constexpr std::size_t kMaxKeys = 8;
+
+  struct key {
+    int p = 3;
+    double epsilon = 0.0;  ///< resolved (never the 0 default sentinel)
+    double beta = 0.0;
+    double gamma = 0.0;
+  };
+  using level_anatomy = std::shared_ptr<const std::vector<cluster_anatomy>>;
+
+  /// The anatomy of `level` under `k`, or null on a miss. `cur` is the
+  /// caller's level graph: a hit built from a graph of another (n, m) is a
+  /// broken key and fails DCL_ENSURE instead of being served.
+  level_anatomy find(const key& k, int level, const graph& cur);
+  /// Records `anatomy` as the skeleton of `level` under `k`, built from
+  /// `cur`; an entry already present is kept (first writer wins).
+  void publish(const key& k, int level, const graph& cur,
+               level_anatomy anatomy);
+
+ private:
+  struct level_entry {
+    vertex n = 0;
+    std::int64_t m = 0;
+    level_anatomy anatomy;  ///< null: this level not yet published
+  };
+  struct slot {
+    key k;
+    std::vector<level_entry> levels;  ///< indexed by recursion level
+  };
+  slot* lookup(const key& k);  ///< caller holds mu_
+
+  std::mutex mu_;
+  std::deque<slot> slots_;  ///< oldest key first
+};
+
 struct listing_report {
   cost_ledger ledger;  ///< simulated rounds/messages (levels sequential,
                        ///< clusters within a level parallel)
@@ -144,8 +201,10 @@ struct listing_report {
   double max_normalized_load = 0.0;
   /// Wall-clock seconds per driver stage ("decompose", "anatomy",
   /// "clusters", "exhaustive" at p >= 4 only, "fallback", "total"),
-  /// accumulated across levels. Observability only: values depend on the machine and thread
-  /// count; every simulated number above stays deterministic.
+  /// accumulated across levels. Observability only: values depend on the
+  /// machine and thread count; every simulated number above stays
+  /// deterministic. On a skeleton_memo hit "decompose" and "anatomy" add
+  /// only the lookup (~0).
   std::map<std::string, double> phase_seconds;
   /// The recorded transport trace when listing_query::trace was set (null
   /// otherwise), with its aggregate stats. Replaying `trace` under
@@ -177,11 +236,17 @@ struct listing_report {
 /// sorted intersections) execute — the session's bind-time resolution of
 /// session_options::{kernel, simd}. Every output is bit-identical for
 /// every config.
+///
+/// `memo`, when given, is the caller's skeleton_memo for `g`: levels it
+/// holds skip decompose and build_anatomy, levels it lacks are computed and
+/// published. Every output is bit-identical with or without it; null is the
+/// cold path.
 listing_report list_cliques_congest(const graph& g, const listing_query& q,
                                     runtime::thread_pool& pool,
                                     runtime::query_scratch& scratch,
                                     clique_collector& out,
                                     const congest_shard_plan* plan = nullptr,
-                                    enumkernel::exec_config exec = {});
+                                    enumkernel::exec_config exec = {},
+                                    skeleton_memo* memo = nullptr);
 
 }  // namespace dcl

@@ -62,15 +62,20 @@ spectral_report second_eigen(const graph& g, int max_iterations,
 
   spectral_report rep;
   std::vector<double> z(static_cast<std::size_t>(n));
+  // w = D^{-1/2} y, formed once per iteration (n divisions, not 2m): each
+  // w[u] is the same IEEE quotient the per-edge loop would compute, and the
+  // summation order is unchanged, so every iterate is bit-identical.
+  std::vector<double> w(static_cast<std::size_t>(n), 0.0);
   double prev_rq = 2.0;
   for (int it = 0; it < max_iterations; ++it) {
     // z = S' y where S' = (I + S)/2 is the lazy symmetrized walk.
+    for (vertex v = 0; v < n; ++v)
+      if (g.degree(v) > 0) w[size_t(v)] = y[size_t(v)] / sqrt_deg[size_t(v)];
     std::fill(z.begin(), z.end(), 0.0);
     for (vertex v = 0; v < n; ++v) {
       if (g.degree(v) == 0) continue;
       double acc = 0.0;
-      for (vertex u : g.neighbors(v))
-        acc += y[size_t(u)] / sqrt_deg[size_t(u)];
+      for (vertex u : g.neighbors(v)) acc += w[size_t(u)];
       z[size_t(v)] = 0.5 * (y[size_t(v)] + acc / sqrt_deg[size_t(v)]);
     }
     axpy(z, -dot(z, top), top);  // re-deflate (numerical drift)

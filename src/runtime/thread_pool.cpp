@@ -96,6 +96,12 @@ void thread_pool::for_each_chunk(
     std::int64_t n, std::int64_t grain,
     const std::function<void(int, std::int64_t, std::int64_t)>& fn) {
   DCL_EXPECTS(grain > 0, "chunk grain must be positive");
+  // At most one chunk: no other worker could take any of it, so run it
+  // here and leave the workers asleep rather than pay a wake-up round trip.
+  if (n <= grain) {
+    if (n > 0) fn(0, 0, n);
+    return;
+  }
   state& s = *state_;
   {
     std::lock_guard<std::mutex> lk(s.m);

@@ -47,7 +47,8 @@ class thread_pool {
   /// dynamically scheduled. worker_index is in [0, size()); the calling
   /// thread participates as worker 0. The first exception thrown by a task
   /// (by chunk order of the throwing worker's earliest failed chunk) is
-  /// rethrown here after all workers drain.
+  /// rethrown here after all workers drain. A job of at most one chunk
+  /// runs inline on the caller and wakes no worker.
   void for_each_chunk(
       std::int64_t n, std::int64_t grain,
       const std::function<void(int, std::int64_t, std::int64_t)>& fn);

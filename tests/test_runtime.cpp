@@ -35,6 +35,24 @@ TEST(ThreadPool, SingleThreadRunsInline) {
   EXPECT_EQ(workers, std::vector<int>(5, 0));  // caller is worker 0
 }
 
+TEST(ThreadPool, JobOfAtMostOneChunkRunsOnTheCaller) {
+  runtime::thread_pool pool(4);
+  std::vector<int> workers;
+  pool.for_each_index(1, [&](int w, std::int64_t) { workers.push_back(w); });
+  pool.for_each_chunk(6, 8, [&](int w, std::int64_t begin, std::int64_t end) {
+    EXPECT_EQ(begin, 0);
+    EXPECT_EQ(end, 6);
+    workers.push_back(w);
+  });
+  pool.for_each_index(0, [&](int w, std::int64_t) { workers.push_back(w); });
+  EXPECT_EQ(workers, std::vector<int>(2, 0));  // no worker woken
+  EXPECT_THROW(pool.for_each_index(1,
+                                   [](int, std::int64_t) {
+                                     DCL_EXPECTS(false, "injected failure");
+                                   }),
+               precondition_error);
+}
+
 TEST(ThreadPool, ReusableAcrossJobs) {
   runtime::thread_pool pool(3);
   for (int job = 0; job < 5; ++job) {

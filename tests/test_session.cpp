@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -575,6 +576,180 @@ TEST(ListingSession, SessionSimdKnobAppliesToEveryQuery) {
       expect_report_identical(got.report, want.report);
     }
   }
+}
+
+// The session's skeleton memo (DESIGN.md §2.1): warm congest queries take
+// each level's anatomy from the memo instead of decomposing again, and
+// every output — cliques, the full report, trace bytes — must still equal
+// a freshly bound session's cold run.
+
+/// Interleaved query shapes over every memo-key field: p = 3..6, non-default
+/// ε, β and γ (nine keys in all, one more than the memo holds, so eviction
+/// runs too), both lb engines, and max_levels / base_case_edges variants
+/// that share a key with the default p = 4 shape. A key that dropped a
+/// field would serve one shape another's anatomy: on the gnp memo graph
+/// the two adjacent γ shapes reach level 1 with different level graphs
+/// (they defer differently at level 0), and on the planted-partition one
+/// ε = 0.1 decomposes level 0 into more clusters than the defaults do.
+std::vector<listing_query> memo_queries() {
+  std::vector<listing_query> qs;
+  const auto add = [&](int p, auto&& tweak) {
+    listing_query q;
+    q.p = p;
+    q.trace = true;
+    tweak(q);
+    qs.push_back(q);
+  };
+  const auto none = [](listing_query&) {};
+  for (int p = 3; p <= 6; ++p) add(p, none);
+  add(4, [](listing_query& q) { q.epsilon = 0.1; });
+  add(3, [](listing_query& q) { q.epsilon = 0.2; });
+  add(4, [](listing_query& q) { q.beta = 1.5; });
+  add(6, [](listing_query& q) { q.beta = 3.0; });
+  add(4, [](listing_query& q) {
+    q.gamma = 0.05;
+    q.base_case_edges = 0;
+  });
+  add(4, [](listing_query& q) { q.base_case_edges = 0; });
+  add(4, [](listing_query& q) { q.max_levels = 1; });
+  add(4, [](listing_query& q) {
+    q.lb = lb_engine::randomized;
+    q.seed = 7;
+  });
+  add(3, [](listing_query& q) { q.lb = lb_engine::randomized; });
+  add(4, [](listing_query& q) { q.mode = sink_mode::count; });
+  return qs;
+}
+
+std::vector<graph> memo_graphs() {
+  return {gen::gnp(100, 0.15, 5),
+          gen::planted_partition(6, 20, 0.3, 0.005, 5)};
+}
+
+TEST(ListingSession, SkeletonMemoWarmRunsBitIdenticalToColdRuns) {
+  const auto qs = memo_queries();
+  for (const auto& g : memo_graphs()) {
+    std::vector<query_result> cold;
+    std::size_t max_levels = 0;
+    for (const auto& q : qs) {
+      listing_session fresh(g, {.threads = 2});
+      cold.push_back(fresh.run(q));
+      max_levels = std::max(max_levels, cold.back().report.levels.size());
+    }
+    ASSERT_GE(max_levels, 2u) << "the graph must recurse past level 0";
+
+    listing_session warm(g, {.threads = 2});
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        SCOPED_TRACE("n " + std::to_string(g.num_vertices()) + " pass " +
+                     std::to_string(pass) + " query " + std::to_string(i));
+        const auto got = warm.run(qs[i]);
+        EXPECT_TRUE(got.cliques == cold[i].cliques);
+        EXPECT_EQ(got.count, cold[i].count);
+        expect_report_identical(got.report, cold[i].report);
+        EXPECT_EQ(trace_bytes(got.report), trace_bytes(cold[i].report));
+      }
+    }
+  }
+}
+
+/// Four threads race cold and warm memo lookups of the same keys on one
+/// session; every result must equal its fresh-session oracle.
+void race_memo_session(const graph& g, const std::vector<listing_query>& qs) {
+  std::vector<query_result> cold;
+  for (const auto& q : qs) {
+    listing_session fresh(g, {.threads = 1});
+    cold.push_back(fresh.run(q));
+  }
+  listing_session s(g, {.threads = 2});
+  constexpr int kThreads = 4;
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::string& err = errors[std::size_t(t)];
+      for (std::size_t k = 0; k < qs.size() && err.empty(); ++k) {
+        const std::size_t i = (k + std::size_t(t) * 3) % qs.size();
+        try {
+          const auto got = s.run(qs[i]);
+          if (!(got.cliques == cold[i].cliques) ||
+              got.count != cold[i].count ||
+              !reports_equal(got.report, cold[i].report) ||
+              trace_bytes(got.report) != trace_bytes(cold[i].report))
+            err = "query " + std::to_string(i) + " diverged";
+        } catch (const std::exception& e) {
+          err = "query " + std::to_string(i) + " threw: " + e.what();
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t)
+    EXPECT_EQ(errors[std::size_t(t)], "")
+        << "thread " << t << " n " << g.num_vertices();
+}
+
+TEST(ListingSession, SkeletonMemoConcurrentRunsBitIdentical) {
+  const auto qs = memo_queries();
+  for (const auto& g : memo_graphs()) race_memo_session(g, qs);
+}
+
+TEST(ListingSession, SkeletonMemoWarmRunShardBitIdentical) {
+  // A shard worker's run_shard reads the same memo as run(): warm shard
+  // runs, before and after a run() of the same key, equal a fresh
+  // session's cold run_shard.
+  const auto g = memo_graphs().back();
+  listing_query q;
+  q.p = 4;
+  q.trace = true;
+  for (int shard = 0; shard < 2; ++shard) {
+    congest_shard_plan plan;
+    plan.shard = shard;
+    plan.shards = 2;
+    plan.owner = [](std::int32_t, std::int64_t branch, vertex rep) {
+      return branch == kTraceBranchSequential ? 0 : int(rep % 2);
+    };
+    listing_session fresh(g, {.threads = 2});
+    const auto want = fresh.run_shard(q, plan);
+    listing_session warm(g, {.threads = 2});
+    warm.run_shard(q, plan);
+    const auto mid = warm.run_shard(q, plan);
+    warm.run(q);
+    const auto after = warm.run_shard(q, plan);
+    for (const auto* got : {&mid, &after}) {
+      EXPECT_EQ(got->raw_tuples, want.raw_tuples) << "shard " << shard;
+      EXPECT_EQ(got->emitted, want.emitted);
+      ASSERT_EQ(got->scoped.size(), want.scoped.size());
+      for (std::size_t i = 0; i < want.scoped.size(); ++i) {
+        EXPECT_EQ(got->scoped[i].level, want.scoped[i].level);
+        EXPECT_EQ(got->scoped[i].branch, want.scoped[i].branch);
+        EXPECT_EQ(got->scoped[i].ledger.rounds(),
+                  want.scoped[i].ledger.rounds());
+        EXPECT_EQ(got->scoped[i].ledger.messages(),
+                  want.scoped[i].ledger.messages());
+      }
+      expect_report_identical(got->report, want.report);
+      EXPECT_EQ(trace_bytes(got->report), trace_bytes(want.report));
+    }
+  }
+}
+
+TEST(ListingSession, SkeletonMemoRejectsAForeignLevelGraph) {
+  // The memo's tripwire: an entry consulted from a level graph of another
+  // (n, m) than the one it was built from is a broken key, never served.
+  const auto g = memo_graphs().front();
+  const auto other = gen::gnp(72, 0.2, 3);
+  skeleton_memo memo;
+  listing_query q;
+  q.p = 4;
+  runtime::thread_pool pool(1);
+  runtime::query_scratch scratch;
+  clique_collector first(q.p);
+  list_cliques_congest(g, q, pool, scratch, first, nullptr, {}, &memo);
+  clique_collector second(q.p);
+  EXPECT_THROW(
+      list_cliques_congest(other, q, pool, scratch, second, nullptr, {}, &memo),
+      invariant_error);
 }
 
 TEST(ListingSession, SequentialRunsReuseOneWarmLease) {
