@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
   const auto list = [&](int threads) {
     return cold_run(g, threads, [&](const auto& dag, auto& pool,
                                     auto& scratch) {
-      return local::list_cliques_parallel(dag, p, pool, scratch, 128);
+      clique_collector out(p);
+      local::list_cliques_parallel(dag, p, pool, scratch, 128, out);
+      return out.finalize();
     });
   };
   const std::int64_t cliques = count(1);

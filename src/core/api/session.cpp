@@ -1,5 +1,6 @@
 #include "core/api/session.hpp"
 
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -26,16 +27,17 @@ static_assert(kCongestMaxP <= enumkernel::kMaxCliqueArity,
               "congest_sim arity bound exceeds the shared kernel limit");
 
 /// The query knobs that are engine-independent (everything but p's range).
+/// Each real-valued check is written so that NaN fails it.
 void validate_common(const listing_query& q) {
-  if (q.epsilon < 0.0 || q.epsilon >= 1.0)
+  if (!(q.epsilon >= 0.0 && q.epsilon < 1.0))
     reject("epsilon = " + std::to_string(q.epsilon) +
            " must lie in [0, 1) (0 selects the paper's default)");
-  if (q.beta <= 0.0)
+  if (!(q.beta > 0.0) || !std::isfinite(q.beta))
     reject("beta = " + std::to_string(q.beta) +
-           " must be positive (V−_C degree threshold factor)");
-  if (q.gamma <= 0.0)
+           " must be positive and finite (V−_C degree threshold factor)");
+  if (!(q.gamma > 0.0) || !std::isfinite(q.gamma))
     reject("gamma = " + std::to_string(q.gamma) +
-           " must be positive (overloaded-cluster threshold)");
+           " must be positive and finite (overloaded-cluster threshold)");
   if (q.max_levels < 1)
     reject("max_levels = " + std::to_string(q.max_levels) +
            " must be at least 1");
@@ -47,8 +49,8 @@ void validate_common(const listing_query& q) {
            " must be at least 1");
 }
 
-/// Feeds the canonical set to the sink, q.stream_batch_tuples at a time.
-/// Batch boundaries are presentation only: the concatenation equals the
+/// Feeds the canonical set to the sink, batch_tuples at a time. Batch
+/// boundaries are presentation only: the concatenation equals the
 /// collect-mode flat storage bit for bit.
 void stream_batches(const clique_set& s, std::int64_t batch_tuples,
                     const stream_sink& sink) {
@@ -167,23 +169,21 @@ query_result listing_session::run_local(const listing_query& q,
                                         const stream_sink* sink,
                                         query_lease& lease,
                                         runtime::thread_pool& pool) {
-  query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::count) {
     // The counting twin: same traversal, no tuple assembly, no buffers, no
     // merge — nothing is materialized anywhere.
+    query_result res{clique_set(q.p), 0, {}};
     res.count = local::count_cliques_parallel(
         dag_, q.p, pool, lease.scratch, opt_.grain, nullptr, exec_);
     res.report.emitted = res.count;
     return res;
   }
-  clique_set out = local::list_cliques_parallel(
-      dag_, q.p, pool, lease.scratch, opt_.grain, nullptr, exec_);
-  res.count = out.size();
-  res.report.emitted = out.size();
-  if (q.mode == sink_mode::collect)
-    res.cliques = std::move(out);
-  else
-    stream_batches(out, q.stream_batch_tuples, *sink);
+  clique_collector out(q.p);
+  local::list_cliques_parallel(dag_, q.p, pool, lease.scratch, opt_.grain,
+                               out, nullptr, exec_);
+  query_result res = finish_query(out, q, sink);
+  DCL_ENSURE(res.report.duplicates == 0,
+             "kClist must emit every clique exactly once");
   return res;
 }
 
@@ -191,28 +191,14 @@ query_result listing_session::run_congest(const listing_query& q,
                                           const stream_sink* sink,
                                           query_lease& lease,
                                           runtime::thread_pool& pool) {
+  // The simulation must dedup even to count (several listers may emit the
+  // same clique), so every congest_sim mode finishes over the collector,
+  // unlike the local engine's materialization-free counting twin.
   clique_collector out(q.p);
   listing_report rep =
       list_cliques_congest(*g_, q, pool, lease.scratch, out, nullptr, exec_,
                            &skeleton_);
-  query_result res{clique_set(q.p), 0, {}};
-  if (q.mode == sink_mode::collect) {
-    res.cliques = out.finalize();
-    res.count = res.cliques.size();
-  } else {
-    // Count and stream skip the copy-out: the canonical set stays inside
-    // the collector (the simulation must still dedup — several listers may
-    // emit the same clique — so congest_sim counting is collector-based,
-    // unlike the local engine's materialization-free twin).
-    const clique_set& canon = out.finalize_in_place();
-    res.count = canon.size();
-    if (q.mode == sink_mode::stream)
-      stream_batches(canon, q.stream_batch_tuples, *sink);
-  }
-  rep.emitted = out.emitted();
-  rep.duplicates = out.duplicates();
-  res.report = std::move(rep);
-  return res;
+  return finish_query(out, q, sink, std::move(rep));
 }
 
 shard_run_result listing_session::run_shard(const listing_query& q,
@@ -258,6 +244,21 @@ query_result listing_session::cliques_in_edges(const listing_query& q,
   return run_edges(q, edges, &sink, *lease);
 }
 
+query_result finish_query(clique_collector& out, const listing_query& q,
+                          const stream_sink* sink, listing_report report) {
+  DCL_EXPECTS(q.mode != sink_mode::stream || sink != nullptr,
+              "finish_query: stream mode needs a sink");
+  clique_set canon = out.finalize();
+  query_result res{clique_set(q.p), canon.size(), std::move(report)};
+  res.report.emitted = out.emitted();
+  res.report.duplicates = out.duplicates();
+  if (q.mode == sink_mode::collect)
+    res.cliques = std::move(canon);
+  else if (q.mode == sink_mode::stream)
+    stream_batches(canon, q.stream_batch_tuples, *sink);
+  return res;
+}
+
 void validate_edge_query(const listing_query& q) {
   // The kernel's own arity range applies for either engine (p = 2 lists
   // the deduplicated edge set itself).
@@ -276,15 +277,15 @@ query_result listing_session::run_edges(const listing_query& q,
 
   lease.scratch.ensure_workers(1);
   auto& scratch = lease.scratch.arena(0).get<edge_query_scratch>();
-  query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::count) {
+    query_result res{clique_set(q.p), 0, {}};
     res.count = enumkernel::enumerate_cliques_in_edges(
         edges, q.p, scratch.ws, [](std::span<const vertex>) {}, exec_);
     res.report.emitted = res.count;
     return res;
   }
   // The kernel emits each clique exactly once, ascending; buffering flat
-  // and bulk-merging presorted keeps the per-clique cost at a memcpy.
+  // and bulk-merging keeps the per-clique cost at a memcpy.
   scratch.buf.clear();
   enumkernel::enumerate_cliques_in_edges(
       edges, q.p, scratch.ws,
@@ -293,18 +294,8 @@ query_result listing_session::run_edges(const listing_query& q,
       },
       exec_);
   clique_collector out(q.p);
-  out.merge_buffer(scratch.buf, /*tuples_presorted=*/true);
-  if (q.mode == sink_mode::collect) {
-    res.cliques = out.finalize();
-    res.count = res.cliques.size();
-  } else {
-    const clique_set& canon = out.finalize_in_place();
-    res.count = canon.size();
-    stream_batches(canon, q.stream_batch_tuples, *sink);
-  }
-  res.report.emitted = out.emitted();
-  res.report.duplicates = out.duplicates();
-  return res;
+  out.merge_buffer(scratch.buf);
+  return finish_query(out, q, sink);
 }
 
 std::vector<query_result> listing_session::cliques_in_edges_batch(
@@ -348,8 +339,8 @@ std::vector<query_result> listing_session::cliques_in_edges_batch(
     return out;
   }
 
-  // Collect: per-owner flat buffers, bulk-merged presorted per owner —
-  // the solo run_edges pipeline applied segment by segment.
+  // Collect: per-owner flat buffers, each bulk-merged and finished — the
+  // solo run_edges pipeline applied segment by segment.
   std::vector<std::vector<vertex>> bufs(edge_sets.size());
   enumkernel::enumerate_cliques_in_edge_segments(
       scratch.cat, scratch.segs, q.p, scratch.ws,
@@ -359,11 +350,8 @@ std::vector<query_result> listing_session::cliques_in_edges_batch(
       exec_);
   for (std::size_t i = 0; i < edge_sets.size(); ++i) {
     clique_collector coll(q.p);
-    coll.merge_buffer(bufs[i], /*tuples_presorted=*/true);
-    out[i].cliques = coll.finalize();
-    out[i].count = out[i].cliques.size();
-    out[i].report.emitted = coll.emitted();
-    out[i].report.duplicates = coll.duplicates();
+    coll.merge_buffer(bufs[i]);
+    out[i] = finish_query(coll, q, nullptr);
   }
   return out;
 }

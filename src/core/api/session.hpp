@@ -50,6 +50,7 @@
 #include <span>
 #include <vector>
 
+#include "core/listing/collector.hpp"
 #include "core/listing/driver.hpp"
 #include "enumkernel/orient.hpp"
 #include "runtime/scratch.hpp"
@@ -134,9 +135,10 @@ using stream_sink = std::function<void(std::span<const vertex>)>;
 
 /// Per-query validation for a given engine: p range (congest_sim: [3,
 /// kCongestMaxP], local_kclist: [3, enumkernel::kMaxCliqueArity]), epsilon
-/// in [0, 1), beta/gamma positive, max_levels >= 1, base_case_edges >= 0,
-/// stream_batch_tuples >= 1. Throws dcl::precondition_error with an
-/// actionable message on the first violation. run() calls this itself.
+/// in [0, 1), beta/gamma positive and finite (NaN fails every check),
+/// max_levels >= 1, base_case_edges >= 0, stream_batch_tuples >= 1.
+/// Throws dcl::precondition_error with an actionable message on the first
+/// violation. run() calls this itself.
 void validate_query(const listing_query& q, listing_engine engine);
 
 /// Validation for the edge-scoped entry points (cliques_in_edges and the
@@ -145,6 +147,16 @@ void validate_query(const listing_query& q, listing_engine engine);
 /// dcl::precondition_error on the first violation; the edge-scoped
 /// methods call this themselves.
 void validate_edge_query(const listing_query& q);
+
+/// The one finish of every tuple-bearing listing (DESIGN.md §9): finalizes
+/// `out` once and applies q.mode. Collect moves the canonical set into the
+/// result, count keeps only its size, and stream feeds it to *sink in
+/// batches of q.stream_batch_tuples. `report` comes back with emitted and
+/// duplicates filled from the collector. Sessions, the edge-scoped entry
+/// points and the shard coordinator's folds all end here.
+query_result finish_query(clique_collector& out, const listing_query& q,
+                          const stream_sink* sink,
+                          listing_report report = {});
 
 class listing_session {
  public:

@@ -5,12 +5,14 @@
 // the end and reports the duplication factor as a quality metric. The
 // shared-memory engine (src/local/) feeds it whole per-thread buffers via
 // merge_buffer(); finalize() sorts canonically, so the merged result is
-// independent of thread scheduling.
+// independent of thread scheduling. Every query ends in one finish over a
+// collector (finish_query, core/api/session.hpp).
 //
 // Invariants (enforced in collector.cpp):
-//   - emitted() counts every tuple handed in, via emit() or merge_buffer();
-//   - finalize() may be called exactly once; afterwards the returned set is
-//     normalized (ascending tuples, lexicographic order, no duplicates) and
+//   - emitted() counts every tuple handed in, via emit(), merge_buffer() or
+//     absorb();
+//   - finalize() may be called exactly once; it moves out a set that is
+//     normalized (ascending tuples, lexicographic order, no duplicates), and
 //     duplicates() == emitted() - result.size().
 
 #include <cstdint>
@@ -30,12 +32,10 @@ class clique_collector {
   /// Records one clique (any vertex order).
   void emit(std::span<const vertex> clique);
 
-  /// Absorbs a flat buffer of tuples (stride = arity), e.g. one worker
-  /// thread's private output. Cheaper than per-clique emit. Pass
-  /// tuples_presorted when every tuple is already ascending (the per-tuple
-  /// sort becomes an O(p) invariant check).
-  void merge_buffer(std::span<const vertex> flat,
-                    bool tuples_presorted = false);
+  /// Absorbs a flat buffer of ascending tuples (stride = arity), e.g. one
+  /// worker thread's private output. Cheaper than per-clique emit: each
+  /// tuple costs a copy and an O(p) ascending check.
+  void merge_buffer(std::span<const vertex> flat);
 
   /// Absorbs another (unfinalized) collector of the same arity: raw tuples
   /// and the emission count carry over, so emitted()/duplicates() end up
@@ -50,7 +50,7 @@ class clique_collector {
   /// individually ascending, insertion order, duplicates still present.
   /// This is the collector's wire representation — a shard worker ships
   /// exactly this view and the coordinator replays it through
-  /// merge_buffer(flat, tuples_presorted=true), so the folded
+  /// merge_buffer(flat), so the folded
   /// emitted/duplicates accounting matches a single-process run bit for
   /// bit. Invalid after finalize().
   std::span<const vertex> raw_view() const {
@@ -58,16 +58,9 @@ class clique_collector {
     return set_.flat_view();
   }
 
-  /// Deduplicates and returns the canonical set; afterwards duplicates()
-  /// reports how many emissions were redundant. Single-shot (shared with
-  /// finalize_in_place — exactly one of the two may run).
+  /// Deduplicates and moves the canonical set out (no copy); afterwards
+  /// duplicates() reports how many emissions were redundant. Single-shot.
   clique_set finalize();
-
-  /// Zero-copy finalization behind count-only and streaming queries:
-  /// normalizes exactly like finalize() but returns a reference to the
-  /// canonical set owned by the collector instead of copying it out. The
-  /// view is valid for the collector's lifetime.
-  const clique_set& finalize_in_place();
 
   std::int64_t duplicates() const { return duplicates_; }
 

@@ -256,8 +256,10 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
         // queries instead of being rebuilt call-local.
         two_hop_listing(exh_net, cur, targets, alpha, q.p, exh_out,
                         "exhaustive", {}, &scratch.arena(0), exec);
-        const auto found = exh_out.finalize();
-        for (std::int64_t t = 0; t < found.size(); ++t) out.emit(found[t]);
+        // two_hop_listing emits each clique from its minimum-id target
+        // only, so the sweep holds no duplicates and absorbing it raw moves
+        // neither emitted nor duplicates.
+        out.absorb(exh_out);
         level_ledger.merge_parallel(exh_ledger);
         if (plan != nullptr && plan->scoped != nullptr)
           plan->scoped->push_back({level, kTraceBranchExhaustive,

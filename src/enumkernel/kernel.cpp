@@ -76,7 +76,7 @@ clique_set cliques_in_edge_set(const edge_list& edges, int p,
   clique_set out(p);
   enumerate_cliques_in_edges(
       edges, p, ws,
-      [&](std::span<const vertex> c) { out.add_flat(c, true); }, exec);
+      [&](std::span<const vertex> c) { out.add_flat(c); }, exec);
   out.normalize();
   return out;
 }

@@ -86,6 +86,17 @@ inline constexpr std::int32_t kBitmapMaxVertices = 4096;  ///< row-memory cap
 inline constexpr std::int64_t kBitmapDensityDivisor = 8;
 inline constexpr std::int32_t kBitmapMinDepth = 3;        ///< p >= 5
 
+/// Narrowest bitmap row, in 64-bit words, on which the bitmap path hands
+/// its word ANDs (descent and listing base) to the vector tier: one AVX2
+/// register. Below it `and_words_into` runs no vector step, so the call
+/// costs more than the inline loop (edges_gnp_p5, a listing case with
+/// 1-word egonets, read vector_speedup 0.93–1.01). The counting base keeps
+/// `bitmap_base_count` at every width: its narrow path is hardware popcnt,
+/// which the generic scalar build lacks (gnp_wide_p5's 2-word rows count
+/// ~1.5x faster on it). Both tiers compute the same ANDs, so the output is
+/// bit-identical either way.
+inline constexpr std::int32_t kBitmapVectorMinWords = 4;
+
 /// The auto_select heuristic: use bitmaps for an egonet of `n` members and
 /// `arcs` within-egonet DAG arcs, descended `depth` = p - 2 levels, when
 /// the egonet is dense enough that word-parallel steps beat
@@ -359,6 +370,8 @@ class arc_enumerator {
     egonet& ego = ws_.ego;
     const std::int32_t n = ego.n;
     const std::int32_t words = (n + 63) >> 6;
+    const simd::simd_ops* const vec_and =
+        words >= kBitmapVectorMinWords ? vec_ : nullptr;
 
     // Rows, rebuilt per egonet from the CSR: clear + scatter.
     auto& rows = ws_.bit_rows;
@@ -400,7 +413,7 @@ class arc_enumerator {
         // emission sequence is tier-invariant.
         if (vec_ != nullptr && CountOnly) {
           total += vec_->bitmap_base_count(rows.data(), words, mask_l);
-        } else if (vec_ != nullptr) {
+        } else if (vec_and != nullptr) {
           if (std::int32_t(ws_.bit_tmp.size()) < words)
             ws_.bit_tmp.resize(size_t(words));
           std::uint64_t* tmp = ws_.bit_tmp.data();
@@ -411,7 +424,7 @@ class arc_enumerator {
               bits &= bits - 1;
               const std::uint64_t* row =
                   rows.data() + size_t(a) * size_t(words);
-              vec_->and_words_into(tmp, row, mask_l, words);
+              vec_and->and_words_into(tmp, row, mask_l, words);
               simd::iterate_set_bits(tmp, words, [&](std::int32_t w) {
                 ++total;
                 const std::int32_t extra[2] = {a, w};
@@ -460,8 +473,8 @@ class arc_enumerator {
           std::uint64_t* child =
               masks.data() + size_t(l - 1) * size_t(words);
           std::uint64_t any;
-          if (vec_ != nullptr) {
-            any = vec_->and_words_into(child, mask_l, row, words);
+          if (vec_and != nullptr) {
+            any = vec_and->and_words_into(child, mask_l, row, words);
           } else {
             any = 0;
             for (std::int32_t wj = 0; wj < words; ++wj)

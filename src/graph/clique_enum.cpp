@@ -18,23 +18,16 @@ void clique_set::add(std::span<const vertex> clique) {
   normalized_ = false;
 }
 
-void clique_set::add_flat(std::span<const vertex> flat,
-                          bool tuples_presorted) {
+void clique_set::add_flat(std::span<const vertex> flat) {
   DCL_EXPECTS(flat.size() % size_t(p_) == 0,
               "flat length must be a multiple of the arity");
   if (flat.empty()) return;
   const std::size_t start = flat_.size();
   flat_.insert(flat_.end(), flat.begin(), flat.end());
-  for (std::size_t i = start; i < flat_.size(); i += size_t(p_)) {
-    if (tuples_presorted) {
-      DCL_ENSURE(std::is_sorted(flat_.begin() + std::ptrdiff_t(i),
-                                flat_.begin() + std::ptrdiff_t(i + size_t(p_))),
-                 "presorted add_flat received an unsorted tuple");
-    } else {
-      std::sort(flat_.begin() + std::ptrdiff_t(i),
-                flat_.begin() + std::ptrdiff_t(i + size_t(p_)));
-    }
-  }
+  for (std::size_t i = start; i < flat_.size(); i += size_t(p_))
+    DCL_ENSURE(std::is_sorted(flat_.begin() + std::ptrdiff_t(i),
+                              flat_.begin() + std::ptrdiff_t(i + size_t(p_))),
+               "add_flat received an unsorted tuple");
   normalized_ = false;
 }
 
@@ -116,39 +109,13 @@ void for_each_triangle(const graph& g,
   }
 }
 
-// ---- Thin adapters over the shared enumeration kernel (enumkernel/).
-// The recursive DFS that used to live here is gone: every entry point below
-// delegates to the arena-backed kClist kernel, constructing a call-local
-// enum_scratch. Hot paths that enumerate repeatedly (cluster listers, the
-// local engine) call the kernel directly with a per-worker scratch instead
-// of going through these conveniences.
-
-void for_each_clique(const graph& g, int p,
-                     const std::function<void(std::span<const vertex>)>& cb) {
-  DCL_EXPECTS(p >= 2 && p <= enumkernel::kMaxCliqueArity,
-              "clique arity must lie in [2, kMaxCliqueArity]");
-  enumkernel::enum_scratch ws;
-  enumkernel::enumerate_cliques(g, p, ws,
-                                [&](std::span<const vertex> c) { cb(c); });
-}
-
-std::int64_t count_cliques(const graph& g, int p) {
-  enumkernel::enum_scratch ws;
-  return enumkernel::count_cliques(g, p, ws);
-}
-
 clique_set collect_cliques(const graph& g, int p) {
   enumkernel::enum_scratch ws;
   clique_set out(p);
   enumkernel::enumerate_cliques(
-      g, p, ws, [&](std::span<const vertex> c) { out.add_flat(c, true); });
+      g, p, ws, [&](std::span<const vertex> c) { out.add_flat(c); });
   out.normalize();
   return out;
-}
-
-clique_set cliques_in_edge_set(const edge_list& edges, int p) {
-  enumkernel::enum_scratch ws;
-  return enumkernel::cliques_in_edge_set(edges, p, ws);
 }
 
 }  // namespace dcl

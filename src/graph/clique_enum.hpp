@@ -1,11 +1,10 @@
 #pragma once
-// Canonical clique storage (clique_set) plus convenience adapters over the
-// shared enumeration kernel (enumkernel/kernel.hpp) — the ground truth
-// every distributed listing run is checked against, and itself a baseline
-// (§1.3 discusses the centralized view). Cliques are canonical sorted
-// p-tuples. The adapters construct a call-local kernel scratch; hot paths
-// that enumerate repeatedly use the kernel directly with a reused
-// enum_scratch instead.
+// Canonical clique storage (clique_set) plus the graph oracle
+// collect_cliques over the shared enumeration kernel (enumkernel/kernel.hpp)
+// — the ground truth every distributed listing run is checked against, and
+// itself a baseline (§1.3 discusses the centralized view). Cliques are
+// canonical sorted p-tuples. Everything else that enumerates calls the
+// kernel directly with a reused enum_scratch.
 
 #include <functional>
 #include <vector>
@@ -26,11 +25,10 @@ class clique_set {
   /// Appends a clique (any vertex order); call normalize() before queries.
   void add(std::span<const vertex> clique);
 
-  /// Appends many tuples stored flat with stride arity(); call normalize()
-  /// before queries. Bulk-ingest path for per-thread buffers. With
-  /// tuples_presorted the per-tuple sort is replaced by an O(p) ascending
-  /// check (DCL_ENSURE) — for producers that already emit canonical tuples.
-  void add_flat(std::span<const vertex> flat, bool tuples_presorted = false);
+  /// Appends many ascending tuples stored flat with stride arity(); call
+  /// normalize() before queries. Bulk-ingest path for per-thread buffers:
+  /// each tuple costs a copy and an O(p) ascending check (DCL_ENSURE).
+  void add_flat(std::span<const vertex> flat);
 
   /// Sorts tuples internally and lexicographically; removes duplicates.
   /// Returns the number of duplicates removed.
@@ -62,20 +60,8 @@ class clique_set {
 void for_each_triangle(const graph& g,
                        const std::function<void(vertex, vertex, vertex)>& cb);
 
-/// Calls cb with each p-clique exactly once as an ascending tuple, via the
-/// shared kClist kernel; p in [2, enumkernel::kMaxCliqueArity]. The span is
-/// valid only during the callback.
-void for_each_clique(const graph& g, int p,
-                     const std::function<void(std::span<const vertex>)>& cb);
-
-std::int64_t count_cliques(const graph& g, int p);
-
+/// Every p-clique of g, normalized; p in [2, enumkernel::kMaxCliqueArity].
+/// The sequential oracle: one call-local kernel scratch, one thread.
 clique_set collect_cliques(const graph& g, int p);
-
-/// Enumerate p-cliques of an explicit edge set (not a full graph) — used by
-/// listers that have learned a partial edge set. The edge list may contain
-/// duplicates and self-loops; vertices are arbitrary (possibly huge,
-/// sparse) non-negative ids — they are remapped densely inside the kernel.
-clique_set cliques_in_edge_set(const edge_list& edges, int p);
 
 }  // namespace dcl

@@ -4,7 +4,6 @@
 #include <functional>
 #include <utility>
 
-#include "core/listing/collector.hpp"
 #include "enumkernel/kernel.hpp"
 #include "support/check.hpp"
 
@@ -59,14 +58,14 @@ void for_each_root_chunk(
 
 }  // namespace
 
-clique_set list_cliques_parallel(const enumkernel::dag& d, int p,
-                                 thread_pool& pool,
-                                 runtime::query_scratch& scratch,
-                                 std::int64_t grain,
-                                 parallel_listing_stats* stats,
-                                 enumkernel::exec_config exec,
-                                 std::span<const vertex> roots) {
+void list_cliques_parallel(const enumkernel::dag& d, int p,
+                           thread_pool& pool, runtime::query_scratch& scratch,
+                           std::int64_t grain, clique_collector& out,
+                           parallel_listing_stats* stats,
+                           enumkernel::exec_config exec,
+                           std::span<const vertex> roots) {
   DCL_EXPECTS(p >= 3, "parallel lister handles p >= 3");
+  DCL_EXPECTS(out.arity() == p, "collector arity must equal p");
   const int t = pool.size();
   scratch.ensure_workers(t);
   // The private output buffers live in the run's leased per-slot arenas
@@ -93,10 +92,8 @@ clique_set list_cliques_parallel(const enumkernel::dag& d, int p,
   // Deterministic merge: concatenation order is fixed (worker index), and
   // the collector's finalize() sorts canonically, so scheduling cannot leak
   // into the result.
-  clique_collector collector(p);
   for (int w = 0; w < t; ++w)
-    collector.merge_buffer(scratch.arena(w).get<engine_worker_scratch>().out,
-                           /*tuples_presorted=*/true);
+    out.merge_buffer(scratch.arena(w).get<engine_worker_scratch>().out);
   if (stats) {
     stats->threads = t;
     stats->roots = 0;
@@ -104,10 +101,6 @@ clique_set list_cliques_parallel(const enumkernel::dag& d, int p,
     stats->per_thread_roots = std::move(arcs);
     stats->per_thread_cliques = std::move(found);
   }
-  clique_set out = collector.finalize();
-  DCL_ENSURE(collector.duplicates() == 0,
-             "kClist must emit every clique exactly once");
-  return out;
 }
 
 std::int64_t count_cliques_parallel(const enumkernel::dag& d, int p,

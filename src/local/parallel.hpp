@@ -16,8 +16,8 @@
 // dynamically-sized chunks off an atomic cursor, so skewed roots (hubs in
 // power-law graphs) cannot serialize the run. Each worker enumerates
 // through the kernel (src/enumkernel/) with the enum_scratch held in its
-// arena, listing into a private flat buffer; buffers are merged through
-// clique_collector in worker-index order, and its normalize() sorts
+// arena, listing into a private flat buffer; buffers are appended to the
+// caller's clique_collector in worker-index order, and its finalize() sorts
 // canonically — the final clique_set is identical for every thread count
 // and schedule.
 
@@ -25,9 +25,9 @@
 #include <span>
 #include <vector>
 
+#include "core/listing/collector.hpp"
 #include "enumkernel/kernel.hpp"
 #include "enumkernel/orient.hpp"
-#include "graph/clique_enum.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace dcl::local {
@@ -56,9 +56,13 @@ struct parallel_listing_stats {
   std::vector<std::int64_t> per_thread_cliques;
 };
 
-/// Lists every p-clique of the DAG's underlying graph (p >= 3). The result
-/// is normalized (sorted canonical tuples) and deterministic across thread
-/// counts, schedules, and exec configs. `scratch` owns all per-run mutable
+/// Lists every p-clique of the DAG's underlying graph (p >= 3), appending
+/// each worker's ascending tuples to `out` (arity p, not yet finalized) in
+/// worker-index order. kClist emits every clique exactly once, so the
+/// caller's finalize() must report 0 duplicates; the finalized set is
+/// deterministic across thread counts, schedules, and exec configs. The
+/// session finishes `out` through finish_query, a shard worker finalizes
+/// it into its canonical run. `scratch` owns all per-run mutable
 /// state (one engine_worker_scratch per worker slot); the DAG and pool are
 /// read strictly shared, so concurrent runs against one DAG are safe as
 /// long as each holds its own scratch bundle and pool job slot.
@@ -69,10 +73,10 @@ struct parallel_listing_stats {
 /// the results over any split of the vertices into root sets partition the
 /// full result. Empty means every arc. A shard worker roots the run at the
 /// vertices it owns (DESIGN.md §14).
-clique_set list_cliques_parallel(
+void list_cliques_parallel(
     const enumkernel::dag& d, int p, thread_pool& pool,
     runtime::query_scratch& scratch, std::int64_t grain,
-    parallel_listing_stats* stats = nullptr,
+    clique_collector& out, parallel_listing_stats* stats = nullptr,
     enumkernel::exec_config exec = {},
     std::span<const vertex> roots = {});
 

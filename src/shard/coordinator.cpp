@@ -18,18 +18,6 @@ namespace {
   throw precondition_error("shard_coordinator: " + what);
 }
 
-/// The stream batching of listing_session (presentation only — the
-/// concatenation is invariant), applied to the folded canonical set.
-void stream_batches(const clique_set& s, std::int64_t batch_tuples,
-                    const stream_sink& sink) {
-  const std::span<const vertex> flat = s.flat_view();
-  const std::int64_t tuples =
-      std::min(batch_tuples, std::max<std::int64_t>(s.size(), 1));
-  const std::size_t stride = std::size_t(s.arity()) * std::size_t(tuples);
-  for (std::size_t off = 0; off < flat.size(); off += stride)
-    sink(flat.subspan(off, std::min(stride, flat.size() - off)));
-}
-
 /// Solo trace scope order: levels ascending, exhaustive branch before the
 /// clusters of its level, the run-sequential scope last.
 struct scope_ref {
@@ -228,11 +216,10 @@ query_result shard_coordinator::fold_congest(
 
   // Cliques: absorb raw (unfinalized) buffers in shard-index order. The
   // branches partition across shards, so Σ emitted equals the solo
-  // collector's emitted and finalize() yields the identical canonical set
+  // collector's emitted and the finish yields the identical canonical set
   // and duplicates count.
   clique_collector out(q.p);
-  for (const shard_result& r : results)
-    out.merge_buffer(r.raw_tuples, /*tuples_presorted=*/true);
+  for (const shard_result& r : results) out.merge_buffer(r.raw_tuples);
 
   // Ledger rebuild: branch ledgers of one level merge with parallel
   // semantics, levels chain sequentially, the run-sequential entries add
@@ -291,20 +278,7 @@ query_result shard_coordinator::fold_congest(
     rep.trace = std::move(merged);
   }
 
-  query_result res{clique_set(q.p), 0, {}};
-  if (q.mode == sink_mode::collect) {
-    res.cliques = out.finalize();
-    res.count = res.cliques.size();
-  } else {
-    const clique_set& canon = out.finalize_in_place();
-    res.count = canon.size();
-    if (q.mode == sink_mode::stream)
-      stream_batches(canon, q.stream_batch_tuples, *sink);
-  }
-  rep.emitted = out.emitted();
-  rep.duplicates = out.duplicates();
-  res.report = std::move(rep);
-  return res;
+  return finish_query(out, q, sink, std::move(rep));
 }
 
 query_result shard_coordinator::fold_local(const listing_query& q,
@@ -313,31 +287,22 @@ query_result shard_coordinator::fold_local(const listing_query& q,
   // DAG-root ownership partitions the solo clique set exactly: each shard
   // enumerates only the cliques rooted at the vertices it owns. A count is
   // the sum of the shards' counts; collect and stream absorb each shard's
-  // canonical run (original ids) and finalize() sorts, so shard order is
+  // canonical run (original ids) and the finish sorts, so shard order is
   // unobservable in the set. duplicates must come out 0, as solo.
-  query_result res{clique_set(q.p), 0, {}};
   if (q.mode == sink_mode::count) {
+    query_result res{clique_set(q.p), 0, {}};
     for (const shard_result& r : results) res.count += r.emitted;
     res.report.emitted = res.count;
     return res;
   }
   clique_collector out(q.p);
-  for (const shard_result& r : results)
-    out.merge_buffer(r.raw_tuples, /*tuples_presorted=*/true);
-  if (q.mode == sink_mode::collect) {
-    res.cliques = out.finalize();
-    res.count = res.cliques.size();
-  } else {
-    const clique_set& canon = out.finalize_in_place();
-    res.count = canon.size();
-    stream_batches(canon, q.stream_batch_tuples, *sink);
-  }
-  if (out.duplicates() != 0)
+  for (const shard_result& r : results) out.merge_buffer(r.raw_tuples);
+  query_result res = finish_query(out, q, sink);
+  if (res.report.duplicates != 0)
     throw shard_error(
         "local shard fold produced duplicate cliques — DAG-root "
         "ownership is broken (rank or partitioner disagreement between "
         "workers?)");
-  res.report.emitted = out.emitted();
   return res;
 }
 

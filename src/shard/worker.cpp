@@ -115,8 +115,12 @@ shard_result local_shard::serve(std::uint64_t qid, const listing_query& q) {
         dag_, q.p, pool_, scratch_, bind_.grain, nullptr, exec_, owned_);
     return res;
   }
-  const clique_set run = local::list_cliques_parallel(
-      dag_, q.p, pool_, scratch_, bind_.grain, nullptr, exec_, owned_);
+  clique_collector out(q.p);
+  local::list_cliques_parallel(dag_, q.p, pool_, scratch_, bind_.grain, out,
+                               nullptr, exec_, owned_);
+  const clique_set run = out.finalize();
+  DCL_ENSURE(out.duplicates() == 0,
+             "kClist must emit every clique exactly once");
   // The remap is ascending, so the run stays canonical in original ids.
   const auto& remap = bind_.slice.to_original;
   const std::span<const vertex> flat = run.flat_view();

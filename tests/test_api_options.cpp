@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "core/api/session.hpp"
@@ -74,6 +75,24 @@ TEST(OptionsValidation, SharedKernelArityBoundCoversBothBackends) {
   expect_accepted(q, listing_engine::local_kclist);
 }
 
+// NaN compares false against everything, so a range check written as
+// `x < lo || x >= hi` lets it through; these values must fail everywhere.
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+/// A knob value every entry point refuses: validate_query for both
+/// engines, validate_edge_query, and a bound session's run.
+void expect_rejected_everywhere(const listing_query& q) {
+  for (const auto engine :
+       {listing_engine::congest_sim, listing_engine::local_kclist})
+    expect_rejected(q, engine);
+  EXPECT_THROW(validate_edge_query(q), precondition_error);
+  const auto g = gen::gnp(20, 0.2, 1);
+  listing_session s(g);
+  EXPECT_THROW(s.run(q), precondition_error);
+}
+
 TEST(OptionsValidation, EpsilonRange) {
   listing_query q;
   q.epsilon = 1.0;
@@ -81,6 +100,11 @@ TEST(OptionsValidation, EpsilonRange) {
   EXPECT_NE(message_of(q).find("epsilon"), std::string::npos);
   q.epsilon = -0.1;
   expect_rejected(q);
+  for (const double bad : kNonFinite) {
+    q.epsilon = bad;
+    expect_rejected_everywhere(q);
+    EXPECT_NE(message_of(q).find("epsilon"), std::string::npos) << bad;
+  }
   q.epsilon = 0.0;  // 0 selects the paper's default
   expect_accepted(q);
   q.epsilon = 1.0 / 18.0;
@@ -92,10 +116,22 @@ TEST(OptionsValidation, BetaGammaPositivity) {
   q.beta = 0.0;
   expect_rejected(q);
   EXPECT_NE(message_of(q).find("beta"), std::string::npos);
+  for (const double bad : kNonFinite) {
+    q.beta = bad;
+    expect_rejected_everywhere(q);
+    EXPECT_NE(message_of(q).find("beta"), std::string::npos) << bad;
+  }
   q.beta = 2.0;
   q.gamma = -3.0;
   expect_rejected(q);
   EXPECT_NE(message_of(q).find("gamma"), std::string::npos);
+  for (const double bad : kNonFinite) {
+    q.gamma = bad;
+    expect_rejected_everywhere(q);
+    EXPECT_NE(message_of(q).find("gamma"), std::string::npos) << bad;
+  }
+  q.gamma = 12.0;
+  expect_accepted(q);
 }
 
 TEST(OptionsValidation, RecursionBudgets) {

@@ -2,7 +2,6 @@
 
 #include "baselines/dlp12.hpp"
 #include "baselines/naive.hpp"
-#include "baselines/sequential.hpp"
 #include "graph/generators.hpp"
 
 namespace dcl {
@@ -43,13 +42,6 @@ TEST(Naive, ExactAndExpensive) {
   EXPECT_TRUE(res.cliques == collect_cliques(g, 3));
   // Gathering m edges through a BFS root costs at least ~m/deg(root).
   EXPECT_GT(res.ledger.rounds(), 0);
-}
-
-TEST(Sequential, MatchesAndTimes) {
-  const auto g = gen::gnp(60, 0.25, 17);
-  const auto res = baseline::sequential_listing(g, 4);
-  EXPECT_TRUE(res.cliques == collect_cliques(g, 4));
-  EXPECT_GE(res.seconds, 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "enumkernel/kernel.hpp"
 #include "graph/clique_enum.hpp"
 #include "graph/generators.hpp"
 #include "support/check.hpp"
@@ -45,11 +46,11 @@ TEST(CliqueSet, TuplesComeOutSorted) {
 }
 
 TEST(Triangles, CompleteGraphCount) {
-  EXPECT_EQ(count_cliques(gen::complete(8), 3), choose(8, 3));
+  EXPECT_EQ(collect_cliques(gen::complete(8), 3).size(), choose(8, 3));
 }
 
 TEST(Triangles, BipartiteHasNone) {
-  EXPECT_EQ(count_cliques(gen::complete_bipartite(5, 7), 3), 0);
+  EXPECT_EQ(collect_cliques(gen::complete_bipartite(5, 7), 3).size(), 0);
 }
 
 TEST(Triangles, KnownSmallGraph) {
@@ -78,26 +79,30 @@ TEST(Triangles, EachEmittedOnceAscending) {
 
 TEST(KCliques, CompleteGraphCounts) {
   for (int p = 2; p <= 6; ++p)
-    EXPECT_EQ(count_cliques(gen::complete(9), p), choose(9, p)) << "p=" << p;
+    EXPECT_EQ(collect_cliques(gen::complete(9), p).size(), choose(9, p))
+        << "p=" << p;
 }
 
 TEST(KCliques, RingOfCliquesK4) {
   // Each K5 block contributes C(5,4) K4s; bridges add none.
-  EXPECT_EQ(count_cliques(gen::ring_of_cliques(3, 5), 4), 3 * choose(5, 4));
+  EXPECT_EQ(collect_cliques(gen::ring_of_cliques(3, 5), 4).size(),
+            3 * choose(5, 4));
 }
 
 TEST(KCliques, MatchesTriangleSpecialization) {
   const auto g = gen::gnp(50, 0.3, 5);
   clique_set via_p(3);
-  for_each_clique(g, 3,
-                  [&](std::span<const vertex> c) { via_p.add(c); });
+  enumkernel::enum_scratch ws;
+  enumkernel::enumerate_cliques(
+      g, 3, ws, [&](std::span<const vertex> c) { via_p.add(c); });
   via_p.normalize();
   EXPECT_EQ(via_p, collect_cliques(g, 3));
 }
 
 TEST(KCliques, ValidatesAllEdgesPresent) {
   const auto g = gen::gnp(40, 0.35, 77);
-  for_each_clique(g, 4, [&](std::span<const vertex> c) {
+  enumkernel::enum_scratch ws;
+  enumkernel::enumerate_cliques(g, 4, ws, [&](std::span<const vertex> c) {
     for (std::size_t i = 0; i < c.size(); ++i)
       for (std::size_t j = i + 1; j < c.size(); ++j)
         EXPECT_TRUE(g.has_edge(c[i], c[j]));
@@ -107,35 +112,41 @@ TEST(KCliques, ValidatesAllEdgesPresent) {
 TEST(KCliques, K5InPlantedClique) {
   const auto g = gen::planted_cliques(80, 0.01, 1, 7, 99);
   // A planted K7 guarantees at least C(7,5) K5s.
-  EXPECT_GE(count_cliques(g, 5), choose(7, 5));
+  EXPECT_GE(collect_cliques(g, 5).size(), choose(7, 5));
 }
 
 TEST(CliquesInEdgeSet, MatchesGraphEnumeration) {
+  enumkernel::enum_scratch ws;
   const auto g = gen::gnp(40, 0.3, 13);
   const auto direct = collect_cliques(g, 3);
-  const auto via_edges = cliques_in_edge_set(g.edges(), 3);
+  const auto via_edges = enumkernel::cliques_in_edge_set(g.edges(), 3, ws);
   EXPECT_EQ(direct, via_edges);
 }
 
 TEST(CliquesInEdgeSet, HandlesDuplicatesAndLoops) {
+  enumkernel::enum_scratch ws;
   edge_list edges{{0, 1}, {1, 0}, {1, 2}, {0, 2}, {2, 2}, {0, 1}};
-  const auto s = cliques_in_edge_set(edges, 3);
+  const auto s = enumkernel::cliques_in_edge_set(edges, 3, ws);
   EXPECT_EQ(s.size(), 1);
 }
 
 TEST(CliquesInEdgeSet, EmptyInput) {
-  EXPECT_EQ(cliques_in_edge_set({}, 4).size(), 0);
+  enumkernel::enum_scratch ws;
+  EXPECT_EQ(enumkernel::cliques_in_edge_set({}, 4, ws).size(), 0);
 }
 
 TEST(CliquesInEdgeSet, MatchesGraphEnumerationForAllArities) {
+  enumkernel::enum_scratch ws;
   const auto g = gen::gnp(32, 0.4, 17);
   for (int p = 3; p <= 7; ++p) {
-    EXPECT_TRUE(collect_cliques(g, p) == cliques_in_edge_set(g.edges(), p))
+    EXPECT_TRUE(collect_cliques(g, p) ==
+                enumkernel::cliques_in_edge_set(g.edges(), p, ws))
         << "p=" << p;
   }
 }
 
 TEST(CliquesInEdgeSet, SparseHugeIdsAreRemappedDensely) {
+  enumkernel::enum_scratch ws;
   // A K5 living on ids near 2^30: the kernel remaps endpoints densely, so
   // the id magnitude must be irrelevant (the pre-kernel path built a
   // throwaway parent graph with max_id vertices and would not survive
@@ -147,24 +158,27 @@ TEST(CliquesInEdgeSet, SparseHugeIdsAreRemappedDensely) {
   for (int i = 0; i < 5; ++i)
     for (int j = i + 1; j < 5; ++j) edges.push_back({ids[i], ids[j]});
   for (int p = 3; p <= 5; ++p) {
-    const auto s = cliques_in_edge_set(edges, p);
+    const auto s = enumkernel::cliques_in_edge_set(edges, p, ws);
     EXPECT_EQ(s.size(), choose(5, p)) << "p=" << p;
   }
   const vertex k5[5] = {ids[0], ids[1], ids[2], ids[3], ids[4]};
-  EXPECT_TRUE(
-      cliques_in_edge_set(edges, 5).contains(std::span<const vertex>(k5, 5)));
+  EXPECT_TRUE(enumkernel::cliques_in_edge_set(edges, 5, ws)
+                  .contains(std::span<const vertex>(k5, 5)));
 }
 
 TEST(CliquesInEdgeSet, ArityTwoReturnsDedupedEdges) {
+  enumkernel::enum_scratch ws;
   edge_list edges{{4, 1}, {1, 4}, {2, 2}, {1, 2}};
-  const auto s = cliques_in_edge_set(edges, 2);
+  const auto s = enumkernel::cliques_in_edge_set(edges, 2, ws);
   EXPECT_EQ(s.size(), 2);
 }
 
 TEST(KCliques, ArityAboveKernelLimitIsRejectedAtEntry) {
   const auto g = gen::complete(5);
-  EXPECT_THROW(count_cliques(g, 33), precondition_error);
-  EXPECT_THROW(cliques_in_edge_set(g.edges(), 33), precondition_error);
+  enumkernel::enum_scratch ws;
+  EXPECT_THROW(collect_cliques(g, 33), precondition_error);
+  EXPECT_THROW(enumkernel::cliques_in_edge_set(g.edges(), 33, ws),
+               precondition_error);
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ clique_set kernel_collect(const graph& g, int p,
                           enumkernel::exec_config exec = {}) {
   clique_set out(p);
   enumkernel::enumerate_cliques(
-      g, p, ws, [&](std::span<const vertex> c) { out.add_flat(c, true); },
+      g, p, ws, [&](std::span<const vertex> c) { out.add_flat(c); },
       policy, exec);
   out.normalize();
   return out;
@@ -182,6 +182,50 @@ TEST(EnumKernel, DifferentialSweepSimdTiers) {
       }
     }
   }
+}
+
+TEST(EnumKernel, SimdTiersOnWideBitmapRows) {
+  // The vector tier takes the bitmap ANDs only on rows of at least
+  // kBitmapVectorMinWords words, which the small graphs above never reach.
+  // Here arc u -> v roots a 200-member egonet (4-word rows): u and v are
+  // adjacent to all of W, W is the cube of a path (K4s, no K5), and
+  // kW pendant vertices on each member of W lift its degree above u's and
+  // v's, so the degree orientation ranks the pendants, then u and v, then
+  // W. Pendants lie in no triangle, so the clique sets stay small.
+  constexpr vertex kW = 200;
+  const vertex u = 0, v = 1, w0 = 2;
+  vertex n = w0 + kW;
+  edge_list edges{{u, v}};
+  for (vertex i = 0; i < kW; ++i) {
+    edges.push_back({u, w0 + i});
+    edges.push_back({v, w0 + i});
+    for (vertex d = 1; d <= 3 && i + d < kW; ++d)
+      edges.push_back({w0 + i, w0 + i + d});
+    for (vertex j = 0; j < kW; ++j) edges.push_back({w0 + i, n++});
+  }
+  const graph g(n, edges);
+  constexpr auto kDegree = enumkernel::orientation_policy::degree;
+  enumkernel::enum_scratch ws;
+  for (int p = 3; p <= 6; ++p) {
+    const auto want = kernel_collect(
+        g, p, ws, kDegree,
+        exec_for(enumkernel::kernel_mode::scalar, simd_mode::scalar));
+    for (const auto mode : kAllModes)
+      for (const auto simd : kAllSimd) {
+        EXPECT_TRUE(kernel_collect(g, p, ws, kDegree, exec_for(mode, simd)) ==
+                    want)
+            << "p=" << p << " mode=" << int(mode)
+            << " simd=" << simd::simd_mode_name(simd);
+        EXPECT_EQ(enumkernel::count_cliques(g, p, ws, kDegree,
+                                            exec_for(mode, simd)),
+                  want.size())
+            << "p=" << p << " mode=" << int(mode)
+            << " simd=" << simd::simd_mode_name(simd);
+      }
+  }
+  // The forced-bitmap runs above really built 4-word rows for W.
+  EXPECT_GE(ws.bit_rows.capacity(),
+            std::size_t(kW) * std::size_t(enumkernel::kBitmapVectorMinWords));
 }
 
 TEST(EnumKernel, EdgeSetSimdTiersAgree) {
@@ -331,7 +375,7 @@ TEST(EnumKernel, ArcEnumeratorRangesCompose) {
   clique_set whole(4);
   const std::int64_t listed = en.list_range(
       0, d.num_arcs(),
-      [&](std::span<const vertex> c) { whole.add_flat(c, true); });
+      [&](std::span<const vertex> c) { whole.add_flat(c); });
   whole.normalize();
   EXPECT_EQ(listed, whole.size());  // kernel never duplicates
 
@@ -339,7 +383,7 @@ TEST(EnumKernel, ArcEnumeratorRangesCompose) {
   std::int64_t counted = 0;
   for (std::int64_t arc = 0; arc < d.num_arcs(); ++arc) {
     en.list_arc(arc, [&](std::span<const vertex> c) {
-      stitched.add_flat(c, true);
+      stitched.add_flat(c);
     });
     counted += en.count_arc(arc);
   }

@@ -158,6 +158,66 @@ TEST(KpListing, DeterministicTranscript) {
   EXPECT_EQ(a.report.ledger.messages(), b.report.ledger.messages());
 }
 
+// Absolute emission accounting: report.emitted counts every tuple a lister
+// handed in, report.duplicates the redundant ones. Literal values, so a
+// change to how the driver or the session feeds or finishes the collector
+// cannot move both sides of a session-vs-direct comparison at once. Every
+// (graph, p, lb) cell must read the same at 1 and 4 threads and in collect
+// and count mode.
+TEST(KpListing, EmittedAndDuplicatesPinned) {
+  struct cell {
+    int p;
+    lb_engine lb;
+    std::int64_t count, emitted, duplicates;
+  };
+  constexpr auto det = lb_engine::deterministic;
+  constexpr auto rnd = lb_engine::randomized;
+  const struct {
+    graph g;
+    std::vector<cell> cells;
+  } cases[] = {
+      {gen::gnp(100, 0.15, 5),
+       {{3, det, 537, 1918, 1381}, {3, rnd, 537, 2614, 2077},
+        {4, det, 30, 35, 5},       {4, rnd, 30, 35, 5},
+        {5, det, 0, 0, 0},         {5, rnd, 0, 0, 0},
+        {6, det, 0, 0, 0},         {6, rnd, 0, 0, 0}}},
+      {gen::planted_partition(6, 20, 0.3, 0.005, 5),
+       {{3, det, 137, 452, 315}, {3, rnd, 137, 554, 417},
+        {4, det, 11, 11, 0},     {4, rnd, 11, 11, 0},
+        {5, det, 0, 0, 0},       {5, rnd, 0, 0, 0},
+        {6, det, 0, 0, 0},       {6, rnd, 0, 0, 0}}},
+      // Dense enough for K5/K6, and its p = 5 run has duplicates.
+      {gen::gnp(60, 0.4, 5),
+       {{3, det, 2226, 2226, 0},   {3, rnd, 2226, 10049, 7823},
+        {4, det, 1977, 1977, 0},   {4, rnd, 1977, 1977, 0},
+        {5, det, 489, 1790, 1301}, {5, rnd, 489, 1790, 1301},
+        {6, det, 29, 29, 0},       {6, rnd, 29, 29, 0}}},
+  };
+  for (const auto& c : cases)
+    for (const int threads : {1, 4}) {
+      listing_session s(c.g, {.engine = listing_engine::congest_sim,
+                              .threads = threads});
+      for (const cell& want : c.cells)
+        for (const sink_mode mode : {sink_mode::collect, sink_mode::count}) {
+          listing_query q;
+          q.p = want.p;
+          q.lb = want.lb;
+          q.seed = 7;
+          q.mode = mode;
+          const auto r = s.run(q);
+          const std::string where =
+              "n=" + std::to_string(c.g.num_vertices()) +
+              " p=" + std::to_string(want.p) +
+              " lb=" + std::to_string(int(want.lb)) +
+              " threads=" + std::to_string(threads) +
+              " mode=" + std::to_string(int(mode));
+          EXPECT_EQ(r.count, want.count) << where;
+          EXPECT_EQ(r.report.emitted, want.emitted) << where;
+          EXPECT_EQ(r.report.duplicates, want.duplicates) << where;
+        }
+    }
+}
+
 TEST(ApiFacade, RoutesByP) {
   const auto g = gen::gnp(60, 0.2, 43);
   listing_session session(g);

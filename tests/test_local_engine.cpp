@@ -76,7 +76,11 @@ clique_set list_local(
   const auto d = enumkernel::orient(g, policy);
   local::thread_pool pool(threads);
   runtime::query_scratch scratch;
-  return local::list_cliques_parallel(d, p, pool, scratch, grain, stats);
+  clique_collector out(p);
+  local::list_cliques_parallel(d, p, pool, scratch, grain, out, stats);
+  clique_set got = out.finalize();
+  EXPECT_EQ(out.duplicates(), 0) << "kClist emits every clique once";
+  return got;
 }
 
 std::int64_t count_local(const graph& g, int p) {
@@ -112,7 +116,7 @@ TEST(LocalEngine, MatchesSequentialOnKneser) {
   const auto g = gen::kneser(9, 3);
   for (int p = 3; p <= 5; ++p)
     expect_matches_sequential(g, p);
-  EXPECT_GT(count_cliques(g, 3), 0);
+  EXPECT_GT(collect_cliques(g, 3).size(), 0);
   EXPECT_EQ(count_local(g, 4), 0);
 }
 
@@ -252,8 +256,10 @@ TEST(LocalEngine, RootSplitsPartitionCountAndList) {
           std::int64_t arcs = 0;
           for (const vertex u : roots) arcs += d.out_degree(u);
           EXPECT_EQ(st.roots, arcs);
-          const auto run = local::list_cliques_parallel(
-              d, p, pool, scratch, /*grain=*/8, nullptr, {}, roots);
+          clique_collector rooted(p);
+          local::list_cliques_parallel(d, p, pool, scratch, /*grain=*/8,
+                                       rooted, nullptr, {}, roots);
+          const auto run = rooted.finalize();
           for (std::int64_t i = 0; i < run.size(); ++i) {
             const vertex lowest = *std::min_element(
                 run[i].begin(), run[i].end(), [&](vertex a, vertex b) {
@@ -261,7 +267,7 @@ TEST(LocalEngine, RootSplitsPartitionCountAndList) {
                 });
             EXPECT_EQ(part_of[std::size_t(lowest)], part);
           }
-          listed.add_flat(run.flat_view(), /*tuples_presorted=*/true);
+          listed.add_flat(run.flat_view());
         }
         EXPECT_EQ(counted, want.size())
             << "p=" << p << " threads=" << threads << " parts=" << parts;

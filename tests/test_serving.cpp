@@ -129,7 +129,7 @@ TEST(ServingSession, StreamQueriesBypassTheQueue) {
   q.mode = sink_mode::stream;
   clique_set streamed(3);
   const auto res = server.query(q, [&](std::span<const vertex> b) {
-    streamed.add_flat(b, /*tuples_presorted=*/true);
+    streamed.add_flat(b);
   });
   EXPECT_TRUE(streamed == want.cliques);
   EXPECT_EQ(res.count, want.cliques.size());

@@ -63,19 +63,17 @@ query_result direct_run(const graph& g, const listing_query& q,
   runtime::thread_pool pool(threads);
   runtime::query_scratch scratch;
   query_result res{clique_set(q.p), 0, {}};
+  clique_collector out(q.p);
   if (engine == listing_engine::local_kclist) {
     const auto dag =
         enumkernel::orient(g, enumkernel::orientation_policy::degeneracy);
-    res.cliques =
-        local::list_cliques_parallel(dag, q.p, pool, scratch, /*grain=*/128);
-    res.report.emitted = res.cliques.size();
+    local::list_cliques_parallel(dag, q.p, pool, scratch, /*grain=*/128, out);
   } else {
-    clique_collector out(q.p);
     res.report = list_cliques_congest(g, q, pool, scratch, out);
-    res.cliques = out.finalize();
-    res.report.emitted = out.emitted();
-    res.report.duplicates = out.duplicates();
   }
+  res.cliques = out.finalize();
+  res.report.emitted = out.emitted();
+  res.report.duplicates = out.duplicates();
   res.count = res.cliques.size();
   return res;
 }
@@ -88,7 +86,7 @@ clique_set restream(listing_session& s, listing_query q) {
     EXPECT_EQ(batch.size() % std::size_t(q.p), 0u);
     EXPECT_LE(batch.size(),
               std::size_t(q.p) * std::size_t(q.stream_batch_tuples));
-    got.add_flat(batch, /*tuples_presorted=*/true);
+    got.add_flat(batch);
   });
   return got;  // already canonical: streams arrive in merge order
 }
@@ -198,7 +196,7 @@ TEST(ListingSession, StreamBatchingIsPresentationOnly) {
     std::int64_t calls = 0;
     const auto res = s.run(q, [&](std::span<const vertex> b) {
       ++calls;
-      got.add_flat(b, /*tuples_presorted=*/true);
+      got.add_flat(b);
     });
     EXPECT_TRUE(got == want) << "batch=" << batch;
     EXPECT_EQ(res.count, want.size());
@@ -448,7 +446,7 @@ void hammer_session(listing_engine engine, bool trace, int p,
         }
         clique_set streamed(p);
         s.run(qs, [&](std::span<const vertex> batch) {
-          streamed.add_flat(batch, /*tuples_presorted=*/true);
+          streamed.add_flat(batch);
         });
         if (!(streamed == want.cliques)) {
           err = "stream payload diverged";

@@ -177,7 +177,7 @@ TEST(ShardPartition, RootedShardsPartitionTheSoloSet) {
               const shard::shard_result l = worker->serve(2, q);
               EXPECT_EQ(l.emitted, c.emitted);
               listed_total += l.emitted;
-              listed.add_flat(l.raw_tuples, /*tuples_presorted=*/true);
+              listed.add_flat(l.raw_tuples);
             }
             const std::string cell =
                 "scheme=" + std::string(shard::partition_scheme_name(scheme)) +
@@ -824,7 +824,7 @@ TEST(ShardDifferential, CountAndStreamModesMatchSolo) {
       coord.run(qs, [&](std::span<const vertex> batch) {
         EXPECT_EQ(batch.size() % std::size_t(q.p), 0u);
         EXPECT_LE(batch.size(), std::size_t(q.p) * 7);
-        restreamed.add_flat(batch, /*tuples_presorted=*/true);
+        restreamed.add_flat(batch);
       });
   EXPECT_EQ(streamed.count, want.count);
   EXPECT_EQ(restreamed, want.cliques);
@@ -869,7 +869,7 @@ TEST(ShardDifferential, LocalCountIsOneCountPerShardAndStreamMatchesSolo) {
     const query_result streamed =
         coord.run(qs, [&](std::span<const vertex> batch) {
           EXPECT_LE(batch.size(), std::size_t(p) * 5);
-          restreamed.add_flat(batch, /*tuples_presorted=*/true);
+          restreamed.add_flat(batch);
         });
     EXPECT_EQ(streamed.count, want.count);
     EXPECT_EQ(restreamed, want.cliques);
