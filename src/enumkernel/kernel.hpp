@@ -86,17 +86,6 @@ inline constexpr std::int32_t kBitmapMaxVertices = 4096;  ///< row-memory cap
 inline constexpr std::int64_t kBitmapDensityDivisor = 8;
 inline constexpr std::int32_t kBitmapMinDepth = 3;        ///< p >= 5
 
-/// Narrowest bitmap row, in 64-bit words, on which the bitmap path hands
-/// its word ANDs (descent and listing base) to the vector tier: one AVX2
-/// register. Below it `and_words_into` runs no vector step, so the call
-/// costs more than the inline loop (edges_gnp_p5, a listing case with
-/// 1-word egonets, read vector_speedup 0.93–1.01). The counting base keeps
-/// `bitmap_base_count` at every width: its narrow path is hardware popcnt,
-/// which the generic scalar build lacks (gnp_wide_p5's 2-word rows count
-/// ~1.5x faster on it). Both tiers compute the same ANDs, so the output is
-/// bit-identical either way.
-inline constexpr std::int32_t kBitmapVectorMinWords = 4;
-
 /// The auto_select heuristic: use bitmaps for an egonet of `n` members and
 /// `arcs` within-egonet DAG arcs, descended `depth` = p - 2 levels, when
 /// the egonet is dense enough that word-parallel steps beat
@@ -132,7 +121,6 @@ struct enum_scratch {
   std::vector<std::uint64_t> bit_masks;  ///< (top+1) × ⌈n/64⌉ live masks
   std::vector<std::int32_t> bit_word;    ///< per-level cursor: word index
   std::vector<std::uint64_t> bit_rem;    ///< per-level cursor: unread bits
-  std::vector<std::uint64_t> bit_tmp;    ///< vector-tier base-level AND out
 
   // Edge-list entry: canonicalized edges, dense remap, local CSR.
   edge_list canon;                     ///< deduped edges, local ids
@@ -149,8 +137,8 @@ class arc_enumerator {
  public:
   /// p in [3, kMaxCliqueArity]; `d` and `ws` must outlive the binding.
   /// `exec.kernel` picks the level-descent strategy (auto_select decides
-  /// per egonet); `exec.ops` is the vector backend for the bitmap loops
-  /// (the scalar tier keeps the fully inlined word loops, so forcing
+  /// per egonet); `exec.ops` is the vector backend for the bitmap counting
+  /// base (the scalar tier keeps the fully inlined word loops, so forcing
   /// scalar runs no indirect call at all). Results are identical for every
   /// config.
   arc_enumerator(const dag& d, int p, enum_scratch& ws, exec_config exec = {})
@@ -370,8 +358,6 @@ class arc_enumerator {
     egonet& ego = ws_.ego;
     const std::int32_t n = ego.n;
     const std::int32_t words = (n + 63) >> 6;
-    const simd::simd_ops* const vec_and =
-        words >= kBitmapVectorMinWords ? vec_ : nullptr;
 
     // Rows, rebuilt per egonet from the CSR: clear + scatter.
     auto& rows = ws_.bit_rows;
@@ -408,30 +394,12 @@ class arc_enumerator {
         // closes one clique with the roots and the DFS prefix. The vector
         // tier runs the whole counting sweep as one coarse backend call
         // (per-word dispatch would drown 1-2-word egonets in call
-        // overhead); listing ANDs each row into bit_tmp and bit-scans it
-        // — the same word-ascending order as the inline loops, so the
-        // emission sequence is tier-invariant.
+        // overhead). Listing, and every descent AND below, stays on the
+        // inline word loops on all tiers: most egonets are 1-2 words wide,
+        // where a per-row vector call costs more than the loop it
+        // replaces (edges_gnp_p5 read vector_speedup 0.93-1.01 with it).
         if (vec_ != nullptr && CountOnly) {
           total += vec_->bitmap_base_count(rows.data(), words, mask_l);
-        } else if (vec_and != nullptr) {
-          if (std::int32_t(ws_.bit_tmp.size()) < words)
-            ws_.bit_tmp.resize(size_t(words));
-          std::uint64_t* tmp = ws_.bit_tmp.data();
-          for (std::int32_t wi = 0; wi < words; ++wi) {
-            std::uint64_t bits = mask_l[wi];
-            while (bits != 0) {
-              const std::int32_t a = (wi << 6) + std::countr_zero(bits);
-              bits &= bits - 1;
-              const std::uint64_t* row =
-                  rows.data() + size_t(a) * size_t(words);
-              vec_and->and_words_into(tmp, row, mask_l, words);
-              simd::iterate_set_bits(tmp, words, [&](std::int32_t w) {
-                ++total;
-                const std::int32_t extra[2] = {a, w};
-                emit(extra, 2);
-              });
-            }
-          }
         } else {
           for (std::int32_t wi = 0; wi < words; ++wi) {
             std::uint64_t bits = mask_l[wi];
@@ -472,14 +440,9 @@ class arc_enumerator {
               rows.data() + size_t(a) * size_t(words);
           std::uint64_t* child =
               masks.data() + size_t(l - 1) * size_t(words);
-          std::uint64_t any;
-          if (vec_and != nullptr) {
-            any = vec_and->and_words_into(child, mask_l, row, words);
-          } else {
-            any = 0;
-            for (std::int32_t wj = 0; wj < words; ++wj)
-              any |= (child[wj] = mask_l[wj] & row[wj]);
-          }
+          std::uint64_t any = 0;
+          for (std::int32_t wj = 0; wj < words; ++wj)
+            any |= (child[wj] = mask_l[wj] & row[wj]);
           if (any == 0) continue;
           ws_.prefix.push_back(a);
           --l;

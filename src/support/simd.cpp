@@ -12,14 +12,6 @@ namespace dcl::simd {
 
 namespace {
 
-std::uint64_t scalar_and_words_into(std::uint64_t* dst,
-                                    const std::uint64_t* a,
-                                    const std::uint64_t* b, std::int32_t n) {
-  std::uint64_t any = 0;
-  for (std::int32_t i = 0; i < n; ++i) any |= (dst[i] = a[i] & b[i]);
-  return any;
-}
-
 std::int64_t scalar_popcount_words(const std::uint64_t* w, std::int32_t n) {
   std::int64_t total = 0;
   for (std::int32_t i = 0; i < n; ++i) total += std::popcount(w[i]);
@@ -87,10 +79,10 @@ std::int64_t scalar_intersect_into(const std::int32_t* a, std::int64_t na,
 }
 
 constexpr simd_ops kScalarOps = {
-    simd_mode::scalar,        "scalar",
-    scalar_and_words_into,    scalar_popcount_words,
-    scalar_and_popcount_words, scalar_bitmap_base_count,
-    scalar_intersect_size,    scalar_intersect_into,
+    simd_mode::scalar,         "scalar",
+    scalar_popcount_words,     scalar_and_popcount_words,
+    scalar_bitmap_base_count,  scalar_intersect_size,
+    scalar_intersect_into,
 };
 
 }  // namespace

@@ -48,12 +48,6 @@ struct simd_ops {
   simd_mode tier;    ///< the tier this table implements (never auto_select)
   const char* name;  ///< "scalar" / "avx2"
 
-  /// dst[i] = a[i] & b[i] for i in [0, n). Returns a value that is nonzero
-  /// iff any dst word is nonzero (backends may return the OR of all words
-  /// or any other nonzero witness — callers test emptiness only).
-  std::uint64_t (*and_words_into)(std::uint64_t* dst, const std::uint64_t* a,
-                                  const std::uint64_t* b, std::int32_t n);
-
   /// Σ popcount(w[i]).
   std::int64_t (*popcount_words)(const std::uint64_t* w, std::int32_t n);
 
@@ -129,23 +123,6 @@ const simd_ops* detected_ops();
 
 /// Knob spelling for logs / bench JSON.
 const char* simd_mode_name(simd_mode mode);
-
-/// Calls fn(bit_index) for every set bit of words[0..n), ascending — the
-/// shared bit-scan idiom of the bitmap kernel's listing paths. Inline
-/// template (not in the table): the callback must inline into the scan,
-/// and the scan order is part of the determinism contract, so there is
-/// exactly one implementation for every tier.
-template <typename Fn>
-inline void iterate_set_bits(const std::uint64_t* words, std::int32_t n,
-                             Fn&& fn) {
-  for (std::int32_t wi = 0; wi < n; ++wi) {
-    std::uint64_t bits = words[wi];
-    while (bits != 0) {
-      fn((wi << 6) + std::countr_zero(bits));
-      bits &= bits - 1;
-    }
-  }
-}
 
 /// Minimum shorter-range length before the intersection routines hand a
 /// merge walk to the vector backend: below this the block setup costs more

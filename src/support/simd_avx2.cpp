@@ -21,24 +21,8 @@ using i32 = std::int32_t;
 // ------------------------------------------------------------- bit words
 //
 // All word primitives are exact lane-wise integer ops; the only
-// "reductions" are OR (emptiness witness) and ADD of disjoint lane
-// subtotals, both order-independent on integers — the determinism
-// argument of DESIGN.md §13.
-
-u64 avx2_and_words_into(u64* dst, const u64* a, const u64* b, i32 n) {
-  i32 i = 0;
-  __m256i acc = _mm256_setzero_si256();
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
-    acc = _mm256_or_si256(acc, v);
-  }
-  u64 any = _mm256_testz_si256(acc, acc) ? 0 : 1;
-  for (; i < n; ++i) any |= (dst[i] = a[i] & b[i]);
-  return any;
-}
+// "reductions" are ADDs of disjoint lane subtotals, order-independent on
+// integers — the determinism argument of DESIGN.md §13.
 
 /// Mula's vpshufb nibble-LUT popcount for one 256-bit lane group,
 /// accumulated as per-byte counts (safe for one vector: max 8 per byte).
@@ -224,9 +208,9 @@ i64 avx2_intersect_into(const i32* a, i64 na, const i32* b, i64 nb,
 
 constexpr simd_ops kAvx2Ops = {
     simd_mode::avx2,          "avx2",
-    avx2_and_words_into,      avx2_popcount_words,
-    avx2_and_popcount_words,  avx2_bitmap_base_count,
-    avx2_intersect_size,      avx2_intersect_into,
+    avx2_popcount_words,      avx2_and_popcount_words,
+    avx2_bitmap_base_count,   avx2_intersect_size,
+    avx2_intersect_into,
 };
 
 }  // namespace

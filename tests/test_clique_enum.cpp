@@ -46,11 +46,14 @@ TEST(CliqueSet, TuplesComeOutSorted) {
 }
 
 TEST(Triangles, CompleteGraphCount) {
-  EXPECT_EQ(collect_cliques(gen::complete(8), 3).size(), choose(8, 3));
+  enumkernel::enum_scratch ws;
+  EXPECT_EQ(enumkernel::count_cliques(gen::complete(8), 3, ws), choose(8, 3));
 }
 
 TEST(Triangles, BipartiteHasNone) {
-  EXPECT_EQ(collect_cliques(gen::complete_bipartite(5, 7), 3).size(), 0);
+  enumkernel::enum_scratch ws;
+  EXPECT_EQ(enumkernel::count_cliques(gen::complete_bipartite(5, 7), 3, ws),
+            0);
 }
 
 TEST(Triangles, KnownSmallGraph) {
@@ -78,14 +81,16 @@ TEST(Triangles, EachEmittedOnceAscending) {
 }
 
 TEST(KCliques, CompleteGraphCounts) {
+  enumkernel::enum_scratch ws;
   for (int p = 2; p <= 6; ++p)
-    EXPECT_EQ(collect_cliques(gen::complete(9), p).size(), choose(9, p))
+    EXPECT_EQ(enumkernel::count_cliques(gen::complete(9), p, ws), choose(9, p))
         << "p=" << p;
 }
 
 TEST(KCliques, RingOfCliquesK4) {
   // Each K5 block contributes C(5,4) K4s; bridges add none.
-  EXPECT_EQ(collect_cliques(gen::ring_of_cliques(3, 5), 4).size(),
+  enumkernel::enum_scratch ws;
+  EXPECT_EQ(enumkernel::count_cliques(gen::ring_of_cliques(3, 5), 4, ws),
             3 * choose(5, 4));
 }
 
@@ -112,7 +117,8 @@ TEST(KCliques, ValidatesAllEdgesPresent) {
 TEST(KCliques, K5InPlantedClique) {
   const auto g = gen::planted_cliques(80, 0.01, 1, 7, 99);
   // A planted K7 guarantees at least C(7,5) K5s.
-  EXPECT_GE(collect_cliques(g, 5).size(), choose(7, 5));
+  enumkernel::enum_scratch ws;
+  EXPECT_GE(enumkernel::count_cliques(g, 5, ws), choose(7, 5));
 }
 
 TEST(CliquesInEdgeSet, MatchesGraphEnumeration) {
@@ -176,6 +182,7 @@ TEST(CliquesInEdgeSet, ArityTwoReturnsDedupedEdges) {
 TEST(KCliques, ArityAboveKernelLimitIsRejectedAtEntry) {
   const auto g = gen::complete(5);
   enumkernel::enum_scratch ws;
+  EXPECT_THROW(enumkernel::count_cliques(g, 33, ws), precondition_error);
   EXPECT_THROW(collect_cliques(g, 33), precondition_error);
   EXPECT_THROW(enumkernel::cliques_in_edge_set(g.edges(), 33, ws),
                precondition_error);

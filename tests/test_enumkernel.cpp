@@ -185,9 +185,9 @@ TEST(EnumKernel, DifferentialSweepSimdTiers) {
 }
 
 TEST(EnumKernel, SimdTiersOnWideBitmapRows) {
-  // The vector tier takes the bitmap ANDs only on rows of at least
-  // kBitmapVectorMinWords words, which the small graphs above never reach.
-  // Here arc u -> v roots a 200-member egonet (4-word rows): u and v are
+  // The vector tier's bitmap counting base runs its lane path only on rows
+  // of at least 4 words, which the small graphs above never reach. Here
+  // arc u -> v roots a 200-member egonet (4-word rows): u and v are
   // adjacent to all of W, W is the cube of a path (K4s, no K5), and
   // kW pendant vertices on each member of W lift its degree above u's and
   // v's, so the degree orientation ranks the pendants, then u and v, then
@@ -224,8 +224,7 @@ TEST(EnumKernel, SimdTiersOnWideBitmapRows) {
       }
   }
   // The forced-bitmap runs above really built 4-word rows for W.
-  EXPECT_GE(ws.bit_rows.capacity(),
-            std::size_t(kW) * std::size_t(enumkernel::kBitmapVectorMinWords));
+  EXPECT_GE(ws.bit_rows.capacity(), std::size_t(kW) * 4);
 }
 
 TEST(EnumKernel, EdgeSetSimdTiersAgree) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/api/session.hpp"
+#include "enumkernel/kernel.hpp"
 #include "enumkernel/orient.hpp"
 #include "graph/clique_enum.hpp"
 #include "graph/generators.hpp"
@@ -116,7 +117,8 @@ TEST(LocalEngine, MatchesSequentialOnKneser) {
   const auto g = gen::kneser(9, 3);
   for (int p = 3; p <= 5; ++p)
     expect_matches_sequential(g, p);
-  EXPECT_GT(collect_cliques(g, 3).size(), 0);
+  enumkernel::enum_scratch ws;
+  EXPECT_GT(enumkernel::count_cliques(g, 3, ws), 0);
   EXPECT_EQ(count_local(g, 4), 0);
 }
 

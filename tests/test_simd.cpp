@@ -32,39 +32,13 @@ std::vector<const simd_ops*> runnable_tables() {
 std::vector<std::uint64_t> random_words(std::size_t n, prng& rng,
                                         int density_shift) {
   // density_shift ANDs several draws together, thinning the bit density so
-  // the tests cover near-empty words (tail/witness paths) as well as dense.
+  // the tests cover near-empty words (tail paths) as well as dense.
   std::vector<std::uint64_t> w(n);
   for (auto& x : w) {
     x = rng.next();
     for (int s = 0; s < density_shift; ++s) x &= rng.next();
   }
   return w;
-}
-
-TEST(Simd, AndWordsIntoMatchesNaive) {
-  prng rng(2024);
-  for (const simd_ops* ops : runnable_tables()) {
-    SCOPED_TRACE(ops->name);
-    for (const int density : {0, 2, 6}) {
-      // Lengths straddle every vector boundary: sub-lane, exact multiples
-      // of the 4-word AVX2 lane, and off-by-one tails on both sides.
-      for (const std::int32_t n :
-           {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 70}) {
-        const auto a = random_words(std::size_t(n), rng, density);
-        const auto b = random_words(std::size_t(n), rng, density);
-        std::vector<std::uint64_t> dst(std::size_t(n) + 1, 0xABABABABull);
-        const std::uint64_t witness =
-            ops->and_words_into(dst.data(), a.data(), b.data(), n);
-        bool any = false;
-        for (std::int32_t i = 0; i < n; ++i) {
-          EXPECT_EQ(dst[std::size_t(i)], a[std::size_t(i)] & b[std::size_t(i)]);
-          any |= (a[std::size_t(i)] & b[std::size_t(i)]) != 0;
-        }
-        EXPECT_EQ(witness != 0, any) << "witness contract, n=" << n;
-        EXPECT_EQ(dst[std::size_t(n)], 0xABABABABull) << "wrote past n";
-      }
-    }
-  }
 }
 
 TEST(Simd, PopcountWordsMatchesNaive) {
@@ -299,19 +273,6 @@ TEST(Simd, OpsForNeverReturnsAnUnrunnableTable) {
   EXPECT_EQ(simd::ops_for(simd_mode::auto_select)->tier,
             simd::detected_mode());
   EXPECT_EQ(simd::detected_ops(), simd::ops_for(simd_mode::auto_select));
-}
-
-TEST(Simd, IterateSetBitsAscendingOrder) {
-  const std::uint64_t words[3] = {(1ull << 0) | (1ull << 5) | (1ull << 63),
-                                  0,
-                                  (1ull << 1) | (1ull << 62)};
-  std::vector<std::int32_t> seen;
-  simd::iterate_set_bits(words, 3, [&](std::int32_t b) { seen.push_back(b); });
-  const std::vector<std::int32_t> want = {0, 5, 63, 129, 190};
-  EXPECT_EQ(seen, want);
-  seen.clear();
-  simd::iterate_set_bits(words, 0, [&](std::int32_t b) { seen.push_back(b); });
-  EXPECT_TRUE(seen.empty());
 }
 
 TEST(Simd, ModeNames) {
