@@ -57,6 +57,41 @@ using namespace dcl;
 
 // ---- verbatim pre-kernel implementation (graph/clique_enum.cpp @ PR 2).
 
+/// Calls cb(u, v, w) with u < v < w for every triangle. Forward algorithm on
+/// sorted adjacency — O(m^{3/2}).
+void for_each_triangle(const graph& g,
+                       const std::function<void(vertex, vertex, vertex)>& cb) {
+  for (vertex u = 0; u < g.num_vertices(); ++u) {
+    const auto nu = g.neighbors(u);
+    // Suffix of neighbors greater than u.
+    const auto first_gt =
+        std::upper_bound(nu.begin(), nu.end(), u) - nu.begin();
+    const auto fwd_u = nu.subspan(static_cast<std::size_t>(first_gt));
+    for (vertex v : fwd_u) {
+      const auto nv = g.neighbors(v);
+      const auto first_gt_v =
+          std::upper_bound(nv.begin(), nv.end(), v) - nv.begin();
+      const auto fwd_v = nv.subspan(static_cast<std::size_t>(first_gt_v));
+      // w > v, w adjacent to both u and v.
+      std::size_t i = 0, j = 0;
+      const auto fu =
+          fwd_u.subspan(size_t(std::upper_bound(fwd_u.begin(), fwd_u.end(), v) -
+                               fwd_u.begin()));
+      while (i < fu.size() && j < fwd_v.size()) {
+        if (fu[i] < fwd_v[j]) {
+          ++i;
+        } else if (fu[i] > fwd_v[j]) {
+          ++j;
+        } else {
+          cb(u, v, fu[i]);
+          ++i;
+          ++j;
+        }
+      }
+    }
+  }
+}
+
 void clique_dfs(const graph& g, int p, std::vector<vertex>& current,
                 std::vector<vertex>& candidates,
                 const std::function<void(std::span<const vertex>)>& cb) {
@@ -84,7 +119,7 @@ void clique_dfs(const graph& g, int p, std::vector<vertex>& current,
 void for_each_clique(const graph& g, int p,
                      const std::function<void(std::span<const vertex>)>& cb) {
   if (p == 3) {  // the old code special-cased triangles (forward algorithm)
-    dcl::for_each_triangle(g, [&](vertex u, vertex v, vertex w) {
+    legacy::for_each_triangle(g, [&](vertex u, vertex v, vertex w) {
       const vertex t[3] = {u, v, w};
       cb(std::span<const vertex>(t, 3));
     });
@@ -284,7 +319,6 @@ int main(int argc, char** argv) {
   constexpr enumkernel::kernel_mode kBitmap = enumkernel::kernel_mode::bitmap;
   constexpr enumkernel::kernel_mode kAuto =
       enumkernel::kernel_mode::auto_select;
-  constexpr auto kPolicy = enumkernel::orientation_policy::degeneracy;
 
   // The vector tier this machine runs under auto_select. On a machine with
   // no vector ISA this is simd_mode::scalar, so the bitmap_vector column
@@ -316,14 +350,13 @@ int main(int argc, char** argv) {
                               int p, bool with_legacy) {
     const std::int64_t want =
         with_legacy ? legacy::count_cliques(g, p)
-                    : enumkernel::count_cliques(g, p, ws, kPolicy,
-                                                kScalarConfig);
+                    : enumkernel::count_cliques(g, p, ws, kScalarConfig);
     for (const auto& c : kConfigs)
-      if (enumkernel::count_cliques(g, p, ws, kPolicy, c) != want)
+      if (enumkernel::count_cliques(g, p, ws, c) != want)
         std::abort();  // differential cross-check, every configuration
     const auto kernel_run = [&](config c) {
       return std::function<void()>([&, c] {
-        (void)enumkernel::count_cliques(g, p, ws, kPolicy, c);
+        (void)enumkernel::count_cliques(g, p, ws, c);
       });
     };
     std::vector<std::function<void()>> variants;

@@ -54,17 +54,6 @@ std::string cluster_comm::phase(std::string_view sub) const {
   return out;
 }
 
-void cluster_comm::route(message_batch& io, std::string_view sub) {
-  last_stats_ = router_->route(io);
-  const std::string ph = phase(sub);
-  net_->ledger().charge(ph, last_stats_.rounds, last_stats_.messages);
-  // The delivered batch is the routed multiset reordered, so its endpoint
-  // shape equals the input's — record after routing, from the delivery.
-  if (auto* rec = net_->recorder())
-    rec->record_route(ph, io.span(), size(), last_stats_,
-                      router_->tree_depth());
-}
-
 route_stats cluster_comm::route_discard(message_batch& io,
                                         std::string_view sub) {
   trace_batch_shape shape;

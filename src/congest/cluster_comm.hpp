@@ -35,16 +35,11 @@ class cluster_comm {
   vertex to_local(vertex parent) const;
   std::span<const vertex> parent_vertices() const { return to_parent_; }
 
-  /// Multi-hop routed batch (local ids), in place: `io` is replaced by the
-  /// delivered messages in deterministic receiver order. Simulated; charges
-  /// measured rounds.
-  void route(message_batch& io, std::string_view sub);
-
-  /// Accounting-only routed batch: routes and charges like route(), but
-  /// never materializes the delivered messages, and clears `io` in place
-  /// with its capacity kept. The fast path for senders that model receipt
-  /// analytically — combined with a transport outbox it makes repeated
-  /// exchanges allocation-free.
+  /// Multi-hop routed batch (local ids), accounting only: simulated and
+  /// charged at its measured rounds, but the delivered messages are never
+  /// materialized — `io` comes back cleared with its capacity kept. Every
+  /// cluster sender models receipt analytically; combined with a transport
+  /// outbox this makes repeated exchanges allocation-free.
   route_stats route_discard(message_batch& io, std::string_view sub);
 
   /// Staging batch from the shared transport (capacity-warm across

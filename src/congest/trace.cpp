@@ -99,14 +99,6 @@ void trace_recorder::record_exchange(trace_event_kind kind,
 }
 
 void trace_recorder::record_route(std::string_view phase,
-                                  std::span<const message> batch,
-                                  std::int64_t n, const route_stats& stats,
-                                  std::int32_t tree_depth) {
-  record_route(phase, shape_.compute(batch, n), std::int64_t(batch.size()), n,
-               stats, tree_depth);
-}
-
-void trace_recorder::record_route(std::string_view phase,
                                   const trace_batch_shape& shape,
                                   std::int64_t batch_size, std::int64_t n,
                                   const route_stats& stats,

@@ -163,14 +163,9 @@ class trace_recorder {
                        std::span<const message> delivered, std::int64_t n,
                        std::int64_t rounds);
 
-  /// One routed batch; `batch` is the message multiset in any order (the
-  /// router preserves it under delivery, so callers may pass the batch
-  /// before or after routing).
-  void record_route(std::string_view phase, std::span<const message> batch,
-                    std::int64_t n, const route_stats& stats,
-                    std::int32_t tree_depth);
-  /// Variant for callers that had to extract the shape before the batch
-  /// was consumed (route_discard clears its input).
+  /// One routed batch, by the endpoint shape of its message multiset
+  /// (the caller extracts it with shape_scratch() before routing, since
+  /// route_discard clears its input).
   void record_route(std::string_view phase, const trace_batch_shape& shape,
                     std::int64_t batch_size, std::int64_t n,
                     const route_stats& stats, std::int32_t tree_depth);

@@ -90,9 +90,9 @@ class serving_session {
   serving_session& operator=(const serving_session&) = delete;
 
   /// Full-graph collect- or count-mode query; callable from any thread.
-  /// The returned result is this tenant's own copy, bit-identical to
-  /// session().run(q). Throws what the solo run would throw (validation
-  /// errors before queueing, execution errors after).
+  /// The returned result is this tenant's own copy, bit-identical to the
+  /// wrapped session's run(q). Throws what the solo run would throw
+  /// (validation errors before queueing, execution errors after).
   query_result query(const listing_query& q);
 
   /// Full-graph stream-mode query: bypasses batching (the sink is
@@ -101,8 +101,8 @@ class serving_session {
 
   /// Edge-scoped collect- or count-mode query: compatible concurrent
   /// queries coalesce into one kernel sweep over the concatenated
-  /// owner-tagged edge sets. The result is bit-identical to
-  /// session().cliques_in_edges(q, edges).
+  /// owner-tagged edge sets. The result is bit-identical to the wrapped
+  /// session's cliques_in_edges(q, edges).
   query_result query_edges(const listing_query& q, const edge_list& edges);
 
   /// Edge-scoped stream-mode query: bypasses batching, as above.
@@ -110,8 +110,6 @@ class serving_session {
                            const stream_sink& sink);
 
   serving_stats stats() const;
-  listing_session& session() { return *session_; }
-  const serving_options& options() const { return opt_; }
 
  private:
   /// Everything the compatibility decision keys on, in one ordered tuple:

@@ -100,14 +100,10 @@ listing_session::listing_session(const graph& g, const session_options& opt)
       opt_(opt),
       exec_(enumkernel::resolve_exec(opt.kernel, opt.simd)),
       pool_(opt.threads) {
-  if (opt_.grain < 1)
-    throw precondition_error("session_options: grain = " +
-                             std::to_string(opt_.grain) +
-                             " must be at least 1");
   if (opt_.engine == listing_engine::local_kclist) {
-    // The orientation is a pure function of (graph, policy): build the DAG
-    // once here and serve every query arity from it.
-    dag_ = enumkernel::orient(g, opt_.orientation);
+    // The orientation is a pure function of the graph: build the DAG once
+    // here and serve every query arity from it.
+    dag_ = enumkernel::orient(g, enumkernel::orientation_policy::degeneracy);
   } else {
     // The routing layers key on the graph's O(1) arc index; force the lazy
     // build now so the cost lands at bind time, not inside the first timed
@@ -174,13 +170,13 @@ query_result listing_session::run_local(const listing_query& q,
     // merge — nothing is materialized anywhere.
     query_result res{clique_set(q.p), 0, {}};
     res.count = local::count_cliques_parallel(
-        dag_, q.p, pool, lease.scratch, opt_.grain, nullptr, exec_);
+        dag_, q.p, pool, lease.scratch, local::kDefaultGrain, nullptr, exec_);
     res.report.emitted = res.count;
     return res;
   }
   clique_collector out(q.p);
-  local::list_cliques_parallel(dag_, q.p, pool, lease.scratch, opt_.grain,
-                               out, nullptr, exec_);
+  local::list_cliques_parallel(dag_, q.p, pool, lease.scratch,
+                               local::kDefaultGrain, out, nullptr, exec_);
   query_result res = finish_query(out, q, sink);
   DCL_ENSURE(res.report.duplicates == 0,
              "kClist must emit every clique exactly once");

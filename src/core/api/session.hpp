@@ -80,11 +80,6 @@ struct session_options {
   /// local_kclist. Outputs are bit-identical for every value (DESIGN.md
   /// §6).
   int threads = 1;
-  /// local_kclist binding knobs: the DAG orientation policy (the DAG is
-  /// built once, at bind time) and arcs per dynamically-scheduled chunk.
-  enumkernel::orientation_policy orientation =
-      enumkernel::orientation_policy::degeneracy;
-  std::int64_t grain = 128;
   /// Session-wide enumeration-kernel traversal (DESIGN.md §11): scalar
   /// adjacency compaction, dense bitmaps, or per-egonet auto-selection.
   enumkernel::kernel_mode kernel = enumkernel::kernel_mode::auto_select;
@@ -161,8 +156,7 @@ query_result finish_query(clique_collector& out, const listing_query& q,
 class listing_session {
  public:
   /// Binds to `g` (aliased — must outlive the session) and performs the
-  /// query-independent setup described above. Throws precondition_error on
-  /// invalid binding options (grain < 1).
+  /// query-independent setup described above.
   explicit listing_session(const graph& g,
                            const session_options& opt = session_options{});
 
@@ -214,13 +208,7 @@ class listing_session {
   std::vector<query_result> cliques_in_edges_batch(
       const listing_query& q, std::span<const edge_list* const> edge_sets);
 
-  const graph& bound_graph() const { return *g_; }
   const session_options& options() const { return opt_; }
-  int threads() const { return pool_.size(); }
-
-  /// local_kclist bindings: the DAG oriented at bind time (degeneracy =
-  /// max_out_degree under the degeneracy policy). Empty under congest_sim.
-  const enumkernel::dag& bound_dag() const { return dag_; }
 
   /// Lease-pool accounting: `misses` stops growing once the pool holds
   /// one warm bundle per peak concurrent query — the steady-state

@@ -77,8 +77,7 @@ void central_fallback(const graph& cur, int p, clique_collector& out,
   net.charge_gather_all_edges("fallback/gather");
   enumkernel::enum_scratch ws;
   enumkernel::enumerate_cliques(
-      cur, p, ws, [&](std::span<const vertex> c) { out.emit(c); },
-      enumkernel::orientation_policy::degeneracy, exec);
+      cur, p, ws, [&](std::span<const vertex> c) { out.emit(c); }, exec);
 }
 
 /// The graph minus a sorted, deduplicated list of removed edges.

@@ -15,10 +15,8 @@ greedy_layer_algorithm::greedy_layer_algorithm(
       max_parts_(max_parts) {
   DCL_EXPECTS(domain_size_ >= 1, "empty domain");
   DCL_EXPECTS(max_parts_ >= 1, "need at least one part");
-  for (const auto& c : spec_) {
+  for (const auto& c : spec_)
     DCL_EXPECTS(c.max_value >= 0, "negative counter bound");
-    for (int f : c.fields) num_fields_ = std::max(num_fields_, f + 1);
-  }
   reset();
 }
 

@@ -40,15 +40,12 @@ class greedy_layer_algorithm final : public pp_algorithm {
   void on_aux(const pp_token& t, pp_context& ctx) override;
   void finish(pp_context& ctx) override;
 
-  int num_fields() const { return num_fields_; }
-
  private:
   /// Adds the value vector to the counters; true if any exceeds its max.
   bool add(const pp_token& t, int first_field, std::int64_t scale);
   void close_part(std::int64_t end_pos, pp_context& ctx);
 
   std::vector<counter_spec> spec_;
-  int num_fields_ = 0;
   std::int64_t domain_size_;
   std::int64_t max_parts_;
 

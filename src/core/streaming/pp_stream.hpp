@@ -15,8 +15,4 @@ struct pp_main_entry {
 
 using pp_stream = std::vector<pp_main_entry>;
 
-/// Concatenation of per-holder segments into one stream (input contiguity,
-/// Def 9: holder i's segment precedes holder i+1's).
-pp_stream concat_segments(const std::vector<pp_stream>& segments);
-
 }  // namespace dcl

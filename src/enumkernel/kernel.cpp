@@ -62,11 +62,11 @@ csr_view build_local_csr(enum_scratch& ws, vertex n_local) {
 }  // namespace detail
 
 std::int64_t count_cliques(const graph& g, int p, enum_scratch& ws,
-                           orientation_policy policy, exec_config exec) {
+                           exec_config exec) {
   DCL_EXPECTS(p >= 2 && p <= kMaxCliqueArity,
               "clique arity must lie in [2, kMaxCliqueArity]");
   if (p == 2) return g.num_edges();
-  orient_into(g.view(), policy, ws.orient_ws, ws.d);
+  orient_into(g.view(), orientation_policy::degeneracy, ws.orient_ws, ws.d);
   arc_enumerator en(ws.d, p, ws, exec);
   return en.count_range(0, ws.d.num_arcs());
 }

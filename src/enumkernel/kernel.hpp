@@ -15,7 +15,7 @@
 //     an ascending std::span<const vertex> valid only during the call.
 //   * Determinism: the DAG orientation, the egonet member order, and the
 //     DFS candidate order are all id/rank-deterministic, so the emission
-//     sequence is a pure function of (input, p, policy) — independent of
+//     sequence is a pure function of (input, p) — independent of
 //     scratch history, thread placement, or allocator state.
 //   * Kernel entry points are not reentrant on one scratch: a sink must
 //     not call back into the kernel with the same enum_scratch.
@@ -487,13 +487,11 @@ csr_view build_local_csr(enum_scratch& ws, vertex n_local);
 /// Enumerates every p-clique of `g` (p in [2, kMaxCliqueArity]), calling
 /// sink(clique) exactly once per clique with an ascending p-tuple span
 /// valid only during the call. Returns the clique count. Deterministic for
-/// a fixed (g, p, policy, exec) regardless of scratch history; the clique
-/// set is identical for every exec config.
+/// a fixed (g, p, exec) regardless of scratch history; the clique set is
+/// identical for every exec config.
 template <typename Sink>
-std::int64_t enumerate_cliques(
-    const graph& g, int p, enum_scratch& ws, Sink&& sink,
-    orientation_policy policy = orientation_policy::degeneracy,
-    exec_config exec = {}) {
+std::int64_t enumerate_cliques(const graph& g, int p, enum_scratch& ws,
+                               Sink&& sink, exec_config exec = {}) {
   DCL_EXPECTS(p >= 2 && p <= kMaxCliqueArity,
               "clique arity must lie in [2, kMaxCliqueArity]");
   if (p == 2) {
@@ -503,16 +501,14 @@ std::int64_t enumerate_cliques(
     }
     return g.num_edges();
   }
-  orient_into(g.view(), policy, ws.orient_ws, ws.d);
+  orient_into(g.view(), orientation_policy::degeneracy, ws.orient_ws, ws.d);
   arc_enumerator en(ws.d, p, ws, exec);
   return en.list_range(0, ws.d.num_arcs(), sink);
 }
 
 /// Counting-only twin of enumerate_cliques — no tuple assembly at all.
-std::int64_t count_cliques(
-    const graph& g, int p, enum_scratch& ws,
-    orientation_policy policy = orientation_policy::degeneracy,
-    exec_config exec = {});
+std::int64_t count_cliques(const graph& g, int p, enum_scratch& ws,
+                           exec_config exec = {});
 
 /// Enumerates every p-clique of an explicit edge set (not a full graph) —
 /// the cluster-local hot path: every CONGEST cluster finishes by listing

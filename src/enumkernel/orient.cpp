@@ -65,23 +65,11 @@ void peeling_order(const csr_view& g, orient_scratch& ws,
   }
 }
 
-/// The first half of an orientation: the policy's vertex order over `g`
-/// (order[r] = vertex of rank r), then its inverse into ws.rank. O(n + m)
-/// for the degeneracy policy (bucket peeling); the degree policy sorts.
-void policy_rank(const csr_view& g, orientation_policy policy,
-                 orient_scratch& ws) {
+/// The first half of an orientation: the peeling order over `g`
+/// (order[r] = vertex of rank r), then its inverse into ws.rank. O(n + m).
+void degeneracy_rank(const csr_view& g, orient_scratch& ws) {
   std::vector<vertex>& order = ws.order;
-  if (policy == orientation_policy::degeneracy) {
-    peeling_order(g, ws, order, nullptr);
-  } else {
-    // Ascending degree, ties broken by id (stable sort over iota keeps the
-    // tie-break deterministic).
-    order.resize(size_t(g.n));
-    std::iota(order.begin(), order.end(), vertex{0});
-    std::stable_sort(order.begin(), order.end(), [&](vertex a, vertex b) {
-      return g.degree(a) < g.degree(b);
-    });
-  }
+  peeling_order(g, ws, order, nullptr);
   ws.rank.resize(order.size());
   for (vertex r = 0; r < vertex(order.size()); ++r)
     ws.rank[size_t(order[size_t(r)])] = r;
@@ -134,15 +122,15 @@ void orient_by_rank(const csr_view& g, std::span<const vertex> rank,
               "orient_by_rank: adjacent vertices must differ in rank");
 }
 
-std::vector<vertex> vertex_rank(const graph& g, orientation_policy policy) {
+std::vector<vertex> vertex_rank(const graph& g) {
   orient_scratch ws;
-  policy_rank(g.view(), policy, ws);
+  degeneracy_rank(g.view(), ws);
   return std::move(ws.rank);
 }
 
-void orient_into(const csr_view& g, orientation_policy policy,
+void orient_into(const csr_view& g, orientation_policy /*policy*/,
                  orient_scratch& ws, dag& out) {
-  policy_rank(g, policy, ws);
+  degeneracy_rank(g, ws);
   orient_by_rank(g, ws.rank, out);
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 // DAG orientation for k-clique listing (kClist; Danisch, Balalau, Sozio —
 // WWW'18). Orienting each edge from lower to higher rank in a degeneracy
-// (or degree) order turns the undirected input into an acyclic digraph
+// order turns the undirected input into an acyclic digraph
 // whose maximum out-degree is the degeneracy c(G); every k-clique then
 // appears exactly once, rooted at its lowest-rank vertex (or edge), which
 // is what makes the kernel's DFS enumerator duplicate-free.
@@ -18,10 +18,12 @@
 
 namespace dcl::enumkernel {
 
-/// Vertex-order rule used to direct the edges.
+/// Vertex-order rule used to direct the edges. Every product caller ranks
+/// by degeneracy, so it is the only value; the enum and the `policy`
+/// parameters of orient / orient_into stay only because the end-to-end
+/// benchmark (perfbench/) names them.
 enum class orientation_policy {
   degeneracy,  ///< core-number peeling order; out-degree <= degeneracy
-  degree,      ///< ascending degree (ties by id); cheaper, looser bound
 };
 
 /// Acyclic orientation of a graph: CSR over out-neighbors only.
@@ -53,16 +55,15 @@ struct orient_scratch {
   std::vector<std::int64_t> bin;
   std::vector<std::int64_t> pos;
   std::vector<std::int64_t> next;
-  std::vector<vertex> order;  ///< the policy's order (order[r] = vertex)
+  std::vector<vertex> order;  ///< peeling order (order[r] = vertex)
   std::vector<vertex> rank;   ///< its inverse, handed to orient_by_rank
 };
 
 /// The first half of an orientation: rank[v] = position of v in the
-/// policy's order over `g`. O(n + m) for the degeneracy policy (bucket
-/// peeling); the degree policy sorts. A shard coordinator computes it once
-/// and ships it, so every slice orients by the same global order
-/// (DESIGN.md §14).
-std::vector<vertex> vertex_rank(const graph& g, orientation_policy policy);
+/// degeneracy order over `g`, in O(n + m) (bucket peeling). A shard
+/// coordinator computes it once and ships it, so every slice orients by
+/// the same global order (DESIGN.md §14).
+std::vector<vertex> vertex_rank(const graph& g);
 
 /// The second half: orients every edge low-rank -> high-rank into `out`,
 /// reusing its storage. Only the order of the ranks matters, so any values
@@ -71,7 +72,7 @@ std::vector<vertex> vertex_rank(const graph& g, orientation_policy policy);
 void orient_by_rank(const csr_view& g, std::span<const vertex> rank,
                     dag& out);
 
-/// Both halves: the policy's ranks, then orient_by_rank.
+/// Both halves: the degeneracy ranks, then orient_by_rank.
 void orient_into(const csr_view& g, orientation_policy policy,
                  orient_scratch& ws, dag& out);
 

@@ -63,46 +63,6 @@ std::int32_t diameter(const graph& g) {
   return best;
 }
 
-degeneracy degeneracy_order(const graph& g) {
-  const vertex n = g.num_vertices();
-  degeneracy d;
-  d.core.assign(size_t(n), 0);
-  std::vector<std::int32_t> deg(static_cast<std::size_t>(n));
-  std::int32_t max_deg = 0;
-  for (vertex v = 0; v < n; ++v) {
-    deg[size_t(v)] = g.degree(v);
-    max_deg = std::max(max_deg, deg[size_t(v)]);
-  }
-  // Bucket queue over current degrees.
-  std::vector<std::vector<vertex>> bucket(size_t(max_deg) + 1);
-  for (vertex v = 0; v < n; ++v) bucket[size_t(deg[size_t(v)])].push_back(v);
-  std::vector<bool> removed(size_t(n), false);
-  std::int32_t current = 0;
-  d.order.reserve(static_cast<std::size_t>(n));
-  for (vertex removed_count = 0; removed_count < n;) {
-    // Find lowest non-empty bucket (amortized fine with the re-push scheme).
-    std::int32_t b = 0;
-    while (b <= max_deg && bucket[size_t(b)].empty()) ++b;
-    DCL_ENSURE(b <= max_deg, "bucket queue exhausted early");
-    const vertex v = bucket[size_t(b)].back();
-    bucket[size_t(b)].pop_back();
-    if (removed[size_t(v)] || deg[size_t(v)] != b) continue;  // stale entry
-    removed[size_t(v)] = true;
-    ++removed_count;
-    current = std::max(current, b);
-    d.core[size_t(v)] = current;
-    d.order.push_back(v);
-    for (vertex u : g.neighbors(v)) {
-      if (!removed[size_t(u)]) {
-        --deg[size_t(u)];
-        bucket[size_t(deg[size_t(u)])].push_back(u);
-      }
-    }
-  }
-  d.degeneracy_value = current;
-  return d;
-}
-
 std::optional<double> conductance(const graph& g, std::span<const vertex> s) {
   const vertex n = g.num_vertices();
   if (s.empty() || vertex(s.size()) == n) return std::nullopt;

@@ -29,14 +29,6 @@ bfs_tree bfs_from(const graph& g, vertex root);
 /// max over components otherwise. O(n·m) — test/bench sizes only.
 std::int32_t diameter(const graph& g);
 
-/// Degeneracy ordering (smallest-degree-last) and core numbers.
-struct degeneracy {
-  std::vector<vertex> order;       // vertices in removal order
-  std::vector<std::int32_t> core;  // core number per vertex
-  std::int32_t degeneracy_value = 0;
-};
-degeneracy degeneracy_order(const graph& g);
-
 /// Conductance of the cut (S, V\S) in g. S given as sorted vertex list;
 /// returns nullopt for trivial cuts (S empty or S = V or zero volume).
 std::optional<double> conductance(const graph& g, std::span<const vertex> s);

@@ -76,39 +76,6 @@ bool clique_set::contains(std::span<const vertex> clique) const {
   return std::equal(c.begin(), c.end(), k.begin(), k.end());
 }
 
-void for_each_triangle(const graph& g,
-                       const std::function<void(vertex, vertex, vertex)>& cb) {
-  for (vertex u = 0; u < g.num_vertices(); ++u) {
-    const auto nu = g.neighbors(u);
-    // Suffix of neighbors greater than u.
-    const auto first_gt =
-        std::upper_bound(nu.begin(), nu.end(), u) - nu.begin();
-    const auto fwd_u = nu.subspan(static_cast<std::size_t>(first_gt));
-    for (vertex v : fwd_u) {
-      const auto nv = g.neighbors(v);
-      const auto first_gt_v =
-          std::upper_bound(nv.begin(), nv.end(), v) - nv.begin();
-      const auto fwd_v = nv.subspan(static_cast<std::size_t>(first_gt_v));
-      // w > v, w adjacent to both u and v.
-      std::size_t i = 0, j = 0;
-      const auto fu =
-          fwd_u.subspan(size_t(std::upper_bound(fwd_u.begin(), fwd_u.end(), v) -
-                               fwd_u.begin()));
-      while (i < fu.size() && j < fwd_v.size()) {
-        if (fu[i] < fwd_v[j]) {
-          ++i;
-        } else if (fu[i] > fwd_v[j]) {
-          ++j;
-        } else {
-          cb(u, v, fu[i]);
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
-}
-
 clique_set collect_cliques(const graph& g, int p) {
   enumkernel::enum_scratch ws;
   clique_set out(p);

@@ -6,7 +6,6 @@
 // canonical sorted p-tuples. Everything else that enumerates calls the
 // kernel directly with a reused enum_scratch.
 
-#include <functional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -54,11 +53,6 @@ class clique_set {
   std::vector<vertex> flat_;
   bool normalized_ = true;
 };
-
-/// Calls cb(u, v, w) with u < v < w for every triangle. Forward algorithm on
-/// sorted adjacency — O(m^{3/2}).
-void for_each_triangle(const graph& g,
-                       const std::function<void(vertex, vertex, vertex)>& cb);
 
 /// Every p-clique of g, normalized; p in [2, enumkernel::kMaxCliqueArity].
 /// The sequential oracle: one call-local kernel scratch, one thread.

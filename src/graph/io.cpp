@@ -27,12 +27,6 @@ graph read_edge_list(std::istream& in, vertex n_hint) {
   return graph::from_unsorted(max_id + 1, std::move(edges));
 }
 
-graph read_edge_list_file(const std::string& path, vertex n_hint) {
-  std::ifstream in(path);
-  DCL_EXPECTS(in.good(), "cannot open " + path);
-  return read_edge_list(in, n_hint);
-}
-
 snap_graph read_snap_edge_list(std::istream& in) {
   // Raw pairs with original ids; self-loops still name their vertex.
   std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
@@ -102,12 +96,6 @@ void write_edge_list(std::ostream& out, const graph& g) {
   out << "# declique edge list: n=" << g.num_vertices()
       << " m=" << g.num_edges() << '\n';
   for (const auto& e : g.edges()) out << e.u << ' ' << e.v << '\n';
-}
-
-void write_edge_list_file(const std::string& path, const graph& g) {
-  std::ofstream out(path);
-  DCL_EXPECTS(out.good(), "cannot open " + path);
-  write_edge_list(out, g);
 }
 
 }  // namespace dcl

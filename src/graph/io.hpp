@@ -18,7 +18,6 @@ namespace dcl {
 /// Reads an edge list; self-loops dropped, duplicates merged. `n_hint`
 /// extends the vertex count beyond the largest mentioned id if positive.
 graph read_edge_list(std::istream& in, vertex n_hint = 0);
-graph read_edge_list_file(const std::string& path, vertex n_hint = 0);
 
 /// A graph loaded from a SNAP-format edge list, relabeled to dense ids.
 struct snap_graph {
@@ -43,6 +42,5 @@ snap_graph read_snap_file(const std::string& path);
 
 /// Writes one canonical "u v" line per edge plus a header comment.
 void write_edge_list(std::ostream& out, const graph& g);
-void write_edge_list_file(const std::string& path, const graph& g);
 
 }  // namespace dcl

@@ -9,7 +9,8 @@
 //       g, dcl::enumkernel::orientation_policy::degeneracy);
 //   dcl::local::thread_pool pool(8);
 //   dcl::runtime::query_scratch scratch;
-//   auto n = dcl::local::count_cliques_parallel(dag, 4, pool, scratch, 128);
+//   auto n = dcl::local::count_cliques_parallel(dag, 4, pool, scratch,
+//                                               dcl::local::kDefaultGrain);
 //
 // Edge-parallel driver. Work units are DAG arcs (each arc roots one
 // egonet); the shared runtime worker pool (src/runtime/) pulls
@@ -28,6 +29,7 @@
 #include "core/listing/collector.hpp"
 #include "enumkernel/kernel.hpp"
 #include "enumkernel/orient.hpp"
+#include "runtime/scratch.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace dcl::local {
@@ -47,6 +49,10 @@ struct engine_worker_scratch {
   enumkernel::enum_scratch enum_ws;
   std::vector<vertex> out;
 };
+
+/// DAG arcs per dynamically-scheduled chunk: what listing_session and a
+/// shard worker's local_shard pass as `grain` below.
+inline constexpr std::int64_t kDefaultGrain = 128;
 
 /// Per-run accounting from the parallel driver.
 struct parallel_listing_stats {

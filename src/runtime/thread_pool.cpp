@@ -57,7 +57,6 @@ thread_pool::thread_pool(int num_threads) : state_(new state) {
   int t = num_threads;
   if (t <= 0) t = int(std::thread::hardware_concurrency());
   if (t < 1) t = 1;
-  arenas_ = std::vector<scratch_arena>(size_t(t));
   // The calling thread is worker 0; spawn the other t-1.
   for (int i = 1; i < t; ++i) {
     workers_.emplace_back([this, i] {

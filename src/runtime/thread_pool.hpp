@@ -1,16 +1,18 @@
 #pragma once
 // Shared worker-pool runtime used by every parallel subsystem: the
 // shared-memory kClist engine (src/local/) and the cluster-parallel CONGEST
-// simulation (src/core/listing/). One pool class, three primitives:
+// simulation (src/core/listing/). One pool class, two primitives:
 //
 //   * a dynamically-scheduled work queue (for_each_chunk / for_each_index) —
 //     workers pull chunks off an atomic cursor, so skewed work items (hub
 //     egonets, giant clusters) cannot serialize a run;
-//   * per-worker scratch arenas (scratch.hpp) — recycled workspace handed to
-//     tasks so hot loops stop reallocating per work item;
 //   * deterministic index-ordered result merge (merge.hpp) — results are
 //     produced per index and consumed in index order, so thread scheduling
 //     can never leak into output or accounting.
+//
+// The pool owns no workspace: per-worker scratch lives in the caller's
+// query_scratch (scratch.hpp), indexed by the worker_index each task
+// receives.
 //
 // Exceptions thrown inside a task are captured and rethrown on the calling
 // thread (lowest work index wins), so DCL_EXPECTS/DCL_ENSURE failures
@@ -22,8 +24,6 @@
 #include <memory>
 #include <thread>
 #include <vector>
-
-#include "runtime/scratch.hpp"
 
 namespace dcl::runtime {
 
@@ -58,17 +58,11 @@ class thread_pool {
   void for_each_index(std::int64_t n,
                       const std::function<void(int, std::int64_t)>& fn);
 
-  /// The recycled workspace of a worker; valid for worker in [0, size()).
-  /// Stable across jobs for the lifetime of the pool, so buffers grown by
-  /// one task are reused by the next task that lands on the same worker.
-  scratch_arena& arena(int worker) { return arenas_[size_t(worker)]; }
-
   struct state;  ///< shared worker state; defined in thread_pool.cpp
 
  private:
   std::unique_ptr<state> state_;
   std::vector<std::thread> workers_;
-  std::vector<scratch_arena> arenas_;
 };
 
 }  // namespace dcl::runtime

@@ -58,15 +58,6 @@ void fd_channel::write_all(const void* src, std::size_t n) {
   }
 }
 
-std::pair<std::unique_ptr<fd_channel>, std::unique_ptr<fd_channel>>
-make_socketpair_channels() {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-    throw_errno("socketpair");
-  return {std::make_unique<fd_channel>(fds[0]),
-          std::make_unique<fd_channel>(fds[1])};
-}
-
 // ---------------------------------------------------------------------------
 
 struct memory_channel::shared_state {

@@ -56,15 +56,10 @@ class fd_channel final : public byte_channel {
   int fd_;
 };
 
-/// A connected AF_UNIX SOCK_STREAM pair — the loopback transport. First is
-/// conventionally the coordinator end, second the worker end.
-std::pair<std::unique_ptr<fd_channel>, std::unique_ptr<fd_channel>>
-make_socketpair_channels();
-
 /// In-process bidirectional FIFO pair for wire-layer unit tests: what one
 /// end writes the other reads, byte for byte, with orderly EOF once the
 /// writing end is destroyed. Also counts write_all calls, so tests can
-/// assert frame aggregation (N sends, one flush, one write).
+/// pin the wire's write pattern (one write per frame).
 class memory_channel final : public byte_channel {
  public:
   std::size_t read_some(void* dst, std::size_t cap) override;

@@ -58,7 +58,6 @@ shard_bind make_bind(const graph& g, const shard_options& opt,
     bind.slice = identity_slice(g);
   }
   bind.threads = opt.worker_session.threads;
-  bind.grain = opt.worker_session.grain;
   bind.kernel = opt.worker_session.kernel;
   bind.simd = opt.worker_session.simd;
   return bind;
@@ -73,20 +72,19 @@ shard_coordinator::shard_coordinator(
   peers_.reserve(links.size());
   for (auto& ch : links) {
     DCL_EXPECTS(ch != nullptr, "shard_coordinator: null channel");
-    peers_.push_back(std::make_unique<peer>(std::move(ch), opt_.wire));
+    peers_.push_back(std::make_unique<peer>(std::move(ch)));
   }
   // The one orientation of the whole graph every local slice roots by.
   const std::vector<vertex> rank =
       opt_.worker_session.engine == listing_engine::local_kclist
-          ? enumkernel::vertex_rank(g, opt_.worker_session.orientation)
+          ? enumkernel::vertex_rank(g)
           : std::vector<vertex>{};
-  // Ship every bind first (the frames aggregate per peer), then collect
-  // the acks — workers bind concurrently.
+  // Ship every bind first, then collect the acks — workers bind
+  // concurrently.
   for (int i = 0; i < n_shards; ++i) {
     wire_buf b;
     encode_bind(b, make_bind(g, opt_, rank, i, n_shards));
     peers_[std::size_t(i)]->writer.send(frame_type::bind, b.view());
-    peers_[std::size_t(i)]->writer.flush();
   }
   for (int i = 0; i < n_shards; ++i) {
     frame f = await_reply(*peers_[std::size_t(i)], i);
@@ -152,10 +150,7 @@ query_result shard_coordinator::run_impl(const listing_query& q,
   wire_buf b;
   b.put(qid);
   encode_query(b, q);
-  for (auto& p : peers_) {
-    p->writer.send(frame_type::query, b.view());
-    p->writer.flush();
-  }
+  for (auto& p : peers_) p->writer.send(frame_type::query, b.view());
 
   // Collect one reply per shard, in shard order. Drain every peer even
   // after a failure so the streams stay frame-aligned for later queries;
@@ -309,10 +304,7 @@ query_result shard_coordinator::fold_local(const listing_query& q,
 std::vector<shard_worker_stats> shard_coordinator::worker_stats() {
   if (shut_down_) throw shard_error("shard_coordinator: already shut down");
   for (auto& p : peers_)
-    if (p->alive) {
-      p->writer.send(frame_type::stats_req, {});
-      p->writer.flush();
-    }
+    if (p->alive) p->writer.send(frame_type::stats_req, {});
   std::vector<shard_worker_stats> stats;
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     if (!peers_[i]->alive) continue;
@@ -333,7 +325,6 @@ void shard_coordinator::shutdown() {
     if (!p->alive) continue;
     try {
       p->writer.send(frame_type::shutdown, {});
-      p->writer.flush();
     } catch (const shard_error&) {
       p->alive = false;
     }

@@ -1,17 +1,17 @@
 #pragma once
 // The coordinator half of multi-process sharded serving (DESIGN.md §14).
 //
-// A shard_coordinator owns one framed channel per worker (the per-peer send
-// queues of the wire layer), binds each worker over the wire (wire version
-// 3) — congest_sim workers bind the full graph and split work by branch
-// ownership; local_kclist workers bind closed-neighborhood slices plus the
-// global rank of each slice vertex, from one orientation of the whole graph
-// computed here at bind, and split by DAG-root ownership: each clique is
-// enumerated once fleet-wide, by the owner of its lowest-rank vertex, and a
-// count reply is one i64 — then serves run() calls whose results are
-// bit-identical to a single-process listing_session on the same graph: the
-// clique set, count, stream batches, AND the full listing_report ledger
-// (plus the trace when requested).
+// A shard_coordinator owns one framed channel per worker, binds each
+// worker over the wire (wire version 4) — congest_sim workers bind the
+// full graph and split work by branch ownership; local_kclist workers bind
+// closed-neighborhood slices plus the global rank of each slice vertex,
+// from one orientation of the whole graph computed here at bind, and split
+// by DAG-root ownership: each clique is enumerated once fleet-wide, by the
+// owner of its lowest-rank vertex, and a count reply is one i64 — then
+// serves run() calls whose results are bit-identical to a single-process
+// listing_session on the same graph: the clique set, count, stream
+// batches, AND the full listing_report ledger (plus the trace when
+// requested).
 //
 // Determinism argument (tested in tests/test_shard.cpp): every fold below
 // is either order-insensitive (finalize sorts canonically; merge_parallel /
@@ -41,18 +41,15 @@ struct shard_options {
   /// root ownership (local).
   partitioner_spec partitioner{};
   /// Per-worker session knobs: engine picks the sharding strategy; threads,
-  /// kernel, simd, and grain apply inside each worker process; orientation
-  /// picks the global rank the coordinator ships to local workers (none of
-  /// them change any output — DESIGN.md §6/§11/§13).
+  /// kernel, and simd apply inside each worker process (none of them
+  /// change any output — DESIGN.md §6/§11/§13).
   session_options worker_session{};
-  wire_options wire{};
 };
 
 /// Shard `shard`'s bind message. congest_sim: the full graph. local_kclist:
 /// the shard's slice and each slice vertex's global rank, read from `rank`
-/// (enumkernel::vertex_rank of the whole graph under
-/// opt.worker_session.orientation, computed once per fleet; ignored under
-/// congest_sim).
+/// (enumkernel::vertex_rank of the whole graph, computed once per fleet;
+/// ignored under congest_sim).
 shard_bind make_bind(const graph& g, const shard_options& opt,
                      std::span<const vertex> rank, int shard, int shards);
 
@@ -90,9 +87,6 @@ class shard_coordinator {
   /// Idempotent.
   void shutdown();
 
-  int shards() const { return int(peers_.size()); }
-  const shard_options& options() const { return opt_; }
-
  private:
   struct peer {
     std::unique_ptr<byte_channel> ch;
@@ -100,8 +94,8 @@ class shard_coordinator {
     frame_reader reader;
     bool alive = true;
 
-    explicit peer(std::unique_ptr<byte_channel> c, const wire_options& w)
-        : ch(std::move(c)), writer(*ch, w), reader(*ch) {}
+    explicit peer(std::unique_ptr<byte_channel> c)
+        : ch(std::move(c)), writer(*ch), reader(*ch) {}
   };
 
   query_result run_impl(const listing_query& q, const stream_sink* sink);

@@ -31,8 +31,7 @@ void reap_and_kill(std::vector<launched_worker>& workers) {
 
 }  // namespace
 
-std::vector<launched_worker> launch_fork_workers(int count,
-                                                 const wire_options& wopt) {
+std::vector<launched_worker> launch_fork_workers(int count) {
   DCL_EXPECTS(count >= 1, "launch_fork_workers: count must be >= 1");
   // All pairs exist before the first fork, so every child can close every
   // descriptor that is not its own worker end — otherwise a surviving
@@ -74,7 +73,7 @@ std::vector<launched_worker> launch_fork_workers(int count,
       int code = 0;
       try {
         fd_channel ch(worker_fd[std::size_t(i)]);
-        run_shard_worker(ch, wopt);
+        run_shard_worker(ch);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "shard worker %d: %s\n", i, e.what());
         code = 2;

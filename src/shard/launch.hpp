@@ -33,8 +33,7 @@ struct launched_worker {
 /// end of a fresh AF_UNIX socketpair. Children exit 0 on clean shutdown
 /// (or coordinator EOF) and 2 on a protocol error. Throws shard_error if
 /// any socketpair or fork fails (already-launched children are killed).
-std::vector<launched_worker> launch_fork_workers(
-    int count, const wire_options& wopt = {});
+std::vector<launched_worker> launch_fork_workers(int count);
 
 /// Forks + execs `count` copies of `exe --fd N`. The executable is
 /// expected to run run_shard_worker over the inherited fd (tools/

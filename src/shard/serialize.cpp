@@ -36,6 +36,19 @@ bool get_bool(wire_cursor& c, const char* what) {
   return raw == 1;
 }
 
+/// An element count read from the peer, bounded by what the rest of the
+/// payload could hold at `min_bytes` per element: a forged count fails as
+/// a protocol error before anything is reserved for it.
+std::int64_t get_element_count(wire_cursor& c, std::size_t min_bytes,
+                               const char* what) {
+  const auto n = c.get<std::int64_t>();
+  if (n < 0) throw shard_error(std::string("shard payload: negative ") + what);
+  if (std::uint64_t(n) > c.remaining() / min_bytes)
+    throw shard_error(std::string("shard payload: ") + what + " " +
+                      std::to_string(n) + " exceeds the bytes left");
+  return n;
+}
+
 /// A local bind's ranks are distinct global ranks, one per slice vertex; a
 /// congest bind carries none (its workers orient nothing).
 void check_bind_rank(const shard_bind& m) {
@@ -114,9 +127,9 @@ graph_slice decode_slice(wire_cursor& c) {
           "shard payload: slice remap must be ascending in [0, full_n)");
     prev = v;
   }
-  const std::int64_t m = c.get<std::int64_t>();
-  if (m < 0)
-    throw shard_error("shard payload: negative slice edge count");
+  // An edge is two vertex ids on the wire.
+  const std::int64_t m = get_element_count(c, 2 * sizeof(vertex),
+                                           "slice edge count");
   edge_list edges;
   edges.reserve(std::size_t(m));
   for (std::int64_t i = 0; i < m; ++i) {
@@ -170,9 +183,12 @@ void encode_scoped_ledgers(wire_buf& b,
 }
 
 std::vector<shard_scoped_ledger> decode_scoped_ledgers(wire_cursor& c) {
-  const std::int64_t n = c.get<std::int64_t>();
-  if (n < 0)
-    throw shard_error("shard payload: negative scoped-ledger count");
+  // Level, branch, and a ledger's two totals and phase count.
+  constexpr std::size_t kMinScopedBytes = sizeof(std::int32_t) +
+                                          sizeof(std::int64_t) +
+                                          3 * sizeof(std::int64_t);
+  const std::int64_t n =
+      get_element_count(c, kMinScopedBytes, "scoped-ledger count");
   std::vector<shard_scoped_ledger> v;
   v.reserve(std::size_t(n));
   for (std::int64_t i = 0; i < n; ++i) {
@@ -215,7 +231,6 @@ void encode_bind(wire_buf& b, const shard_bind& m) {
   put_enum(b, m.engine);
   b.put_vector(m.rank);
   b.put(std::int32_t(m.threads));
-  b.put(m.grain);
   put_enum(b, m.kernel);
   put_enum(b, m.simd);
 }
@@ -239,9 +254,6 @@ shard_bind decode_bind(wire_cursor& c) {
     throw shard_error("shard payload: bind threads " +
                       std::to_string(m.threads) + " above the cap " +
                       std::to_string(kMaxShardThreads));
-  m.grain = c.get<std::int64_t>();
-  if (m.grain < 1)
-    throw shard_error("shard payload: bind grain must be at least 1");
   m.kernel = get_enum<enumkernel::kernel_mode>(
       c, std::uint8_t(enumkernel::kernel_mode::bitmap), "kernel mode");
   m.simd = get_enum<simd_mode>(c, std::uint8_t(simd_mode::avx2),

@@ -89,6 +89,7 @@ class wire_cursor {
   }
 
   bool exhausted() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
   /// Decoders call this last: trailing bytes mean a framing bug or version
   /// skew, both worth failing on.
@@ -137,7 +138,6 @@ struct shard_bind {
   /// is rooted at one vertex fleet-wide. Empty under congest_sim.
   std::vector<vertex> rank;
   int threads = 1;  ///< <= 0 → hardware concurrency; <= kMaxShardThreads
-  std::int64_t grain = 128;
   enumkernel::kernel_mode kernel = enumkernel::kernel_mode::auto_select;
   simd_mode simd = simd_mode::auto_select;
 };

@@ -14,44 +14,29 @@ bool known_frame_type(std::uint16_t t) {
 
 }  // namespace
 
-frame_writer::frame_writer(byte_channel& ch, wire_options opt)
-    : ch_(&ch), opt_(opt) {
-  append_bytes(pending_, kWireMagic, sizeof kWireMagic);
-  const std::uint32_t v = kWireVersion;
-  append_bytes(pending_, &v, sizeof v);
-  oldest_ = std::chrono::steady_clock::now();
-}
-
 void frame_writer::send(frame_type type,
                         std::span<const std::uint8_t> payload) {
   if (payload.size() > kMaxFramePayload)
     throw shard_error("frame_writer: payload exceeds kMaxFramePayload");
-  if (pending_.empty()) oldest_ = std::chrono::steady_clock::now();
+  buf_.clear();
+  if (!preamble_sent_) {
+    append_bytes(buf_, kWireMagic, sizeof kWireMagic);
+    const std::uint32_t v = kWireVersion;
+    append_bytes(buf_, &v, sizeof v);
+  }
+  const std::size_t header_at = buf_.size();
   const std::uint32_t len = std::uint32_t(payload.size());
   const std::uint16_t ty = std::uint16_t(type);
   const std::uint16_t reserved = 0;
-  append_bytes(pending_, &len, sizeof len);
-  append_bytes(pending_, &ty, sizeof ty);
-  append_bytes(pending_, &reserved, sizeof reserved);
-  append_bytes(pending_, payload.data(), payload.size());
+  append_bytes(buf_, &len, sizeof len);
+  append_bytes(buf_, &ty, sizeof ty);
+  append_bytes(buf_, &reserved, sizeof reserved);
+  append_bytes(buf_, payload.data(), payload.size());
+  ch_->write_all(buf_.data(), buf_.size());
+  preamble_sent_ = true;
   ++stats_.frames_sent;
-  stats_.bytes_sent += std::int64_t(sizeof len + sizeof ty + sizeof reserved +
-                                    payload.size());
-  if (pending_.size() >= opt_.aggregate_bytes ||
-      opt_.flush_delay <= std::chrono::milliseconds::zero())
-    flush();
-}
-
-void frame_writer::flush() {
-  if (pending_.empty()) return;
-  ch_->write_all(pending_.data(), pending_.size());
-  pending_.clear();
+  stats_.bytes_sent += std::int64_t(buf_.size() - header_at);
   ++stats_.flushes;
-}
-
-void frame_writer::poll() {
-  if (pending_.empty()) return;
-  if (std::chrono::steady_clock::now() - oldest_ >= opt_.flush_delay) flush();
 }
 
 bool frame_reader::read_exact(void* dst, std::size_t n, bool eof_ok) {

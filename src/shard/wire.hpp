@@ -1,15 +1,12 @@
 #pragma once
-// Framed message layer over a byte_channel (DESIGN.md §14), modeled on
-// Galois's NetworkInterfaceBuffered: many small protocol messages aggregate
-// into ~ethernet-MTU send buffers, one buffer per peer (a frame_writer IS
-// the per-peer send queue — the coordinator holds one per worker), flushed
-// when the buffer fills, when the sender needs an answer (explicit flush),
-// or when the oldest queued frame has waited longer than the flush-delay
-// knob (poll). The CONGEST papers this repo reproduces make message
-// aggregation the first-order bandwidth cost; this is the same idea applied
-// to the serving plane.
+// Framed message layer over a byte_channel (DESIGN.md §14). The protocol
+// is request/reply — every frame is one the peer is waiting for, or the
+// reply it waits on — so a frame never has company to aggregate with:
+// frame_writer::send writes each frame to the channel in one write_all,
+// the stream preamble riding ahead of the first frame. One writer per peer
+// (the coordinator holds one per worker).
 //
-// Stream layout: an 12-byte preamble (8-byte magic + u32 version) once per
+// Stream layout: a 12-byte preamble (8-byte magic + u32 version) once per
 // direction, then frames. Frame = u32 payload length + u16 type + u16
 // reserved(0) + payload. Native endianness, like the trace binary format —
 // the loopback transport never crosses a byte-order boundary, and a future
@@ -19,7 +16,6 @@
 // shard_error; a clean EOF at a frame boundary is the orderly
 // end-of-stream.
 
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -36,16 +32,14 @@ inline constexpr char kWireMagic[8] = {'D', 'C', 'L', 'S',
 /// misparsing. Version 2: the query payload no longer carries the kernel
 /// and simd bytes (they ride only in the bind message). Version 3: the
 /// bind carries each slice vertex's global rank instead of an orientation
-/// byte, and a local count reply is its emitted count alone.
-inline constexpr std::uint32_t kWireVersion = 3;
+/// byte, and a local count reply is its emitted count alone. Version 4:
+/// the bind no longer carries a chunk grain (workers use
+/// local::kDefaultGrain).
+inline constexpr std::uint32_t kWireVersion = 4;
 
 /// Refuses absurd frame lengths before allocating (a garbage stream must
 /// fail loudly, not OOM).
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
-
-/// Aggregation target: one ethernet MTU minus headroom, like the Galois
-/// buffered interface's send threshold.
-inline constexpr std::size_t kDefaultAggregateBytes = 1440;
 
 enum class frame_type : std::uint16_t {
   bind = 1,       ///< coordinator → worker: graph slice + session options
@@ -75,13 +69,6 @@ struct frame {
   std::vector<std::uint8_t> payload;
 };
 
-struct wire_options {
-  std::size_t aggregate_bytes = kDefaultAggregateBytes;
-  /// How long a queued frame may wait for companions before poll() pushes
-  /// the buffer out anyway. <= 0 flushes on every send (no aggregation).
-  std::chrono::milliseconds flush_delay{2};
-};
-
 struct wire_stats {
   std::int64_t frames_sent = 0;
   std::int64_t bytes_sent = 0;    ///< payload + headers, excluding preamble
@@ -90,34 +77,22 @@ struct wire_stats {
   std::int64_t bytes_received = 0;
 };
 
-/// The sending half: aggregates frames for one peer. Not thread-safe (one
-/// writer per peer by design).
+/// The sending half for one peer. Not thread-safe (one writer per peer by
+/// design).
 class frame_writer {
  public:
-  /// Queues the preamble immediately; it rides out with the first flush.
-  explicit frame_writer(byte_channel& ch, wire_options opt = {});
+  explicit frame_writer(byte_channel& ch) : ch_(&ch) {}
 
-  /// Appends one frame to the send buffer; flushes if the buffer has
-  /// reached aggregate_bytes (or on every send when flush_delay <= 0).
+  /// Writes one frame to the channel in a single write_all; the first
+  /// frame carries the stream preamble ahead of it.
   void send(frame_type type, std::span<const std::uint8_t> payload);
 
-  /// Pushes everything queued to the channel now. Request/response callers
-  /// flush before awaiting the reply.
-  void flush();
-
-  /// The flush-delay knob: flushes only if something is queued and the
-  /// oldest queued frame has waited at least flush_delay. Serve loops call
-  /// this when idle.
-  void poll();
-
-  std::size_t pending_bytes() const { return pending_.size(); }
   const wire_stats& stats() const { return stats_; }
 
  private:
   byte_channel* ch_;
-  wire_options opt_;
-  std::vector<std::uint8_t> pending_;
-  std::chrono::steady_clock::time_point oldest_{};
+  bool preamble_sent_ = false;
+  std::vector<std::uint8_t> buf_;  ///< the frame being written, reused
   wire_stats stats_;
 };
 

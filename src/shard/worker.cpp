@@ -24,7 +24,6 @@ struct congest_shard {
     session_options opt;
     opt.engine = listing_engine::congest_sim;
     opt.threads = bind.threads;
-    opt.grain = bind.grain;
     opt.kernel = bind.kernel;
     opt.simd = bind.simd;
     session = std::make_unique<listing_session>(bind.slice.local, opt);
@@ -112,12 +111,14 @@ shard_result local_shard::serve(std::uint64_t qid, const listing_query& q) {
   res.p = q.p;
   if (q.mode == sink_mode::count) {
     res.emitted = local::count_cliques_parallel(
-        dag_, q.p, pool_, scratch_, bind_.grain, nullptr, exec_, owned_);
+        dag_, q.p, pool_, scratch_, local::kDefaultGrain, nullptr, exec_,
+        owned_);
     return res;
   }
   clique_collector out(q.p);
-  local::list_cliques_parallel(dag_, q.p, pool_, scratch_, bind_.grain, out,
-                               nullptr, exec_, owned_);
+  local::list_cliques_parallel(dag_, q.p, pool_, scratch_,
+                               local::kDefaultGrain, out, nullptr, exec_,
+                               owned_);
   const clique_set run = out.finalize();
   DCL_ENSURE(out.duplicates() == 0,
              "kClist must emit every clique exactly once");
@@ -130,8 +131,8 @@ shard_result local_shard::serve(std::uint64_t qid, const listing_query& q) {
   return res;
 }
 
-void run_shard_worker(byte_channel& ch, const wire_options& wopt) {
-  frame_writer w(ch, wopt);
+void run_shard_worker(byte_channel& ch) {
+  frame_writer w(ch);
   frame_reader r(ch);
   std::optional<worker_state> st;
   frame f;
@@ -150,7 +151,6 @@ void run_shard_worker(byte_channel& ch, const wire_options& wopt) {
         wire_buf b;
         b.put(std::int32_t(st->shard));
         w.send(frame_type::bind_ok, b.view());
-        w.flush();
         break;
       }
       case frame_type::query: {
@@ -175,7 +175,6 @@ void run_shard_worker(byte_channel& ch, const wire_options& wopt) {
           b.put_string(e.what());
           w.send(frame_type::error, b.view());
         }
-        w.flush();
         break;
       }
       case frame_type::stats_req: {
@@ -191,12 +190,10 @@ void run_shard_worker(byte_channel& ch, const wire_options& wopt) {
         wire_buf b;
         encode_worker_stats(b, s);
         w.send(frame_type::stats, b.view());
-        w.flush();
         break;
       }
       case frame_type::shutdown: {
         w.send(frame_type::bye, {});
-        w.flush();
         return;  // clean shutdown
       }
       default:

@@ -48,6 +48,6 @@ class local_shard {
 /// Runs the serve loop over `ch` until shutdown or EOF. Throws shard_error
 /// on protocol violations (the process wrapper turns that into a nonzero
 /// exit).
-void run_shard_worker(byte_channel& ch, const wire_options& wopt = {});
+void run_shard_worker(byte_channel& ch);
 
 }  // namespace dcl::shard

@@ -12,20 +12,6 @@ namespace dcl::simd {
 
 namespace {
 
-std::int64_t scalar_popcount_words(const std::uint64_t* w, std::int32_t n) {
-  std::int64_t total = 0;
-  for (std::int32_t i = 0; i < n; ++i) total += std::popcount(w[i]);
-  return total;
-}
-
-std::int64_t scalar_and_popcount_words(const std::uint64_t* a,
-                                       const std::uint64_t* b,
-                                       std::int32_t n) {
-  std::int64_t total = 0;
-  for (std::int32_t i = 0; i < n; ++i) total += std::popcount(a[i] & b[i]);
-  return total;
-}
-
 std::int64_t scalar_bitmap_base_count(const std::uint64_t* rows,
                                       std::int32_t words,
                                       const std::uint64_t* mask) {
@@ -79,9 +65,8 @@ std::int64_t scalar_intersect_into(const std::int32_t* a, std::int64_t na,
 }
 
 constexpr simd_ops kScalarOps = {
-    simd_mode::scalar,         "scalar",
-    scalar_popcount_words,     scalar_and_popcount_words,
-    scalar_bitmap_base_count,  scalar_intersect_size,
+    simd_mode::scalar,        "scalar",
+    scalar_bitmap_base_count, scalar_intersect_size,
     scalar_intersect_into,
 };
 

@@ -48,13 +48,6 @@ struct simd_ops {
   simd_mode tier;    ///< the tier this table implements (never auto_select)
   const char* name;  ///< "scalar" / "avx2"
 
-  /// Σ popcount(w[i]).
-  std::int64_t (*popcount_words)(const std::uint64_t* w, std::int32_t n);
-
-  /// Σ popcount(a[i] & b[i]) without materializing the AND.
-  std::int64_t (*and_popcount_words)(const std::uint64_t* a,
-                                     const std::uint64_t* b, std::int32_t n);
-
   /// The bitmap kernel's whole counting base level in one call: for every
   /// set bit a of mask[0..words), add popcount(rows[a*words..] & mask).
   /// Coarse on purpose — egonets are often 1-2 words wide, so per-word

@@ -44,27 +44,9 @@ inline i64 hsum_epi64(__m256i v) {
   return _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1);
 }
 
-i64 avx2_popcount_words(const u64* w, i32 n) {
-  // Small spans (the typical egonet is 1-2 words wide) stay on hardware
-  // popcnt — vector setup would cost more than it saves.
-  if (n < 8) {
-    i64 total = 0;
-    for (i32 i = 0; i < n; ++i) total += std::popcount(w[i]);
-    return total;
-  }
-  i32 i = 0;
-  __m256i acc = _mm256_setzero_si256();
-  const __m256i zero = _mm256_setzero_si256();
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(popcount_epi8(v), zero));
-  }
-  i64 total = hsum_epi64(acc);
-  for (; i < n; ++i) total += std::popcount(w[i]);
-  return total;
-}
-
+/// Σ popcount(a[i] & b[i]): one row of avx2_bitmap_base_count's general
+/// (words != 4) path. Vector lanes from 8 words up; narrower rows stay on
+/// hardware popcnt, where vector setup would cost more than it saves.
 i64 avx2_and_popcount_words(const u64* a, const u64* b, i32 n) {
   if (n < 8) {
     i64 total = 0;
@@ -207,9 +189,8 @@ i64 avx2_intersect_into(const i32* a, i64 na, const i32* b, i64 nb,
 }
 
 constexpr simd_ops kAvx2Ops = {
-    simd_mode::avx2,          "avx2",
-    avx2_popcount_words,      avx2_and_popcount_words,
-    avx2_bitmap_base_count,   avx2_intersect_size,
+    simd_mode::avx2,        "avx2",
+    avx2_bitmap_base_count, avx2_intersect_size,
     avx2_intersect_into,
 };
 

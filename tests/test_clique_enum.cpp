@@ -69,15 +69,24 @@ TEST(Triangles, KnownSmallGraph) {
 
 TEST(Triangles, EachEmittedOnceAscending) {
   const auto g = gen::gnp(60, 0.25, 91);
+  const clique_set s = collect_cliques(g, 3);
   std::set<std::array<vertex, 3>> seen;
-  for_each_triangle(g, [&](vertex u, vertex v, vertex w) {
+  for (std::int64_t i = 0; i < s.size(); ++i) {
+    const vertex u = s[i][0], v = s[i][1], w = s[i][2];
     EXPECT_LT(u, v);
     EXPECT_LT(v, w);
     EXPECT_TRUE(g.has_edge(u, v));
     EXPECT_TRUE(g.has_edge(u, w));
     EXPECT_TRUE(g.has_edge(v, w));
     EXPECT_TRUE(seen.insert({u, v, w}).second) << "duplicate triangle";
-  });
+  }
+  // Every triangle is there: brute force over all vertex triples.
+  std::int64_t brute = 0;
+  for (vertex u = 0; u < g.num_vertices(); ++u)
+    for (vertex v = u + 1; v < g.num_vertices(); ++v)
+      for (vertex w = v + 1; w < g.num_vertices(); ++w)
+        brute += g.has_edge(u, v) && g.has_edge(u, w) && g.has_edge(v, w);
+  EXPECT_EQ(s.size(), brute);
 }
 
 TEST(KCliques, CompleteGraphCounts) {

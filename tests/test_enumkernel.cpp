@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -90,13 +91,10 @@ clique_set naive_in_edge_set(const edge_list& edges, int p) {
 
 clique_set kernel_collect(const graph& g, int p,
                           enumkernel::enum_scratch& ws,
-                          enumkernel::orientation_policy policy =
-                              enumkernel::orientation_policy::degeneracy,
                           enumkernel::exec_config exec = {}) {
   clique_set out(p);
   enumkernel::enumerate_cliques(
-      g, p, ws, [&](std::span<const vertex> c) { out.add_flat(c); },
-      policy, exec);
+      g, p, ws, [&](std::span<const vertex> c) { out.add_flat(c); }, exec);
   out.normalize();
   return out;
 }
@@ -131,14 +129,11 @@ TEST(EnumKernel, DifferentialSweepGnp) {
       const auto want = naive_collect(g, p);
       for (const auto mode : kAllModes) {
         EXPECT_TRUE(kernel_collect(
-                        g, p, ws,
-                        enumkernel::orientation_policy::degeneracy,
-                        exec_for(mode)) == want)
+                        g, p, ws, exec_for(mode)) == want)
             << "n=" << n << " prob=" << prob << " p=" << p
             << " mode=" << int(mode);
         EXPECT_EQ(enumkernel::count_cliques(
-                      g, p, ws, enumkernel::orientation_policy::degeneracy,
-                      exec_for(mode)),
+                      g, p, ws, exec_for(mode)),
                   want.size());
       }
     }
@@ -161,20 +156,16 @@ TEST(EnumKernel, DifferentialSweepSimdTiers) {
   for (const auto& g : graphs) {
     for (int p = 3; p <= 7; ++p) {
       const auto want =
-          kernel_collect(g, p, ws, enumkernel::orientation_policy::degeneracy,
-                         exec_for(enumkernel::kernel_mode::scalar,
+          kernel_collect(g, p, ws, exec_for(enumkernel::kernel_mode::scalar,
                                   simd_mode::scalar));
       for (const auto mode : kAllModes) {
         for (const auto simd : kAllSimd) {
-          EXPECT_TRUE(kernel_collect(g, p, ws,
-                                     enumkernel::orientation_policy::degeneracy,
-                                     exec_for(mode, simd)) == want)
+          EXPECT_TRUE(kernel_collect(g, p, ws, exec_for(mode, simd)) == want)
               << "n=" << g.num_vertices() << " p=" << p << " mode="
               << int(mode) << " simd=" << simd::simd_mode_name(simd);
           EXPECT_EQ(
               enumkernel::count_cliques(
-                  g, p, ws, enumkernel::orientation_policy::degeneracy,
-                  exec_for(mode, simd)),
+                  g, p, ws, exec_for(mode, simd)),
               want.size())
               << "n=" << g.num_vertices() << " p=" << p << " mode="
               << int(mode) << " simd=" << simd::simd_mode_name(simd);
@@ -188,36 +179,45 @@ TEST(EnumKernel, SimdTiersOnWideBitmapRows) {
   // The vector tier's bitmap counting base runs its lane path only on rows
   // of at least 4 words, which the small graphs above never reach. Here
   // arc u -> v roots a 200-member egonet (4-word rows): u and v are
-  // adjacent to all of W, W is the cube of a path (K4s, no K5), and
-  // kW pendant vertices on each member of W lift its degree above u's and
-  // v's, so the degree orientation ranks the pendants, then u and v, then
-  // W. Pendants lie in no triangle, so the clique sets stay small.
+  // adjacent to all of W, and W is the cube of a path (K4s, no K5). No
+  // small graph has a degeneracy order that ranks u and v below all of W,
+  // so the DAG is oriented by vertex id (u, then v, then W) and the arc
+  // enumerator runs on it directly.
   constexpr vertex kW = 200;
   const vertex u = 0, v = 1, w0 = 2;
-  vertex n = w0 + kW;
+  const vertex n = w0 + kW;
   edge_list edges{{u, v}};
   for (vertex i = 0; i < kW; ++i) {
     edges.push_back({u, w0 + i});
     edges.push_back({v, w0 + i});
     for (vertex d = 1; d <= 3 && i + d < kW; ++d)
       edges.push_back({w0 + i, w0 + i + d});
-    for (vertex j = 0; j < kW; ++j) edges.push_back({w0 + i, n++});
   }
   const graph g(n, edges);
-  constexpr auto kDegree = enumkernel::orientation_policy::degree;
+  std::vector<vertex> by_id(std::size_t(n), 0);
+  std::iota(by_id.begin(), by_id.end(), vertex{0});
+  enumkernel::dag d;
+  enumkernel::orient_by_rank(g.view(), by_id, d);
   enumkernel::enum_scratch ws;
+  const auto collect = [&](int p, enumkernel::exec_config exec) {
+    clique_set out(p);
+    enumkernel::arc_enumerator(d, p, ws, exec)
+        .list_range(0, d.num_arcs(),
+                    [&](std::span<const vertex> c) { out.add_flat(c); });
+    out.normalize();
+    return out;
+  };
   for (int p = 3; p <= 6; ++p) {
-    const auto want = kernel_collect(
-        g, p, ws, kDegree,
-        exec_for(enumkernel::kernel_mode::scalar, simd_mode::scalar));
+    const auto want = collect(
+        p, exec_for(enumkernel::kernel_mode::scalar, simd_mode::scalar));
+    EXPECT_TRUE(want == naive_collect(g, p)) << "p=" << p;
     for (const auto mode : kAllModes)
       for (const auto simd : kAllSimd) {
-        EXPECT_TRUE(kernel_collect(g, p, ws, kDegree, exec_for(mode, simd)) ==
-                    want)
+        EXPECT_TRUE(collect(p, exec_for(mode, simd)) == want)
             << "p=" << p << " mode=" << int(mode)
             << " simd=" << simd::simd_mode_name(simd);
-        EXPECT_EQ(enumkernel::count_cliques(g, p, ws, kDegree,
-                                            exec_for(mode, simd)),
+        EXPECT_EQ(enumkernel::arc_enumerator(d, p, ws, exec_for(mode, simd))
+                      .count_range(0, d.num_arcs()),
                   want.size())
             << "p=" << p << " mode=" << int(mode)
             << " simd=" << simd::simd_mode_name(simd);
@@ -256,9 +256,7 @@ TEST(EnumKernel, DifferentialSweepKneser) {
   for (int p = 3; p <= 7; ++p) {
     const auto want = naive_collect(g, p);
     for (const auto mode : kAllModes)
-      EXPECT_TRUE(kernel_collect(g, p, ws,
-                                 enumkernel::orientation_policy::degeneracy,
-                                 exec_for(mode)) == want)
+      EXPECT_TRUE(kernel_collect(g, p, ws, exec_for(mode)) == want)
           << "p=" << p << " mode=" << int(mode);
   }
   EXPECT_EQ(enumkernel::count_cliques(g, 7, ws), 0);
@@ -351,17 +349,6 @@ TEST(EnumKernel, WorksOutOfARuntimeArena) {
   EXPECT_TRUE(kernel_collect(g, 4, again) == first);
 }
 
-TEST(EnumKernel, OrientationPoliciesAgree) {
-  const auto g = gen::power_law(120, 2.5, 8.0, 51);
-  enumkernel::enum_scratch ws;
-  const auto degen = kernel_collect(
-      g, 4, ws, enumkernel::orientation_policy::degeneracy);
-  const auto degree = kernel_collect(
-      g, 4, ws, enumkernel::orientation_policy::degree);
-  EXPECT_TRUE(degen == degree);
-  EXPECT_TRUE(degen == naive_collect(g, 4));
-}
-
 TEST(EnumKernel, ArcEnumeratorRangesCompose) {
   // Listing arc-by-arc, in one range, and counting must all agree.
   const auto g = gen::gnp(40, 0.3, 61);
@@ -435,9 +422,7 @@ TEST(EnumKernel, ModesAgreeOnRealGraph) {
     const auto want = naive_collect(g, p);
     EXPECT_EQ(want.size(), census[p - 3]) << "p=" << p;
     for (const auto mode : kAllModes)
-      EXPECT_TRUE(kernel_collect(g, p, ws,
-                                 enumkernel::orientation_policy::degeneracy,
-                                 exec_for(mode)) == want)
+      EXPECT_TRUE(kernel_collect(g, p, ws, exec_for(mode)) == want)
           << "p=" << p << " mode=" << int(mode);
   }
 }
@@ -465,16 +450,14 @@ TEST(EnumKernel, BitmapScratchWarmReuse) {
   const auto g = gen::gnp(48, 0.5, 81);
   enumkernel::enum_scratch ws;
   const auto first =
-      kernel_collect(g, 5, ws, enumkernel::orientation_policy::degeneracy,
-                     exec_for(enumkernel::kernel_mode::bitmap));
+      kernel_collect(g, 5, ws, exec_for(enumkernel::kernel_mode::bitmap));
   ASSERT_GT(ws.bit_rows.capacity(), 0u);  // the bitmap path really ran
   const auto* rows_ptr = ws.bit_rows.data();
   const auto* masks_ptr = ws.bit_masks.data();
   const auto rows_cap = ws.bit_rows.capacity();
   const auto masks_cap = ws.bit_masks.capacity();
   const auto again =
-      kernel_collect(g, 5, ws, enumkernel::orientation_policy::degeneracy,
-                     exec_for(enumkernel::kernel_mode::bitmap));
+      kernel_collect(g, 5, ws, exec_for(enumkernel::kernel_mode::bitmap));
   EXPECT_TRUE(first == again);
   EXPECT_EQ(rows_ptr, ws.bit_rows.data());
   EXPECT_EQ(masks_ptr, ws.bit_masks.data());

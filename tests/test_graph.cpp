@@ -4,6 +4,7 @@
 #include <iterator>
 #include <vector>
 
+#include "enumkernel/orient.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
@@ -132,14 +133,21 @@ TEST(Algorithms, Diameter) {
 }
 
 TEST(Algorithms, DegeneracyOfCompleteGraph) {
-  const auto d = degeneracy_order(gen::complete(6));
-  EXPECT_EQ(d.degeneracy_value, 5);
-  EXPECT_EQ(d.order.size(), 6u);
+  const auto g = gen::complete(6);
+  const auto d =
+      enumkernel::orient(g, enumkernel::orientation_policy::degeneracy);
+  EXPECT_EQ(d.max_out_degree, 5);
+  EXPECT_EQ(d.rank.size(), 6u);
+  EXPECT_EQ(enumkernel::core_numbers(g), std::vector<std::int32_t>(6, 5));
 }
 
 TEST(Algorithms, DegeneracyOfTree) {
   const graph g(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});  // star
-  EXPECT_EQ(degeneracy_order(g).degeneracy_value, 1);
+  EXPECT_EQ(
+      enumkernel::orient(g, enumkernel::orientation_policy::degeneracy)
+          .max_out_degree,
+      1);
+  EXPECT_EQ(enumkernel::core_numbers(g), std::vector<std::int32_t>(5, 1));
 }
 
 TEST(Algorithms, ConductanceOfKnownCut) {

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <regex>
+#include <algorithm>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "core/api/session.hpp"
 #include "graph/generators.hpp"
@@ -241,10 +242,35 @@ std::set<std::string> phase_labels(const graph& g, int p) {
   return out;
 }
 
+/// True when a label segment ends in "clusterN" and the next segment is
+/// that same "clusterN" ("cluster3/cluster3/tree"): the doubled prefix a
+/// cluster's comm context must never produce.
+bool has_doubled_cluster_prefix(std::string_view label) {
+  const auto is_cluster_token = [](std::string_view seg) {
+    return seg.size() > 7 && seg.starts_with("cluster") &&
+           std::all_of(seg.begin() + 7, seg.end(),
+                       [](char c) { return c >= '0' && c <= '9'; });
+  };
+  std::string_view prev;
+  bool first = true;
+  while (true) {
+    const std::size_t slash = label.find('/');
+    const std::string_view seg = label.substr(0, slash);
+    if (!first && is_cluster_token(seg) && prev.ends_with(seg)) return true;
+    if (slash == std::string_view::npos) return false;
+    prev = seg;
+    first = false;
+    label.remove_prefix(slash + 1);
+  }
+}
+
 void expect_no_doubled_cluster_prefix(const std::set<std::string>& labels) {
-  const std::regex doubled(R"((cluster\d+)/\1(/|$))");
-  for (const auto& l : labels)
-    EXPECT_FALSE(std::regex_search(l, doubled)) << l;
+  for (const auto& l : labels) EXPECT_FALSE(has_doubled_cluster_prefix(l)) << l;
+}
+
+TEST(PhaseLabels, DoubledPrefixScanFindsOnlyDoubledPrefixes) {
+  EXPECT_TRUE(has_doubled_cluster_prefix("cluster3/cluster3/tree/stats"));
+  EXPECT_FALSE(has_doubled_cluster_prefix("cluster3/cluster31/tree/stats"));
 }
 
 // The cluster's comm context prefixes its own phase, so every cluster-local

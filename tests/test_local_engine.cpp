@@ -25,22 +25,19 @@ using enumkernel::orientation_policy;
 
 TEST(Orient, KeepsEveryEdgeExactlyOnceRankForward) {
   const auto g = gen::gnp(120, 0.1, 3);
-  for (const auto policy :
-       {orientation_policy::degeneracy, orientation_policy::degree}) {
-    const auto d = enumkernel::orient(g, policy);
-    EXPECT_EQ(d.num_arcs(), g.num_edges());
-    std::int64_t arcs = 0;
-    for (vertex v = 0; v < g.num_vertices(); ++v) {
-      auto out = d.out_neighbors(v);
-      EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
-      for (const vertex w : out) {
-        EXPECT_LT(d.rank[size_t(v)], d.rank[size_t(w)]);
-        EXPECT_TRUE(g.has_edge(v, w));
-        ++arcs;
-      }
+  const auto d = enumkernel::orient(g, orientation_policy::degeneracy);
+  EXPECT_EQ(d.num_arcs(), g.num_edges());
+  std::int64_t arcs = 0;
+  for (vertex v = 0; v < g.num_vertices(); ++v) {
+    auto out = d.out_neighbors(v);
+    EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+    for (const vertex w : out) {
+      EXPECT_LT(d.rank[size_t(v)], d.rank[size_t(w)]);
+      EXPECT_TRUE(g.has_edge(v, w));
+      ++arcs;
     }
-    EXPECT_EQ(arcs, g.num_edges());
   }
+  EXPECT_EQ(arcs, g.num_edges());
 }
 
 TEST(Orient, DegeneracyBoundsOutDegree) {
@@ -69,12 +66,10 @@ TEST(Orient, CoreNumbers) {
 // The engine's primary calls, with no session in between: orient once,
 // then list (or count) on a private pool and scratch bundle.
 
-clique_set list_local(
-    const graph& g, int p,
-    orientation_policy policy = orientation_policy::degeneracy,
-    int threads = 1, std::int64_t grain = 128,
-    local::parallel_listing_stats* stats = nullptr) {
-  const auto d = enumkernel::orient(g, policy);
+clique_set list_local(const graph& g, int p, int threads = 1,
+                      std::int64_t grain = 128,
+                      local::parallel_listing_stats* stats = nullptr) {
+  const auto d = enumkernel::orient(g, orientation_policy::degeneracy);
   local::thread_pool pool(threads);
   runtime::query_scratch scratch;
   clique_collector out(p);
@@ -132,14 +127,6 @@ TEST(LocalEngine, MatchesSequentialOnPlantedCliques) {
     expect_matches_sequential(g, p);
 }
 
-TEST(LocalEngine, DegreeOrientationGivesSameResult) {
-  const auto g = gen::power_law(150, 2.3, 10.0, 53);
-  for (int p = 3; p <= 5; ++p) {
-    const auto got = list_local(g, p, orientation_policy::degree);
-    EXPECT_TRUE(got == collect_cliques(g, p)) << "p=" << p;
-  }
-}
-
 TEST(LocalEngine, ArbitraryArityBeyondCongestRange) {
   // p = 8 exceeds the CONGEST drivers' 3..6 but the local engine lists it.
   const auto g = gen::planted_cliques(60, 0.02, 1, 10, 7);
@@ -179,8 +166,7 @@ TEST(LocalEngine, ThreadCountInvariance) {
     const auto want = collect_cliques(g, p);
     for (int threads : {1, 2, 3, 4, 8}) {
       local::parallel_listing_stats st;
-      const auto got = list_local(g, p, orientation_policy::degeneracy,
-                                  threads, /*grain=*/16, &st);
+      const auto got = list_local(g, p, threads, /*grain=*/16, &st);
       EXPECT_TRUE(got == want) << "p=" << p << " threads=" << threads;
       EXPECT_EQ(st.threads, threads);
       std::int64_t roots = 0;
@@ -198,24 +184,20 @@ TEST(LocalEngine, ThreadCountInvariance) {
 
 TEST(Orient, ByRankMatchesThePolicyOrientation) {
   const auto g = gen::power_law(150, 2.3, 10.0, 53);
-  for (const auto policy :
-       {orientation_policy::degeneracy, orientation_policy::degree}) {
-    const auto want = enumkernel::orient(g, policy);
-    const auto rank = enumkernel::vertex_rank(g, policy);
-    EXPECT_EQ(rank, want.rank);
-    enumkernel::dag got;
-    enumkernel::orient_by_rank(g.view(), rank, got);
-    EXPECT_EQ(got.offsets, want.offsets);
-    EXPECT_EQ(got.adj, want.adj);
-    EXPECT_EQ(got.max_out_degree, want.max_out_degree);
-  }
+  const auto want = enumkernel::orient(g, orientation_policy::degeneracy);
+  const auto rank = enumkernel::vertex_rank(g);
+  EXPECT_EQ(rank, want.rank);
+  enumkernel::dag got;
+  enumkernel::orient_by_rank(g.view(), rank, got);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.adj, want.adj);
+  EXPECT_EQ(got.max_out_degree, want.max_out_degree);
   // Only the order matters: ranks spread over a wider range orient alike.
-  auto spread = enumkernel::vertex_rank(g, orientation_policy::degeneracy);
+  auto spread = enumkernel::vertex_rank(g);
   for (vertex& r : spread) r = 3 * r + 1000;
   enumkernel::dag wide;
   enumkernel::orient_by_rank(g.view(), spread, wide);
-  EXPECT_EQ(wide.adj,
-            enumkernel::orient(g, orientation_policy::degeneracy).adj);
+  EXPECT_EQ(wide.adj, want.adj);
   // A tie across an edge would drop it.
   enumkernel::dag d;
   const std::vector<vertex> ties(std::size_t(g.num_vertices()), 0);

@@ -180,7 +180,10 @@ TEST(BuildK3, Theorem13CoverageOfTriangles) {
   for (std::size_t i = 0; i < b.leaf_parts.size(); ++i)
     leaf_index[{b.leaf_parts[i].node, b.leaf_parts[i].part}] = i;
   std::int64_t checked = 0;
-  for_each_triangle(b.h, [&](vertex u, vertex v, vertex w) {
+  const clique_set triangles = collect_cliques(b.h, 3);
+  for (std::int64_t t = 0; t < triangles.size(); ++t) {
+    const vertex u = triangles[t][0], v = triangles[t][1],
+                 w = triangles[t][2];
     // Try all assignments of {u,v,w} to the three layers (the theorem
     // guarantees the identity order works since every layer partitions the
     // same domain; we check it directly).
@@ -199,7 +202,7 @@ TEST(BuildK3, Theorem13CoverageOfTriangles) {
     ASSERT_NE(it, leaf_index.end());
     EXPECT_GE(b.leaf_assignment[it->second], 0);
     ++checked;
-  });
+  }
   EXPECT_GT(checked, 0);
 }
 

@@ -77,18 +77,27 @@ TEST(ThreadPool, TaskExceptionPropagatesToCaller) {
 }
 
 TEST(ThreadPool, PerWorkerArenasAreStable) {
+  // Per-worker state lives in a query_scratch indexed by the worker index
+  // each task receives, the way every engine fans out on a pool.
   runtime::thread_pool pool(3);
+  runtime::query_scratch scratch;
+  scratch.ensure_workers(pool.size());
   struct slot {
     std::vector<int> data;
   };
-  // First job: every worker that runs deposits a marker in its arena.
-  pool.for_each_index(64, [&](int w, std::int64_t) {
-    pool.arena(w).get<slot>().data.push_back(w);
-  });
+  // Two jobs: every worker that runs deposits a marker in its arena, and
+  // the second job finds the first job's arenas where it left them.
+  for (int job = 0; job < 2; ++job)
+    pool.for_each_index(64, [&](int w, std::int64_t) {
+      scratch.arena(w).get<slot>().data.push_back(w);
+    });
   // The arena of each worker only ever saw that worker's marker.
+  std::size_t markers = 0;
   for (int w = 0; w < pool.size(); ++w) {
-    for (int v : pool.arena(w).get<slot>().data) EXPECT_EQ(v, w);
+    for (int v : scratch.arena(w).get<slot>().data) EXPECT_EQ(v, w);
+    markers += scratch.arena(w).get<slot>().data.size();
   }
+  EXPECT_EQ(markers, 128u);
 }
 
 // --------------------------------------------------------- scratch_arena

@@ -268,8 +268,6 @@ TEST(ListingSession, QueryValidationAtTheSessionBoundary) {
   listing_query eq;
   eq.p = enumkernel::kMaxCliqueArity + 1;
   EXPECT_THROW(sim.cliques_in_edges(eq, g.edges()), precondition_error);
-  // Binding validation.
-  EXPECT_THROW(listing_session(g, {.grain = 0}), precondition_error);
 }
 
 TEST(ListingSession, KernelModesBitIdenticalAcrossEnginesAndThreads) {

@@ -2,7 +2,8 @@
 // contracts, DAG-root partition exactness (each shard's rooted count and
 // collect run, in process), payload codec round-trips with
 // truncation/garbage rejection, bind hardening and the reply contract,
-// frame-layer preamble/version/EOF discipline and flush-delay aggregation,
+// frame-layer preamble/version/EOF discipline and its one-write-per-frame
+// pattern,
 // and — the acceptance gate — the differential sweep: sharded runs over
 // forked worker processes, shards ∈ {1, 2, 4}, p = 3..6, both engines,
 // must produce clique sets AND full listing_report ledgers bit-identical
@@ -12,13 +13,13 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <bit>
 #include <memory>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,7 +45,6 @@ using shard::frame_writer;
 using shard::shard_error;
 using shard::wire_buf;
 using shard::wire_cursor;
-using shard::wire_options;
 
 void expect_report_identical(const listing_report& a,
                              const listing_report& b) {
@@ -141,54 +141,49 @@ TEST(ShardPartition, SliceContainsClosedNeighborhoodsAscending) {
 // DAG-root ownership: each shard's worker, run in process on its bind,
 // roots the kernel at the vertices it owns, so the shards' counts sum to
 // the solo count and their collect runs partition the solo set — for every
-// shard count, partitioner and orientation.
+// shard count and partitioner.
 TEST(ShardPartition, RootedShardsPartitionTheSoloSet) {
   const graph graphs[] = {gen::gnp(50, 0.3, 31), gen::ring_of_cliques(4, 8),
                           gen::planted_cliques(90, 0.04, 2, 8, 61)};
   for (const graph& g : graphs) {
-    for (const auto orientation : {enumkernel::orientation_policy::degeneracy,
-                                   enumkernel::orientation_policy::degree}) {
-      shard::shard_options opt;
-      opt.worker_session.engine = listing_engine::local_kclist;
-      opt.worker_session.orientation = orientation;
-      listing_session solo(g, opt.worker_session);
-      const auto rank = enumkernel::vertex_rank(g, orientation);
-      for (const auto scheme :
-           {shard::partition_scheme::block, shard::partition_scheme::hashed}) {
-        opt.partitioner = {scheme, 17};
-        for (int shards = 1; shards <= 4; ++shards) {
-          std::vector<std::unique_ptr<shard::local_shard>> fleet;
-          for (int i = 0; i < shards; ++i)
-            fleet.push_back(std::make_unique<shard::local_shard>(
-                shard::make_bind(g, opt, rank, i, shards)));
-          for (int p = 3; p <= 6; ++p) {
-            listing_query q;
-            q.p = p;
-            const query_result want = solo.run(q);
-            listing_query qc = q;
-            qc.mode = sink_mode::count;
-            std::int64_t counted = 0;
-            clique_set listed(p);
-            std::int64_t listed_total = 0;
-            for (auto& worker : fleet) {
-              const shard::shard_result c = worker->serve(1, qc);
-              EXPECT_TRUE(c.raw_tuples.empty());
-              counted += c.emitted;
-              const shard::shard_result l = worker->serve(2, q);
-              EXPECT_EQ(l.emitted, c.emitted);
-              listed_total += l.emitted;
-              listed.add_flat(l.raw_tuples);
-            }
-            const std::string cell =
-                "scheme=" + std::string(shard::partition_scheme_name(scheme)) +
-                " orientation=" + std::to_string(int(orientation)) +
-                " shards=" + std::to_string(shards) +
-                " p=" + std::to_string(p);
-            EXPECT_EQ(counted, want.count) << cell;
-            EXPECT_EQ(listed.normalize(), 0) << "shards overlap: " << cell;
-            EXPECT_EQ(listed_total, want.count) << cell;
-            EXPECT_EQ(listed, want.cliques) << cell;
+    shard::shard_options opt;
+    opt.worker_session.engine = listing_engine::local_kclist;
+    listing_session solo(g, opt.worker_session);
+    const auto rank = enumkernel::vertex_rank(g);
+    for (const auto scheme :
+         {shard::partition_scheme::block, shard::partition_scheme::hashed}) {
+      opt.partitioner = {scheme, 17};
+      for (int shards = 1; shards <= 4; ++shards) {
+        std::vector<std::unique_ptr<shard::local_shard>> fleet;
+        for (int i = 0; i < shards; ++i)
+          fleet.push_back(std::make_unique<shard::local_shard>(
+              shard::make_bind(g, opt, rank, i, shards)));
+        for (int p = 3; p <= 6; ++p) {
+          listing_query q;
+          q.p = p;
+          const query_result want = solo.run(q);
+          listing_query qc = q;
+          qc.mode = sink_mode::count;
+          std::int64_t counted = 0;
+          clique_set listed(p);
+          std::int64_t listed_total = 0;
+          for (auto& worker : fleet) {
+            const shard::shard_result c = worker->serve(1, qc);
+            EXPECT_TRUE(c.raw_tuples.empty());
+            counted += c.emitted;
+            const shard::shard_result l = worker->serve(2, q);
+            EXPECT_EQ(l.emitted, c.emitted);
+            listed_total += l.emitted;
+            listed.add_flat(l.raw_tuples);
           }
+          const std::string cell =
+              "scheme=" + std::string(shard::partition_scheme_name(scheme)) +
+              " shards=" + std::to_string(shards) +
+              " p=" + std::to_string(p);
+          EXPECT_EQ(counted, want.count) << cell;
+          EXPECT_EQ(listed.normalize(), 0) << "shards overlap: " << cell;
+          EXPECT_EQ(listed_total, want.count) << cell;
+          EXPECT_EQ(listed, want.cliques) << cell;
         }
       }
     }
@@ -262,12 +257,10 @@ shard::shard_bind sample_bind() {
   const graph g = gen::ring_of_cliques(4, 5);
   m.slice = shard::build_graph_slice(g, slice_spec, 2, 3);
   m.engine = listing_engine::local_kclist;
-  const auto rank =
-      enumkernel::vertex_rank(g, enumkernel::orientation_policy::degree);
+  const auto rank = enumkernel::vertex_rank(g);
   for (const vertex v : m.slice.to_original)
     m.rank.push_back(rank[std::size_t(v)]);
   m.threads = 3;
-  m.grain = 77;
   m.kernel = enumkernel::kernel_mode::bitmap;
   m.simd = simd_mode::scalar;
   return m;
@@ -289,7 +282,6 @@ TEST(ShardCodec, BindRoundTrip) {
   EXPECT_EQ(d.engine, m.engine);
   EXPECT_EQ(d.rank, m.rank);
   EXPECT_EQ(d.threads, m.threads);
-  EXPECT_EQ(d.grain, m.grain);
   EXPECT_EQ(d.kernel, enumkernel::kernel_mode::bitmap);
   EXPECT_EQ(d.simd, simd_mode::scalar);
 }
@@ -359,14 +351,6 @@ TEST(ShardCodec, BindRanksUnderCongestAreRejected) {
   EXPECT_NO_THROW(shard::decode_bind(c));
 }
 
-TEST(ShardCodec, BindGrainBelowOneIsRejected) {
-  shard::shard_bind m = sample_bind();
-  m.grain = 0;
-  expect_bind_rejected(m);
-  m.grain = -5;
-  expect_bind_rejected(m);
-}
-
 TEST(ShardCodec, BindThreadsAboveTheCapAreRejected) {
   shard::shard_bind m = sample_bind();
   m.threads = shard::kMaxShardThreads + 1;
@@ -378,6 +362,72 @@ TEST(ShardCodec, BindThreadsAboveTheCapAreRejected) {
   shard::encode_bind(b, m);
   wire_cursor c(b.view());
   EXPECT_EQ(shard::decode_bind(c).threads, shard::kMaxShardThreads);
+}
+
+// --- forged counts: a count the payload cannot hold is a shard_error (the
+// one exception the coordinator drains every peer on and reports as that
+// shard's failure), never std::length_error from reserving it ------------
+
+/// The encoded i64 at `at`, and a copy of `bytes` with it replaced by `n`.
+std::int64_t count_at(std::span<const std::uint8_t> bytes, std::size_t at) {
+  std::int64_t n = 0;
+  std::memcpy(&n, bytes.data() + at, sizeof n);
+  return n;
+}
+
+std::vector<std::uint8_t> with_count(std::span<const std::uint8_t> bytes,
+                                     std::size_t at, std::int64_t n) {
+  std::vector<std::uint8_t> out(bytes.begin(), bytes.end());
+  std::memcpy(out.data() + at, &n, sizeof n);
+  return out;
+}
+
+/// 2^62, the bytes left after the count plus one, and the first count the
+/// bytes left cannot hold at `min_bytes` per element.
+std::vector<std::int64_t> forged_counts(std::span<const std::uint8_t> bytes,
+                                        std::size_t at,
+                                        std::size_t min_bytes) {
+  const auto remaining = std::int64_t(bytes.size() - at - 8);
+  return {std::int64_t(1) << 62, remaining + 1,
+          remaining / std::int64_t(min_bytes) + 1};
+}
+
+TEST(ShardCodec, ForgedSliceEdgeCountIsAShardError) {
+  const shard::shard_bind m = sample_bind();
+  wire_buf b;
+  shard::encode_bind(b, m);
+  // shard, shards, scheme, seed; the slice's full_n, local_n and remap.
+  const std::size_t at =
+      4 + 4 + 1 + 8 + 4 + 4 + 8 + 4 * m.slice.to_original.size();
+  ASSERT_EQ(count_at(b.view(), at), m.slice.local.num_edges());
+  for (const std::int64_t n : forged_counts(b.view(), at, 8)) {
+    const auto bytes = with_count(b.view(), at, n);
+    wire_cursor c(bytes);
+    EXPECT_THROW(shard::decode_bind(c), shard_error) << "count=" << n;
+  }
+}
+
+TEST(ShardCodec, ForgedScopedLedgerCountIsAShardError) {
+  shard::shard_result r;
+  r.qid = 5;
+  r.p = 3;
+  r.raw_tuples = {0, 1, 2};
+  r.emitted = 1;
+  shard_scoped_ledger sl;
+  sl.level = 1;
+  sl.branch = 2;
+  sl.ledger.charge("list", 3, 9);
+  r.scoped.push_back(sl);
+  wire_buf b;
+  shard::encode_result(b, r);
+  // qid, p, the tuple vector, emitted.
+  const std::size_t at = 8 + 4 + 8 + 4 * r.raw_tuples.size() + 8;
+  ASSERT_EQ(count_at(b.view(), at), 1);
+  for (const std::int64_t n : forged_counts(b.view(), at, 36)) {
+    const auto bytes = with_count(b.view(), at, n);
+    wire_cursor c(bytes);
+    EXPECT_THROW(shard::decode_result(c), shard_error) << "count=" << n;
+  }
 }
 
 TEST(ShardCodec, LedgerRoundTripPreservesTotalsSeparateFromPhases) {
@@ -557,12 +607,11 @@ TEST(ShardCodec, TraceBlobRoundTripsBitIdentically) {
 
 TEST(ShardWire, FramesRoundTripThroughMemoryChannel) {
   auto [a, b] = shard::make_memory_channel_pair();
-  frame_writer w(*a, {});
+  frame_writer w(*a);
   wire_buf payload;
   payload.put(std::int32_t(7));
   w.send(frame_type::bind, payload.view());
   w.send(frame_type::shutdown, {});
-  w.flush();
   frame_reader r(*b);
   frame f;
   ASSERT_TRUE(r.next(f));
@@ -576,70 +625,45 @@ TEST(ShardWire, FramesRoundTripThroughMemoryChannel) {
   EXPECT_FALSE(r.next(f));
 }
 
-TEST(ShardWire, SmallFramesAggregateIntoOneWrite) {
+TEST(ShardWire, EveryFrameIsOneWriteWithThePreambleAhead) {
+  // The stream layout is native-endian; the literal below is spelled for
+  // a little-endian host.
+  if (std::endian::native != std::endian::little)
+    GTEST_SKIP() << "expected stream spelled little-endian";
   auto [a, b] = shard::make_memory_channel_pair();
-  wire_options opt;
-  opt.aggregate_bytes = 1 << 16;
-  opt.flush_delay = std::chrono::milliseconds(1000);
-  frame_writer w(*a, opt);
-  for (int i = 0; i < 50; ++i) {
-    wire_buf payload;
-    payload.put(std::int64_t(i));
-    w.send(frame_type::query, payload.view());
-  }
-  EXPECT_EQ(a->writes(), 0);  // everything still queued
-  EXPECT_GT(w.pending_bytes(), 0u);
-  w.flush();
-  EXPECT_EQ(a->writes(), 1);  // preamble + 50 frames, one buffer
-  frame_reader r(*b);
-  frame f;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(r.next(f));
-    wire_cursor c(f.payload);
-    EXPECT_EQ(c.get<std::int64_t>(), i);
-  }
-  EXPECT_EQ(r.stats().frames_received, 50);
-}
-
-TEST(ShardWire, BufferFullTriggersFlushWithoutExplicitCall) {
-  auto [a, b] = shard::make_memory_channel_pair();
-  wire_options opt;
-  opt.aggregate_bytes = 256;  // tiny MTU
-  opt.flush_delay = std::chrono::milliseconds(1000);
-  frame_writer w(*a, opt);
-  const std::vector<std::uint8_t> blob(300, 0xAB);
-  w.send(frame_type::query, blob);  // exceeds the target on its own
-  EXPECT_GE(a->writes(), 1);
-  EXPECT_EQ(w.pending_bytes(), 0u);
-}
-
-TEST(ShardWire, NonPositiveFlushDelayFlushesEverySend) {
-  auto [a, b] = shard::make_memory_channel_pair();
-  wire_options opt;
-  opt.flush_delay = std::chrono::milliseconds(0);
-  frame_writer w(*a, opt);
-  w.send(frame_type::stats_req, {});
+  frame_writer w(*a);
+  EXPECT_EQ(a->writes(), 0);  // nothing, not even the preamble, before a frame
+  const std::uint8_t query[3] = {0x01, 0x02, 0x03};
+  const std::uint8_t result[1] = {0xFF};
+  const std::vector<std::uint8_t> first = {
+      'D', 'C', 'L', 'S', 'H', 'A', 'R', 'D', 4, 0, 0, 0,  // magic, v4
+      3, 0, 0, 0, 3, 0, 0, 0, 0x01, 0x02, 0x03};  // len 3, query, reserved
+  const std::vector<std::uint8_t> rest = {
+      0, 0, 0, 0, 6, 0, 0, 0,       // len 0, stats_req
+      1, 0, 0, 0, 4, 0, 0, 0, 0xFF  // len 1, result
+  };
+  const auto drain = [&b](std::size_t n) {
+    std::vector<std::uint8_t> got(n);
+    std::size_t at = 0;
+    while (at < n) at += b->read_some(got.data() + at, n - at);
+    return got;
+  };
+  w.send(frame_type::query, query);
+  EXPECT_EQ(a->writes(), 1);  // the preamble went out with the first frame
+  EXPECT_EQ(drain(first.size()), first);
   w.send(frame_type::stats_req, {});
   EXPECT_EQ(a->writes(), 2);
-}
-
-TEST(ShardWire, PollHonorsTheFlushDelayKnob) {
-  auto [a, b] = shard::make_memory_channel_pair();
-  wire_options opt;
-  opt.aggregate_bytes = 1 << 16;
-  opt.flush_delay = std::chrono::milliseconds(5);
-  frame_writer w(*a, opt);
-  w.send(frame_type::stats_req, {});
-  w.poll();  // too fresh — stays queued
-  EXPECT_EQ(a->writes(), 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  w.poll();
-  EXPECT_EQ(a->writes(), 1);
-  w.poll();  // nothing queued — no empty write
-  EXPECT_EQ(a->writes(), 1);
+  w.send(frame_type::result, result);
+  EXPECT_EQ(a->writes(), 3);  // N sends, N writes
+  EXPECT_EQ(drain(rest.size()), rest);
+  EXPECT_EQ(w.stats().frames_sent, 3);
+  EXPECT_EQ(w.stats().flushes, 3);
+  EXPECT_EQ(w.stats().bytes_sent,
+            std::int64_t(first.size() - 12 + rest.size()));  // no preamble
 }
 
 TEST(ShardWire, BadMagicAndBadVersionAreRejected) {
+  EXPECT_EQ(shard::kWireVersion, 4u);
   {
     auto [a, b] = shard::make_memory_channel_pair();
     const char junk[12] = {'N', 'O', 'T', 'A', 'M', 'A',
@@ -649,17 +673,19 @@ TEST(ShardWire, BadMagicAndBadVersionAreRejected) {
     frame f;
     EXPECT_THROW(r.next(f), shard_error);
   }
-  {
+  // The previous version (a v3 peer, whose bind still carries a grain) and
+  // the next one are both refused at the preamble.
+  for (const std::uint32_t v :
+       {shard::kWireVersion - 1, shard::kWireVersion + 1}) {
     auto [a, b] = shard::make_memory_channel_pair();
     std::vector<std::uint8_t> pre(shard::kWireMagic,
                                   shard::kWireMagic + 8);
-    const std::uint32_t v = shard::kWireVersion + 1;
     pre.insert(pre.end(), reinterpret_cast<const std::uint8_t*>(&v),
                reinterpret_cast<const std::uint8_t*>(&v) + 4);
     a->write_all(pre.data(), pre.size());
     frame_reader r(*b);
     frame f;
-    EXPECT_THROW(r.next(f), shard_error);
+    EXPECT_THROW(r.next(f), shard_error) << "version " << v;
   }
 }
 
@@ -936,7 +962,7 @@ TEST(ShardFailure, WorkerErrorFrameFailsTheQueryNotTheWorker) {
   // the very next query must still be served.
   const graph g = gen::gnp(30, 0.2, 5);
   auto workers = shard::launch_fork_workers(1);
-  frame_writer w(*workers[0].link, {});
+  frame_writer w(*workers[0].link);
   frame_reader r(*workers[0].link);
 
   shard::shard_bind bind;
@@ -946,7 +972,6 @@ TEST(ShardFailure, WorkerErrorFrameFailsTheQueryNotTheWorker) {
   wire_buf bb;
   shard::encode_bind(bb, bind);
   w.send(frame_type::bind, bb.view());
-  w.flush();
   frame f;
   ASSERT_TRUE(r.next(f));
   ASSERT_EQ(f.type, frame_type::bind_ok);
@@ -959,7 +984,6 @@ TEST(ShardFailure, WorkerErrorFrameFailsTheQueryNotTheWorker) {
   qb.put(std::uint64_t(1));
   shard::encode_query(qb, bad);
   w.send(frame_type::query, qb.view());
-  w.flush();
   ASSERT_TRUE(r.next(f));
   EXPECT_EQ(f.type, frame_type::error);
   wire_cursor c(f.payload);
@@ -972,7 +996,6 @@ TEST(ShardFailure, WorkerErrorFrameFailsTheQueryNotTheWorker) {
   gb.put(std::uint64_t(2));
   shard::encode_query(gb, good);
   w.send(frame_type::query, gb.view());
-  w.flush();
   ASSERT_TRUE(r.next(f));
   EXPECT_EQ(f.type, frame_type::result);
   wire_cursor rc(f.payload);
@@ -981,7 +1004,6 @@ TEST(ShardFailure, WorkerErrorFrameFailsTheQueryNotTheWorker) {
   EXPECT_GT(res.emitted, 0);
 
   w.send(frame_type::shutdown, {});
-  w.flush();
   ASSERT_TRUE(r.next(f));
   EXPECT_EQ(f.type, frame_type::bye);
   EXPECT_EQ(shard::wait_worker(workers[0]), 0);
