@@ -21,7 +21,6 @@ namespace dcl {
 struct two_hop_stats {
   std::int64_t rounds = 0;
   std::int64_t messages = 0;
-  std::int64_t max_degree_seen = 0;
 };
 
 /// Lists all p-cliques of `g` containing at least one target vertex. Every
@@ -29,11 +28,14 @@ struct two_hop_stats {
 /// the network ledger under `phase`; all targets proceed in parallel, so
 /// the round cost is the max per-directed-edge load of the two exchanges.
 /// If `id_map` is non-empty, emitted vertex ids are translated through it
-/// (used when g is a cluster-local subgraph). The per-target local listing
-/// runs on the shared enumeration kernel; passing the worker's runtime
-/// `arena` keys a persistent workspace (kernel scratch, learned-edge and
-/// tuple buffers) there, making the per-target enumerations allocation-
-/// free across clusters — a call-local workspace is used otherwise.
+/// (used when g is a cluster-local subgraph). Each clique is emitted once,
+/// by its minimum-id target member: target v lists the (p-1)-cliques of
+/// N(v) minus the smaller targets, on a local DAG it builds from the same
+/// intersections it is charged for and walks with the shared kernel's
+/// arc_enumerator. Passing the worker's runtime `arena` keys a persistent
+/// workspace (marks, local DAG, kernel scratch) there, making the sweep
+/// allocation-free across calls — a call-local workspace is used
+/// otherwise.
 two_hop_stats two_hop_listing(
     network& net, const graph& g, std::span<const vertex> targets,
     std::int64_t alpha, int p, clique_collector& out, std::string_view phase,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -250,16 +249,15 @@ query_result shard_coordinator::fold_congest(
   if (q.trace) {
     std::vector<trace_log> logs;
     logs.reserve(results.size());
-    for (const shard_result& r : results) {
-      if (r.trace_blob.empty()) {
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const std::vector<std::uint8_t>& blob = results[i].trace_blob;
+      if (blob.empty()) {
         logs.emplace_back();
         continue;
       }
-      std::istringstream is(
-          std::string(reinterpret_cast<const char*>(r.trace_blob.data()),
-                      r.trace_blob.size()),
-          std::ios::binary);
-      logs.push_back(trace_log::read_binary(is));
+      logs.push_back(read_trace_blob(
+          {reinterpret_cast<const char*>(blob.data()), blob.size()},
+          "shard " + std::to_string(i)));
     }
     std::vector<scope_ref> refs;
     for (const trace_log& log : logs)

@@ -210,16 +210,18 @@ void encode_trace(wire_buf& b, const trace_log& t) {
   b.put_string(blob);
 }
 
-trace_log decode_trace(wire_cursor& c) {
-  const std::string blob = c.get_string();
-  std::istringstream is(blob, std::ios::binary);
+trace_log read_trace_blob(std::string_view blob, const std::string& who) {
+  std::istringstream is(std::string(blob), std::ios::binary);
   try {
     return trace_log::read_binary(is);
   } catch (const precondition_error& e) {
     // The embedded reader's rejection is a peer/protocol failure here.
-    throw shard_error(std::string("shard payload: bad trace blob: ") +
-                      e.what());
+    throw shard_error(who + ": bad trace blob: " + e.what());
   }
+}
+
+trace_log decode_trace(wire_cursor& c) {
+  return read_trace_blob(c.get_string(), "shard payload");
 }
 
 void encode_bind(wire_buf& b, const shard_bind& m) {

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/api/session.hpp"
@@ -185,6 +186,11 @@ std::vector<shard_scoped_ledger> decode_scoped_ledgers(wire_cursor& c);
 
 void encode_trace(wire_buf& b, const trace_log& t);
 trace_log decode_trace(wire_cursor& c);
+
+/// Parses one trace_log binary blob as a peer shipped it. The trace
+/// reader's rejection (truncation, bad magic or version) is rethrown as a
+/// shard_error whose message starts with `who` (say, "shard 1").
+trace_log read_trace_blob(std::string_view blob, const std::string& who);
 
 void encode_bind(wire_buf& b, const shard_bind& m);
 shard_bind decode_bind(wire_cursor& c);

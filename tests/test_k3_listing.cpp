@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "core/api/session.hpp"
 #include "core/listing/two_hop.hpp"
 #include "graph/generators.hpp"
+#include "runtime/scratch.hpp"
 #include "support/check.hpp"
 
 namespace dcl {
@@ -63,6 +67,88 @@ TEST(TwoHop, K4ThroughTargets) {
   clique_collector out(3 + 1);
   two_hop_listing(net, g, targets, alpha, 4, out, "th");
   EXPECT_TRUE(out.finalize() == collect_cliques(g, 4));
+}
+
+// Pins two_hop_listing on its own: a strict target subset with adjacent
+// targets (so each target's smaller targets are pruned from its local
+// graph), a hub neighbour far above alpha (so its intersections gallop), a
+// non-identity id_map, p = 3..6 and both kernel traversals.
+TEST(TwoHop, StrictTargetSubsetMatchesBruteForceAndExchangeCost) {
+  // Planted 6-cliques over a sparse G(n, p), plus vertex n adjacent to all.
+  const graph base = gen::planted_cliques(600, 0.005, 8, 6, 21);
+  const vertex hub = base.num_vertices();
+  edge_list edges(base.edges().begin(), base.edges().end());
+  for (vertex v = 0; v < hub; ++v) edges.push_back({v, hub});
+  const graph g(hub + 1, edges);
+
+  std::vector<vertex> targets;
+  std::int64_t alpha = 0;
+  for (vertex v = 0; v < hub; ++v)
+    if (v % 3 != 0) {
+      targets.push_back(v);
+      alpha = std::max<std::int64_t>(alpha, g.degree(v));
+    }
+  std::vector<bool> is_target(size_t(g.num_vertices()), false);
+  for (vertex v : targets) is_target[size_t(v)] = true;
+  ASSERT_GE(std::int64_t(g.degree(hub)), std::int64_t(kGallopFactor) * alpha);
+  bool adjacent_targets = false;
+  for (const auto& e : g.edges())
+    adjacent_targets |= is_target[size_t(e.u)] && is_target[size_t(e.v)];
+  ASSERT_TRUE(adjacent_targets);
+
+  std::vector<vertex> id_map(size_t(g.num_vertices()));
+  for (vertex v = 0; v < g.num_vertices(); ++v)
+    id_map[size_t(v)] = 5000 - 3 * v;
+
+  // Exchange A: v ships N(v) on each of its edges; Exchange B: neighbour u
+  // answers N(u) ∩ N(v). Rounds are the two max loads, messages the sums.
+  std::int64_t rounds_a = 0, rounds_b = 0, messages = 0;
+  for (vertex v : targets) {
+    const auto nv = g.neighbors(v);
+    rounds_a = std::max<std::int64_t>(rounds_a, std::int64_t(nv.size()));
+    messages += std::int64_t(nv.size()) * std::int64_t(nv.size());
+    for (vertex u : nv) {
+      std::vector<vertex> common;
+      std::set_intersection(nv.begin(), nv.end(), g.neighbors(u).begin(),
+                            g.neighbors(u).end(), std::back_inserter(common));
+      rounds_b = std::max<std::int64_t>(rounds_b, std::int64_t(common.size()));
+      messages += std::int64_t(common.size());
+    }
+  }
+
+  for (const auto kernel :
+       {enumkernel::kernel_mode::scalar, enumkernel::kernel_mode::bitmap}) {
+    for (int p = 3; p <= 6; ++p) {
+      SCOPED_TRACE(::testing::Message() << "p=" << p << " kernel="
+                                        << int(kernel));
+      clique_collector want(p);
+      const clique_set all = collect_cliques(g, p);
+      std::vector<vertex> tuple(static_cast<size_t>(p));
+      for (std::int64_t i = 0; i < all.size(); ++i) {
+        bool has_target = false;
+        for (vertex x : all[i]) has_target |= is_target[size_t(x)];
+        if (!has_target) continue;
+        for (int k = 0; k < p; ++k) tuple[size_t(k)] = id_map[size_t(all[i][k])];
+        want.emit(tuple);
+      }
+      const clique_set expected = want.finalize();
+      ASSERT_GT(expected.size(), 0);
+
+      cost_ledger ledger;
+      network net(g, ledger);
+      clique_collector out(p);
+      runtime::scratch_arena arena;
+      const auto stats = two_hop_listing(
+          net, g, targets, alpha, p, out, "th", id_map, &arena,
+          enumkernel::resolve_exec(kernel, simd_mode::auto_select));
+      EXPECT_EQ(out.emitted(), expected.size());
+      EXPECT_TRUE(out.finalize() == expected);
+      EXPECT_EQ(stats.rounds, rounds_a + rounds_b);
+      EXPECT_EQ(stats.messages, messages);
+      EXPECT_EQ(ledger.rounds(), stats.rounds);
+      EXPECT_EQ(ledger.messages(), stats.messages);
+    }
+  }
 }
 
 TEST(K3Listing, ExactOnGnp) {

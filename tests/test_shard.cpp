@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -1024,6 +1025,74 @@ TEST(ShardFailure, CoordinatorSurfacesWorkerErrorsAsShardError) {
   good.p = 3;
   EXPECT_GT(coord.run(good).count, 0);
   coord.shutdown();
+  for (auto& w : workers) EXPECT_EQ(shard::wait_worker(w), 0);
+}
+
+/// Relays one worker's frames to and from the coordinator in lockstep
+/// (every request has exactly one reply), halving the trace blob of every
+/// result on the way back. Returns after forwarding `bye`, or on EOF.
+void relay_truncating_traces(shard::byte_channel& coord,
+                             shard::byte_channel& worker) {
+  frame_reader from_coord(coord);
+  frame_writer to_coord(coord);
+  frame_reader from_worker(worker);
+  frame_writer to_worker(worker);
+  frame f;
+  while (from_coord.next(f)) {
+    to_worker.send(f.type, f.payload);
+    if (!from_worker.next(f)) return;
+    if (f.type == frame_type::result) {
+      wire_cursor c(f.payload);
+      shard::shard_result r = shard::decode_result(c);
+      r.trace_blob.resize(r.trace_blob.size() / 2);
+      wire_buf b;
+      shard::encode_result(b, r);
+      to_coord.send(f.type, b.view());
+    } else {
+      to_coord.send(f.type, f.payload);
+    }
+    if (f.type == frame_type::bye) return;
+  }
+}
+
+TEST(ShardFailure, TruncatedTraceBlobInACongestReplyIsAShardError) {
+  // Fork first: the relay thread must not exist at fork time.
+  const graph g = gen::ring_of_cliques(5, 7);
+  auto workers = shard::launch_fork_workers(2);
+  auto ends = shard::make_memory_channel_pair();
+  std::string relay_error;
+  {
+    std::jthread relay([&] {
+      try {
+        relay_truncating_traces(*ends.second, *workers[1].link);
+      } catch (const std::exception& e) {
+        relay_error = e.what();
+      }
+    });
+    std::vector<std::unique_ptr<shard::byte_channel>> links;
+    links.push_back(std::move(workers[0].link));
+    links.push_back(std::move(ends.first));
+    // Declared after the relay, so its end closes before the relay joins.
+    shard::shard_coordinator coord(
+        g, std::move(links), sharded_options(listing_engine::congest_sim));
+    listing_query q;
+    q.p = 4;
+    q.trace = true;
+    try {
+      coord.run(q);
+      ADD_FAILURE() << "a truncated trace blob folded without error";
+    } catch (const shard_error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard 1"), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not a shard_error: " << e.what();
+    }
+    // The replies were drained, so the fleet still serves untraced queries.
+    q.trace = false;
+    EXPECT_GT(coord.run(q).count, 0);
+    coord.shutdown();
+  }
+  EXPECT_EQ(relay_error, "");
   for (auto& w : workers) EXPECT_EQ(shard::wait_worker(w), 0);
 }
 
