@@ -1,14 +1,11 @@
 #include "core/listing/k3_cluster.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "congest/cluster_comm.hpp"
 #include "core/listing/balance.hpp"
 #include "core/listing/two_hop.hpp"
 #include "core/ptree/build_k3.hpp"
-#include "enumkernel/kernel.hpp"
 #include "support/check.hpp"
 #include "support/math_util.hpp"
 #include "support/prng.hpp"
@@ -16,6 +13,14 @@
 namespace dcl {
 
 namespace {
+
+/// The members of the ascending list `nb` in [lo, hi); empty if lo >= hi.
+std::span<const vertex> in_range(std::span<const vertex> nb, std::int64_t lo,
+                                 std::int64_t hi) {
+  if (lo >= hi) return {};
+  const auto b = std::lower_bound(nb.begin(), nb.end(), vertex(lo));
+  return {b, std::lower_bound(b, nb.end(), vertex(hi))};
+}
 
 /// Baseline "trees": every layer reuses one equal-size interval partition
 /// of the (possibly permuted) pool order. Charged as a broadcast of the
@@ -121,23 +126,18 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
   // Step 1: each lister sends the interval endpoints of the other anc parts
   // to every member of every anc part (O(1) words per member).
   // Step 2: members reply with their H-edges into the other parts.
-  enumkernel::enum_scratch local_ws;
-  enumkernel::enum_scratch& ws =
-      scratch != nullptr ? scratch->get<enumkernel::enum_scratch>()
-                         : local_ws;
   // Request and reply traffic stage simultaneously, one per outbox.
   message_batch& requests = cc.outbox(0);
   message_batch& replies = cc.outbox(1);
   requests.clear();
   replies.clear();
-  std::vector<edge_list> learned(tb.leaf_parts.size());
-  std::set<vertex> lister_set;
-  std::map<vertex, std::int64_t> recv_words;
+  std::vector<char> is_lister(pool.size(), 0);           // per pool index
+  std::vector<std::int64_t> recv_words(pool.size(), 0);  // per pool index
   for (std::size_t li = 0; li < tb.leaf_parts.size(); ++li) {
     const auto& leaf = tb.leaf_parts[li];
     const vertex lister_pos = tb.leaf_assignment[li];
     const vertex lister = pool[size_t(lister_pos)];
-    lister_set.insert(lister);
+    is_lister[size_t(lister_pos)] = 1;
     const auto chain = tb.tree.anc(leaf.depth, leaf.node, leaf.part);
     for (std::size_t ui = 0; ui < chain.size(); ++ui) {
       const auto [ulo, uhi] = tb.tree.part_bounds(chain[ui]);
@@ -151,45 +151,60 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
         for (std::size_t wi = 0; wi < chain.size(); ++wi) {
           if (wi == ui) continue;
           const auto [wlo, whi] = tb.tree.part_bounds(chain[wi]);
-          const auto lo_it =
-              std::lower_bound(nb.begin(), nb.end(), vertex(wlo));
-          const auto hi_it =
-              std::lower_bound(nb.begin(), nb.end(), vertex(whi));
-          for (auto it = lo_it; it != hi_it; ++it) {
-            learned[li].push_back(make_edge(vertex(posu), *it));
-            ++recv_words[lister];
-            if (u != lister) replies.emplace(u, lister);
-          }
+          const auto words = std::int64_t(in_range(nb, wlo, whi).size());
+          recv_words[size_t(lister_pos)] += words;
+          if (u != lister)
+            for (std::int64_t w = 0; w < words; ++w)
+              replies.emplace(u, lister);
         }
       }
     }
   }
-  stats.listers = std::int64_t(lister_set.size());
-  for (const auto& [lister, words] : recv_words) {
-    const auto deg = a.comm_degree_of(cc.to_parent(lister));
-    if (deg > 0)
+  stats.listers =
+      std::int64_t(std::count(is_lister.begin(), is_lister.end(), 1));
+  for (std::size_t i = 0; i < pool.size(); ++i)
+    if (recv_words[i] > 0 && comm_deg[i] > 0)
       stats.max_normalized_load =
-          std::max(stats.max_normalized_load, double(words) / double(deg));
-  }
+          std::max(stats.max_normalized_load,
+                   double(recv_words[i]) / double(comm_deg[i]));
   cc.route_discard(requests, "learn_req");
   cc.route_discard(replies, "learn_rep");
 
-  for (std::size_t li = 0; li < tb.leaf_parts.size(); ++li) {
-    auto& le = learned[li];
-    std::sort(le.begin(), le.end());
-    le.erase(std::unique(le.begin(), le.end()), le.end());
-    stats.learned_edges += std::int64_t(le.size());
-    // Cluster-local listing on the shared kernel: the learned edges are in
-    // position space, so remap each emitted triangle back to parent ids.
-    enumkernel::enumerate_cliques_in_edges(
-        le, 3, ws,
-        [&](std::span<const vertex> c) {
-          vertex tri[3];
-          for (int z = 0; z < 3; ++z)
-            tri[size_t(z)] = cc.to_parent(pool[size_t(c[size_t(z)])]);
-          out.emit(std::span<const vertex>(tri, 3));
-        },
-        exec);
+  // Leaf li lists exactly the triangles x < y < z of tb.h (pool positions)
+  // with x, y, z in its depth-0, 1, 2 chain parts: Theorem 13's
+  // leaf_for_tuple names one such leaf per triangle, so each is emitted
+  // once, and every edge of it joins two chain parts, so the leaf learned
+  // all three above. Emitted tuples are remapped back to parent ids.
+  for (const auto& leaf : tb.leaf_parts) {
+    const auto chain = tb.tree.anc(leaf.depth, leaf.node, leaf.part);
+    const auto [lo0, hi0] = tb.tree.part_bounds(chain[0]);
+    const auto [lo1, hi1] = tb.tree.part_bounds(chain[1]);
+    const auto [lo2, hi2] = tb.tree.part_bounds(chain[2]);
+    for (std::int64_t x = lo0; x < hi0; ++x) {
+      const auto nx = tb.h.neighbors(vertex(x));
+      for (const vertex y : in_range(nx, std::max(lo1, x + 1), hi1)) {
+        const auto zx = in_range(nx, std::max(lo2, std::int64_t(y) + 1), hi2);
+        const auto zy =
+            in_range(tb.h.neighbors(y), std::max(lo2, std::int64_t(y) + 1),
+                     hi2);
+        auto a = zx.begin();
+        auto b = zy.begin();
+        while (a != zx.end() && b != zy.end()) {
+          if (*a < *b) {
+            ++a;
+          } else if (*b < *a) {
+            ++b;
+          } else {
+            const vertex tri[3] = {cc.to_parent(pool[size_t(x)]),
+                                   cc.to_parent(pool[size_t(y)]),
+                                   cc.to_parent(pool[size_t(*a)])};
+            out.emit(std::span<const vertex>(tri, 3));
+            ++a;
+            ++b;
+          }
+        }
+      }
+    }
   }
   return stats;
 }

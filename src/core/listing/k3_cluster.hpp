@@ -26,7 +26,6 @@ namespace dcl {
 enum class lb_engine { deterministic, randomized, unbalanced };
 
 struct cluster_listing_stats {
-  std::int64_t learned_edges = 0;   ///< total edges shipped to listers
   std::int64_t listers = 0;
   std::int64_t leaf_parts = 0;
   /// max over listers of (received words / comm degree) — the per-vertex

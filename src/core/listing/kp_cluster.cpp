@@ -324,7 +324,6 @@ cluster_listing_stats list_kp_in_cluster(
       listers.insert(assignment[lid]);
       std::sort(le.begin(), le.end());
       le.erase(std::unique(le.begin(), le.end()), le.end());
-      stats.learned_edges += std::int64_t(le.size());
       // Learned edges already carry parent ids — emit kernel tuples as-is.
       enumkernel::enumerate_cliques_in_edges(
           le, p, ws, [&](std::span<const vertex> c) { out.emit(c); }, exec);
