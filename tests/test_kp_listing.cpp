@@ -178,18 +178,18 @@ TEST(KpListing, EmittedAndDuplicatesPinned) {
     std::vector<cell> cells;
   } cases[] = {
       {gen::gnp(100, 0.15, 5),
-       {{3, det, 537, 1918, 1381}, {3, rnd, 537, 2614, 2077},
+       {{3, det, 537, 537, 0},     {3, rnd, 537, 537, 0},
         {4, det, 30, 35, 5},       {4, rnd, 30, 35, 5},
         {5, det, 0, 0, 0},         {5, rnd, 0, 0, 0},
         {6, det, 0, 0, 0},         {6, rnd, 0, 0, 0}}},
       {gen::planted_partition(6, 20, 0.3, 0.005, 5),
-       {{3, det, 137, 452, 315}, {3, rnd, 137, 554, 417},
+       {{3, det, 137, 137, 0},   {3, rnd, 137, 137, 0},
         {4, det, 11, 11, 0},     {4, rnd, 11, 11, 0},
         {5, det, 0, 0, 0},       {5, rnd, 0, 0, 0},
         {6, det, 0, 0, 0},       {6, rnd, 0, 0, 0}}},
       // Dense enough for K5/K6, and its p = 5 run has duplicates.
       {gen::gnp(60, 0.4, 5),
-       {{3, det, 2226, 2226, 0},   {3, rnd, 2226, 10049, 7823},
+       {{3, det, 2226, 2226, 0},   {3, rnd, 2226, 2226, 0},
         {4, det, 1977, 1977, 0},   {4, rnd, 1977, 1977, 0},
         {5, det, 489, 1790, 1301}, {5, rnd, 489, 1790, 1301},
         {6, det, 29, 29, 0},       {6, rnd, 29, 29, 0}}},
