@@ -4,7 +4,10 @@
 #include <iterator>
 
 #include "core/api/session.hpp"
+#include "core/listing/k3_cluster.hpp"
 #include "core/listing/two_hop.hpp"
+#include "expander/anatomy.hpp"
+#include "expander/decomposition.hpp"
 #include "graph/generators.hpp"
 #include "runtime/scratch.hpp"
 #include "support/check.hpp"
@@ -149,6 +152,55 @@ TEST(TwoHop, StrictTargetSubsetMatchesBruteForceAndExchangeCost) {
       EXPECT_EQ(ledger.messages(), stats.messages);
     }
   }
+}
+
+// One cluster lists each triangle of G[E_C] exactly once: the two-hop side
+// through its smallest low-degree target, the partition tree each all-V−
+// triangle from the one leaf whose chain owns its sorted positions. Level 0
+// of the driver's decomposition, every cluster, every lb engine.
+TEST(K3Listing, ClusterEmitsEachTriangleOnce) {
+  std::int64_t tree_side = 0;  // all-V− triangles: the leaves' share
+  for (const auto& g :
+       {gen::gnp(200, 0.08, 61), gen::planted_partition(4, 40, 0.4, 0.02, 67),
+        gen::power_law(300, 2.4, 10.0, 71)}) {
+    decomposition_options dopt;
+    dopt.epsilon = 1.0 / 18.0;  // the driver's p = 3 default
+    const auto anatomy = build_anatomy(g, decompose(g, dopt), {.p = 3});
+    for (std::size_t ci = 0; ci < anatomy.size(); ++ci) {
+      const auto& a = anatomy[ci];
+      // Brute force over G[E_C]: each edge u < v closes a triangle with
+      // every common neighbour w > v.
+      const graph gc(g.num_vertices(), a.e_cluster);
+      clique_collector brute(3);
+      for (const auto& e : gc.edges())
+        for (vertex w : sorted_intersection(gc.neighbors(e.u),
+                                            gc.neighbors(e.v)))
+          if (w > e.v) {
+            const vertex tri[3] = {e.u, e.v, w};
+            brute.emit(tri);
+            tree_side += a.in_v_minus(e.u) && a.in_v_minus(e.v) &&
+                         a.in_v_minus(w);
+          }
+      const clique_set want = brute.finalize();
+      for (const auto lb : {lb_engine::deterministic, lb_engine::randomized,
+                            lb_engine::unbalanced}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << g.num_vertices()
+                                          << " cluster=" << ci
+                                          << " lb=" << int(lb));
+        cost_ledger first, second;
+        for (cost_ledger* ledger : {&first, &second}) {
+          network net(g, *ledger);
+          clique_collector out(3);
+          list_k3_in_cluster(net, g, a, lb, 7 + ci, out, "cluster");
+          EXPECT_EQ(out.emitted(), want.size());
+          EXPECT_TRUE(out.finalize() == want);
+        }
+        EXPECT_TRUE(first == second);
+      }
+    }
+  }
+  // Tree-side coverage: the leaves had all-V− triangles to list.
+  EXPECT_GT(tree_side, 0);
 }
 
 TEST(K3Listing, ExactOnGnp) {
