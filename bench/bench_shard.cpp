@@ -15,11 +15,17 @@
 //     ledger must be bit-identical to the solo session (a clean exit IS
 //     the differential gate);
 //   * a local_kclist count query must put less than kCountWireLimit bytes
-//     on the wire: each worker answers with its rooted count, never tuples.
+//     on the wire: each worker answers with its rooted count, never tuples;
+//   * a congest_sim p = 3 collect query must put at most
+//     kCongestTupleWireRatio times the bytes of the local_kclist p = 3
+//     collect query with the same shard count on the wire: K3 clusters
+//     emit each triangle once, so the tuples shipped are nearly the
+//     distinct set, as they are for kClist.
 
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -38,6 +44,7 @@ using shard::wire_stats;
 
 constexpr int kShardCounts[] = {1, 2, 4};
 constexpr std::int64_t kCountWireLimit = 1024;
+constexpr double kCongestTupleWireRatio = 1.25;
 
 struct cell {
   std::string engine;
@@ -125,10 +132,13 @@ int main(int argc, char** argv) {
      << "  \"graph\": {\"family\": \"gnp\", \"n\": " << n
      << ", \"prob\": " << prob << "},\n  \"shards_swept\": [1, 2, 4],\n"
      << "  \"count_wire_limit_bytes\": " << kCountWireLimit << ",\n"
+     << "  \"congest_tuple_wire_ratio\": " << kCongestTupleWireRatio << ",\n"
      << "  \"results\": [";
   bool first = true;
   bool all_identical = true;
   bool count_wire_ok = true;
+  // p = 3 collect wire bytes per shard count, per engine.
+  std::map<int, std::int64_t> congest_k3_wire, local_k3_wire;
 
   for (const auto engine :
        {listing_engine::congest_sim, listing_engine::local_kclist}) {
@@ -190,6 +200,10 @@ int main(int argc, char** argv) {
                       << ")\n";
             count_wire_ok = false;
           }
+          if (mode == sink_mode::collect && p == 3)
+            (engine == listing_engine::congest_sim ? congest_k3_wire
+                                                   : local_k3_wire)[shards] =
+                c.wire_bytes;
           coord.shutdown();
           for (auto& w : workers)
             if (shard::wait_worker(w) != 0) all_identical = false;
@@ -209,5 +223,15 @@ int main(int argc, char** argv) {
     return 3;
   }
   if (!count_wire_ok) return 4;
+  for (const auto& [shards, bytes] : congest_k3_wire) {
+    const std::int64_t local = local_k3_wire[shards];
+    if (double(bytes) > kCongestTupleWireRatio * double(local)) {
+      std::cerr << "bench_shard: GATE FAILED: a congest p = 3 collect query on "
+                << shards << " shards put " << bytes << " bytes on the wire, "
+                << "over " << kCongestTupleWireRatio << "x the local "
+                << "engine's " << local << "\n";
+      return 5;
+    }
+  }
   return 0;
 }
