@@ -163,7 +163,7 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
   stats.listers =
       std::int64_t(std::count(is_lister.begin(), is_lister.end(), 1));
   for (std::size_t i = 0; i < pool.size(); ++i)
-    if (recv_words[i] > 0 && comm_deg[i] > 0)
+    if (comm_deg[i] > 0)
       stats.max_normalized_load =
           std::max(stats.max_normalized_load,
                    double(recv_words[i]) / double(comm_deg[i]));
@@ -175,6 +175,7 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
   // leaf_for_tuple names one such leaf per triangle, so each is emitted
   // once, and every edge of it joins two chain parts, so the leaf learned
   // all three above. Emitted tuples are remapped back to parent ids.
+  std::vector<vertex> zs;  // the z candidates of one (x, y)
   for (const auto& leaf : tb.leaf_parts) {
     const auto chain = tb.tree.anc(leaf.depth, leaf.node, leaf.part);
     const auto [lo0, hi0] = tb.tree.part_bounds(chain[0]);
@@ -183,25 +184,14 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
     for (std::int64_t x = lo0; x < hi0; ++x) {
       const auto nx = tb.h.neighbors(vertex(x));
       for (const vertex y : in_range(nx, std::max(lo1, x + 1), hi1)) {
-        const auto zx = in_range(nx, std::max(lo2, std::int64_t(y) + 1), hi2);
-        const auto zy =
-            in_range(tb.h.neighbors(y), std::max(lo2, std::int64_t(y) + 1),
-                     hi2);
-        auto a = zx.begin();
-        auto b = zy.begin();
-        while (a != zx.end() && b != zy.end()) {
-          if (*a < *b) {
-            ++a;
-          } else if (*b < *a) {
-            ++b;
-          } else {
-            const vertex tri[3] = {cc.to_parent(pool[size_t(x)]),
-                                   cc.to_parent(pool[size_t(y)]),
-                                   cc.to_parent(pool[size_t(*a)])};
-            out.emit(std::span<const vertex>(tri, 3));
-            ++a;
-            ++b;
-          }
+        const std::int64_t zlo = std::max(lo2, std::int64_t(y) + 1);
+        sorted_intersection_into(in_range(nx, zlo, hi2),
+                                 in_range(tb.h.neighbors(y), zlo, hi2), zs);
+        for (const vertex z : zs) {
+          const vertex tri[3] = {cc.to_parent(pool[size_t(x)]),
+                                 cc.to_parent(pool[size_t(y)]),
+                                 cc.to_parent(pool[size_t(z)])};
+          out.emit(tri);
         }
       }
     }
