@@ -1,13 +1,12 @@
 // E7 (Theorem 6 substitute): routing-round scaling against the CS20 closed
-// form, plus the transport-layer old-vs-new exchange comparison.
+// form, plus the per-batch cost of a one-hop exchange.
 //
 // Sweep: cluster families (hypercube, circulant, gnp expander) × per-vertex
 // loads L. Per (family, L):
 //
-//  * exchange — per-batch overhead of a one-hop network::exchange, new
-//    arc-indexed transport vs the verbatim pre-transport implementation
-//    (namespace legacy). Outputs and charged rounds are cross-checked for
-//    bit-identity before timing — a mismatch aborts.
+//  * exchange — per-batch overhead of a one-hop network::exchange. Its
+//    arc-counter charge is cross-checked against the sort-based
+//    one_hop_rounds spec before timing — a mismatch aborts.
 //
 //  * route — measured store-and-forward routing rounds on the φ-cluster,
 //    against tree depth, conductance, the CS20 closed form, and the
@@ -31,6 +30,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,45 +45,6 @@
 #include "graph/spectral.hpp"
 #include "support/prng.hpp"
 #include "support/stats.hpp"
-
-namespace legacy {
-
-using namespace dcl;
-
-// ---- verbatim pre-transport implementation (congest/network.cpp @ PR 3).
-
-std::int64_t one_hop_rounds(const std::vector<message>& msgs) {
-  if (msgs.empty()) return 0;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(msgs.size());
-  for (const auto& m : msgs)
-    keys.push_back((std::uint64_t(std::uint32_t(m.src)) << 32) |
-                   std::uint32_t(m.dst));
-  std::sort(keys.begin(), keys.end());
-  std::int64_t best = 0, run = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    run = (i > 0 && keys[i] == keys[i - 1]) ? run + 1 : 1;
-    best = std::max(best, run);
-  }
-  return best;
-}
-
-std::vector<message> exchange(const graph& g, cost_ledger& ledger,
-                              std::vector<message> msgs,
-                              std::string_view phase) {
-  for (const auto& m : msgs) {
-    if (!(m.src >= 0 && m.src < g.num_vertices() && m.dst >= 0 &&
-          m.dst < g.num_vertices()))
-      std::abort();
-    const auto nb = g.neighbors(m.src);
-    if (!std::binary_search(nb.begin(), nb.end(), m.dst)) std::abort();
-  }
-  ledger.charge(phase, one_hop_rounds(msgs), std::int64_t(msgs.size()));
-  std::sort(msgs.begin(), msgs.end(), message_order);
-  return msgs;
-}
-
-}  // namespace legacy
 
 namespace dcl {
 namespace {
@@ -121,8 +82,7 @@ struct case_result {
   std::string cluster;
   std::int64_t load = 0;
   std::int64_t batch = 0;
-  double legacy_exchange_seconds = 0;
-  double transport_exchange_seconds = 0;
+  double exchange_seconds = 0;
   double route_seconds = 0;
   std::int64_t route_rounds = 0;
   std::int64_t max_edge_load = 0;
@@ -183,30 +143,15 @@ int main(int argc, char** argv) {
                std::uint64_t(l), 0});
         }
       r.batch = std::int64_t(one_hop.size());
-      cost_ledger legacy_ledger, transport_ledger;
-      network net(g, transport_ledger);
+      cost_ledger ledger;
+      network net(g, ledger);
       message_batch io;
-      // Cross-check: delivered order and charged rounds bit-identical.
-      {
-        const auto want = legacy::exchange(g, legacy_ledger, one_hop, "x");
-        io.clear();
-        for (const auto& m : one_hop) io.push(m);
-        net.exchange(io, "x");
-        if (io.vec() != want) std::abort();
-        if (legacy_ledger.rounds() != transport_ledger.rounds())
-          std::abort();
-      }
+      for (const auto& m : one_hop) io.push(m);
+      // Cross-check: the arc-counter charge equals the sort-based spec.
+      if (net.exchange(io, "x") != one_hop_rounds(one_hop)) std::abort();
       const int reps = smoke ? 2 : 10;
-      r.legacy_exchange_seconds = bench::best_seconds([&] {
-        for (int i = 0; i < reps; ++i)
-          (void)legacy::exchange(g, legacy_ledger, one_hop, "x");
-      }) / reps;
-      r.transport_exchange_seconds = bench::best_seconds([&] {
-        for (int i = 0; i < reps; ++i) {
-          io.clear();
-          for (const auto& m : one_hop) io.push(m);
-          net.exchange(io, "x");
-        }
+      r.exchange_seconds = bench::best_seconds([&] {
+        for (int i = 0; i < reps; ++i) net.exchange(io, "x");
       }) / reps;
 
       // ---- route: multi-hop all-to-random load (the original E7).
@@ -222,12 +167,11 @@ int main(int argc, char** argv) {
                           ? double(r.shape.dsts_touched) /
                                 double(g.num_vertices())
                           : 0.0;
+      io.clear();
+      for (const auto& m : multi_hop) io.push(m);
       route_stats stats;
-      r.route_seconds = bench::best_seconds([&] {
-        io.clear();
-        for (const auto& m : multi_hop) io.push(m);
-        stats = router.route(io);
-      });
+      r.route_seconds =
+          bench::best_seconds([&] { stats = router.route(io); });
       r.route_rounds = stats.rounds;
       r.max_edge_load = stats.max_edge_load;
       r.tree_depth = router.tree_depth();
@@ -279,12 +223,7 @@ int main(int argc, char** argv) {
     first = false;
     js << "    {\"cluster\": \"" << r.cluster << "\", \"load\": " << r.load
        << ", \"batch\": " << r.batch
-       << ", \"legacy_exchange_seconds\": " << r.legacy_exchange_seconds
-       << ", \"transport_exchange_seconds\": "
-       << r.transport_exchange_seconds << ", \"exchange_speedup\": "
-       << (r.transport_exchange_seconds > 0
-               ? r.legacy_exchange_seconds / r.transport_exchange_seconds
-               : 0.0)
+       << ", \"exchange_seconds\": " << r.exchange_seconds
        << ", \"route_seconds\": " << r.route_seconds
        << ", \"route_rounds\": " << r.route_rounds
        << ", \"max_edge_load\": " << r.max_edge_load

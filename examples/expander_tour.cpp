@@ -54,9 +54,8 @@ int main() {
     msgs.push({v, vertex(rng.next_below(std::uint64_t(
                       sub.num_vertices()))),
                0, 0, 0});
-  const auto sent = msgs.size();
-  const auto stats = router.route(msgs);  // in place: msgs -> delivered
-  std::cout << "\nrouting " << sent << " messages: " << stats.rounds
+  const auto stats = router.route(msgs);  // charged, not delivered
+  std::cout << "\nrouting " << msgs.size() << " messages: " << stats.rounds
             << " measured rounds (max path " << stats.max_path
             << ", max edge load " << stats.max_edge_load << ")\n";
   std::cout << "CS20 Thm 6 model for the same load: "

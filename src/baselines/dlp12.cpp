@@ -36,10 +36,9 @@ dlp12_result dlp12_list_cliques(const graph& g, int p) {
   res.tuples = std::int64_t(tuples.size());
 
   // Each canonical edge is held by its lower endpoint; ship it to every
-  // tuple owner whose tuple contains both endpoint groups. The batch
-  // stages in the clique's transport outbox and is delivered in place.
-  message_batch& batch = net.shared_transport().outbox(0);
-  batch.clear();
+  // tuple owner whose tuple contains both endpoint groups; the exchange
+  // charges the batch, and each owner's learned edges model its receipt.
+  message_batch batch;
   std::vector<edge_list> learned(tuples.size());
   for (const auto& e : g.edges()) {
     const std::int64_t gu = group_of(e.u), gv = group_of(e.v);
@@ -54,7 +53,6 @@ dlp12_result dlp12_list_cliques(const graph& g, int p) {
     }
   }
   net.exchange(batch, "dlp12/ship");
-  batch.clear();
 
   enumkernel::enum_scratch ws;  // one warm kernel workspace across owners
   std::vector<std::int64_t> gs;

@@ -36,8 +36,7 @@ cluster_comm::cluster_comm(network& net, std::vector<vertex> vertices,
   local_edges.erase(std::unique(local_edges.begin(), local_edges.end()),
                     local_edges.end());
   local_ = graph(vertex(to_parent_.size()), local_edges);
-  router_ = std::make_unique<cluster_router>(local_, num_trees,
-                                             &net.shared_transport());
+  router_ = std::make_unique<cluster_router>(local_, num_trees);
 }
 
 vertex cluster_comm::to_local(vertex parent) const {
@@ -54,24 +53,14 @@ std::string cluster_comm::phase(std::string_view sub) const {
   return out;
 }
 
-route_stats cluster_comm::route_discard(message_batch& io,
-                                        std::string_view sub) {
-  trace_batch_shape shape;
-  std::int64_t batch_size = 0;
-  auto* rec = net_->recorder();
-  if (rec != nullptr) {
-    // route_discard clears its input in place; extract the density shape
-    // before the batch is consumed.
-    shape = rec->shape_scratch().compute(io.span(), size());
-    batch_size = std::int64_t(io.size());
-  }
-  last_stats_ = router_->route_discard(io);
+route_stats cluster_comm::route(message_batch& io, std::string_view sub) {
+  const route_stats stats = router_->route(io);
   const std::string ph = phase(sub);
-  net_->ledger().charge(ph, last_stats_.rounds, last_stats_.messages);
-  if (rec != nullptr)
-    rec->record_route(ph, shape, batch_size, size(), last_stats_,
-                      router_->tree_depth());
-  return last_stats_;
+  net_->ledger().charge(ph, stats.rounds, stats.messages);
+  if (auto* rec = net_->recorder())
+    rec->record_route(ph, io.span(), size(), stats, router_->tree_depth());
+  io.clear();
+  return stats;
 }
 
 void cluster_comm::charge_broadcast_from_leader(std::int64_t num_words,
@@ -107,7 +96,7 @@ std::int64_t cluster_comm::allgather(
     for (std::int64_t i = 0; i < items_per_vertex[size_t(v)]; ++i)
       to_leader.emplace(v, /*dst=*/0, 0, std::uint64_t(i));  // leader = 0
   }
-  route_discard(to_leader, sub);
+  route(to_leader, sub);
   charge_broadcast_from_leader(total, sub);
   return total;
 }

@@ -6,9 +6,8 @@
 // Every `sub` label below is relative: the cluster prepends its own prefix,
 // so callers (and the partition-tree code they hand the context to) pass
 // only the suffix, e.g. "tree/layer0", never "cluster3/tree/layer0".
-// The cluster shares its parent network's transport: staging outboxes and
-// delivery buffers stay capacity-warm across every exchange the cluster's
-// producers issue.
+// The cluster shares its parent network's transport: staging outboxes stay
+// capacity-warm across every route the cluster's producers issue.
 
 #include <memory>
 #include <string>
@@ -35,12 +34,12 @@ class cluster_comm {
   vertex to_local(vertex parent) const;
   std::span<const vertex> parent_vertices() const { return to_parent_; }
 
-  /// Multi-hop routed batch (local ids), accounting only: simulated and
-  /// charged at its measured rounds, but the delivered messages are never
-  /// materialized — `io` comes back cleared with its capacity kept. Every
-  /// cluster sender models receipt analytically; combined with a transport
-  /// outbox this makes repeated exchanges allocation-free.
-  route_stats route_discard(message_batch& io, std::string_view sub);
+  /// Multi-hop routed batch (local ids): simulated and charged at its
+  /// measured rounds. Every cluster sender models receipt analytically, so
+  /// nothing is delivered; `io` comes back cleared with its capacity kept,
+  /// ready for the caller's next step. Combined with a transport outbox
+  /// this makes repeated routes allocation-free.
+  route_stats route(message_batch& io, std::string_view sub);
 
   /// Staging batch from the shared transport (capacity-warm across
   /// clusters when the network's transport is arena-parked). Producers
@@ -67,7 +66,6 @@ class cluster_comm {
                          std::string_view sub);
 
   std::int32_t tree_depth() const { return router_->tree_depth(); }
-  const route_stats& last_route_stats() const { return last_stats_; }
   cost_ledger& ledger() { return net_->ledger(); }
 
  private:
@@ -79,7 +77,6 @@ class cluster_comm {
   std::vector<vertex> parent_to_local_;
   std::unique_ptr<cluster_router> router_;
   std::string phase_prefix_;
-  route_stats last_stats_;
 };
 
 }  // namespace dcl

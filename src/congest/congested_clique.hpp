@@ -1,12 +1,14 @@
 #pragma once
 // CONGESTED CLIQUE model: n vertices, all-to-all communication, one
 // O(log n)-bit message per ordered pair per round. Substrate for the
-// [DLP12] deterministic K_p listing baseline (§1.3). Exchanges are
-// in-place over message_batch via the shared transport layer.
+// [DLP12] deterministic K_p listing baseline (§1.3). Like network, an
+// exchange only charges the caller's batch.
+
+#include <cstdint>
+#include <vector>
 
 #include "congest/cost.hpp"
 #include "congest/message.hpp"
-#include "congest/transport.hpp"
 #include "graph/graph.hpp"
 
 namespace dcl {
@@ -15,36 +17,27 @@ class trace_recorder;
 
 class congested_clique {
  public:
-  /// When `tp` is given its buffers are shared (see network); otherwise
-  /// the clique owns one. When `rec` is given every exchange is also
-  /// recorded as a trace event (congest/trace.hpp).
-  congested_clique(vertex n, cost_ledger& ledger, transport* tp = nullptr,
+  /// When `rec` is given every exchange is also recorded as a trace event
+  /// (congest/trace.hpp).
+  congested_clique(vertex n, cost_ledger& ledger,
                    trace_recorder* rec = nullptr);
-
-  // tp_ may point at the clique's own owned_tp_, so a memberwise copy
-  // would alias (then dangle into) the source object's buffers.
-  congested_clique(const congested_clique&) = delete;
-  congested_clique& operator=(const congested_clique&) = delete;
 
   vertex size() const { return n_; }
   cost_ledger& ledger() { return *ledger_; }
-  transport& shared_transport() { return *tp_; }
   trace_recorder* recorder() const { return rec_; }
 
-  /// Delivers an arbitrary point-to-point batch in place. In one round
-  /// every ordered pair can carry one message, so a batch is feasible in r
-  /// rounds iff each ordered pair carries at most r messages; r = max pair
+  /// Charges an arbitrary point-to-point batch. In one round every ordered
+  /// pair can carry one message, so a batch is feasible in r rounds iff
+  /// each ordered pair carries at most r messages; r = max pair
   /// multiplicity (exact, by scheduling each pair's messages in successive
-  /// rounds), read off the delivered order in one linear scan. Reorders
-  /// `io` into deterministic receiver order; returns the charged rounds.
-  std::int64_t exchange(message_batch& io, std::string_view phase);
+  /// rounds), read off one (src, dst) key sort. Returns the charged rounds.
+  std::int64_t exchange(const message_batch& io, std::string_view phase);
 
  private:
   vertex n_;
   cost_ledger* ledger_;
   trace_recorder* rec_;
-  transport* tp_;
-  transport owned_tp_;
+  std::vector<std::uint64_t> keys_;  // count_pairs scratch
 };
 
 }  // namespace dcl

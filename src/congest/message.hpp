@@ -21,23 +21,13 @@ struct message {
   friend bool operator==(const message&, const message&) = default;
 };
 
-/// Deterministic receiver-side ordering: by destination, then source, then
-/// payload, so vertex-local processing never depends on container order.
-inline bool message_order(const message& x, const message& y) {
-  if (x.dst != y.dst) return x.dst < y.dst;
-  if (x.src != y.src) return x.src < y.src;
-  if (x.tag != y.tag) return x.tag < y.tag;
-  if (x.a != y.a) return x.a < y.a;
-  return x.b < y.b;
-}
-
 /// Flat staging buffer for one exchange/route batch. clear() keeps the
-/// allocation, so a worker reuses one batch (usually parked in its
-/// runtime::scratch_arena, or handed out by a transport) across many
-/// exchanges instead of constructing a fresh vector per call — the message
-/// layer's hot loops stay allocation-free after warm-up. Producers only
-/// append; reordering is the transport's job (it swaps buffers rather than
-/// copying), so there is no mutable element access outside the transport.
+/// allocation, so a worker reuses one batch (usually a transport outbox
+/// parked in its runtime::scratch_arena) across many exchanges instead of
+/// constructing a fresh vector per call — the message layer's hot loops
+/// stay allocation-free after warm-up. Producers only append, and the
+/// substrates only read: an exchange or route charges the batch's cost and
+/// never reorders or delivers it.
 class message_batch {
  public:
   void clear() { msgs_.clear(); }
@@ -51,23 +41,12 @@ class message_batch {
     return msgs_.emplace_back(message{src, dst, tag, a, b});
   }
 
-  /// O(1) buffer exchange — the primitive behind the transport's
-  /// double-buffered delivery.
-  void swap(message_batch& other) noexcept { msgs_.swap(other.msgs_); }
-
   std::span<const message> span() const { return msgs_; }
   const message& operator[](std::size_t i) const { return msgs_[i]; }
   auto begin() const { return msgs_.begin(); }
   auto end() const { return msgs_.end(); }
 
-  /// Read-only view of the backing vector, for tests and assertions. The
-  /// mutable escape hatch is gone on purpose: hot-path callers go through
-  /// push/emplace and the transport.
-  const std::vector<message>& vec() const { return msgs_; }
-
  private:
-  friend class transport;  // in-place delivery permutes the buffer
-
   std::vector<message> msgs_;
 };
 

@@ -20,23 +20,31 @@ network::network(const graph& g, cost_ledger& ledger, transport* tp,
       // hash-probe cost.
       arcs_(g.arc_index_lookup()) {}
 
-std::int64_t one_hop_rounds(std::span<const message> msgs) {
-  if (msgs.empty()) return 0;
-  std::vector<std::uint64_t> keys;
-  keys.reserve(msgs.size());
+pair_counts count_pairs(std::span<const message> msgs,
+                        std::vector<std::uint64_t>& keys) {
+  keys.clear();
   for (const auto& m : msgs)
     keys.push_back((std::uint64_t(std::uint32_t(m.src)) << 32) |
                    std::uint32_t(m.dst));
   std::sort(keys.begin(), keys.end());
-  std::int64_t best = 0, run = 0;
+  pair_counts c;
+  std::int64_t run = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    run = (i > 0 && keys[i] == keys[i - 1]) ? run + 1 : 1;
-    best = std::max(best, run);
+    const bool same = i > 0 && keys[i] == keys[i - 1];
+    run = same ? run + 1 : 1;
+    if (!same) ++c.distinct;
+    c.max = std::max(c.max, run);
   }
-  return best;
+  return c;
 }
 
-std::int64_t network::exchange(message_batch& io, std::string_view phase) {
+std::int64_t one_hop_rounds(std::span<const message> msgs) {
+  std::vector<std::uint64_t> keys;
+  return count_pairs(msgs, keys).max;
+}
+
+std::int64_t network::exchange(const message_batch& io,
+                               std::string_view phase) {
   const graph& g = *g_;
   if (std::int64_t(arc_count_.size()) < g.num_arcs())
     arc_count_.assign(size_t(g.num_arcs()), 0);
@@ -55,13 +63,13 @@ std::int64_t network::exchange(message_batch& io, std::string_view phase) {
     if (mult == 1) arc_touched_.push_back(arc);
     rounds = std::max<std::int64_t>(rounds, mult);
   }
+  const auto arcs = std::int64_t(arc_touched_.size());
   for (const auto a : arc_touched_) arc_count_[size_t(a)] = 0;
   arc_touched_.clear();
   ledger_->charge(phase, rounds, std::int64_t(io.size()));
-  tp_->deliver(io, g.num_vertices());
   if (rec_ != nullptr)
     rec_->record_exchange(trace_event_kind::exchange, phase, io.span(),
-                          g.num_vertices(), rounds);
+                          g.num_vertices(), rounds, arcs);
   return rounds;
 }
 

@@ -1,10 +1,9 @@
 #pragma once
 // Single-hop CONGEST exchange on the edges of a graph, with exact round
 // accounting: a batch of point-to-point messages over existing edges needs
-// exactly max_{directed arc a} (#messages on a) rounds. Exchanges are
-// in-place over message_batch — the transport permutes the caller's buffer
-// into receiver order; no message vector is ever passed or returned by
-// value.
+// exactly max_{directed arc a} (#messages on a) rounds. An exchange only
+// charges: it reads the caller's batch and never delivers or reorders it,
+// since every lister models receipt analytically.
 
 #include <span>
 #include <vector>
@@ -21,8 +20,8 @@ class trace_recorder;
 class network {
  public:
   /// The network aliases `g` and `ledger`; both must outlive it. When `tp`
-  /// is given (e.g. a worker's arena-parked transport) its buffers are
-  /// shared with this network, keeping delivery scratch warm across
+  /// is given (e.g. a worker's arena-parked transport) its outboxes are
+  /// shared with this network, keeping staging capacity warm across
   /// per-cluster network instances; otherwise the network owns one. When
   /// `rec` is given every charge is also recorded as a trace event
   /// (congest/trace.hpp); a null recorder costs one pointer check.
@@ -39,12 +38,11 @@ class network {
   transport& shared_transport() { return *tp_; }
   trace_recorder* recorder() const { return rec_; }
 
-  /// Delivers a batch of one-hop messages in place: every (src, dst) must
-  /// be an edge (validated in O(1) via the graph's arc index). Charges
-  /// rounds = max per-directed-arc multiplicity, counted on reusable arc
-  /// counters, and reorders `io` into deterministic receiver order.
+  /// Charges a batch of one-hop messages: every (src, dst) must be an edge
+  /// (validated in O(1) via the graph's arc index). Charges rounds = max
+  /// per-directed-arc multiplicity, counted on reusable arc counters.
   /// Returns the charged rounds.
-  std::int64_t exchange(message_batch& io, std::string_view phase);
+  std::int64_t exchange(const message_batch& io, std::string_view phase);
 
   /// Analytic charge for costs known in closed form (tree pipelining etc.).
   void charge(std::string_view phase, std::int64_t rounds,
@@ -75,9 +73,22 @@ class network {
   std::int64_t gather_messages_ = 0;
 };
 
-/// Reference implementation of the exact one-hop round cost (max directed
-/// pair multiplicity) via a key sort — the spec the arc-counter fast path
-/// in exchange() is differentially tested against.
+/// The ordered (src, dst) pairs of a batch: the max multiplicity of one
+/// pair (the exact round cost in the one-hop and congested-clique models)
+/// and the number of distinct pairs (the width of the arc histogram).
+struct pair_counts {
+  std::int64_t max = 0;
+  std::int64_t distinct = 0;
+};
+
+/// Counts the pairs of `msgs` with one sort of packed (src, dst) keys;
+/// `keys` is scratch, overwritten.
+pair_counts count_pairs(std::span<const message> msgs,
+                        std::vector<std::uint64_t>& keys);
+
+/// Reference implementation of the exact one-hop round cost via
+/// count_pairs — the spec the arc-counter fast path in exchange() is
+/// differentially tested against.
 std::int64_t one_hop_rounds(std::span<const message> msgs);
 
 }  // namespace dcl

@@ -19,9 +19,8 @@ constexpr std::size_t kPrefetchPath = 8;
 
 }  // namespace
 
-cluster_router::cluster_router(const graph& cluster, int num_trees,
-                               transport* tp)
-    : g_(&cluster), tp_(tp != nullptr ? tp : &owned_tp_) {
+cluster_router::cluster_router(const graph& cluster, int num_trees)
+    : g_(&cluster) {
   DCL_EXPECTS(num_trees >= 1, "need at least one tree");
   DCL_EXPECTS(cluster.num_vertices() >= 1, "empty cluster");
   const vertex n = cluster.num_vertices();
@@ -118,21 +117,6 @@ void cluster_router::expand_path(int t, vertex src, vertex dst) {
   }
 }
 
-route_stats cluster_router::route(message_batch& io) {
-  const auto stats = simulate(io.span());
-  // The delivered batch is exactly the input multiset, and deliver() sorts
-  // by message_order, a total order over every field — so reordering io in
-  // place is bit-identical to collecting messages as they arrive.
-  tp_->deliver(io, g_->num_vertices());
-  return stats;
-}
-
-route_stats cluster_router::route_discard(message_batch& io) {
-  const auto stats = simulate(io.span());
-  io.clear();
-  return stats;
-}
-
 void cluster_router::mark_active(std::int32_t arc) {
   workspace& ws = ws_;
   ws.active[std::size_t(arc) >> 6] |= std::uint64_t(1) << (arc & 63);
@@ -152,7 +136,7 @@ void cluster_router::enqueue(std::int32_t arc, std::int32_t fi) {
   q.tail = fi;
 }
 
-route_stats cluster_router::simulate(std::span<const message> msgs) {
+route_stats cluster_router::route(const message_batch& msgs) {
   route_stats stats;
   const vertex n = g_->num_vertices();
   const std::size_t num_arcs = std::size_t(g_->num_arcs());

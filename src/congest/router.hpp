@@ -1,19 +1,17 @@
 #pragma once
 // Multi-hop routing inside a high-conductance cluster — the implemented
 // stand-in for the deterministic expander routing of [CS20, Thm 6] (see
-// DESIGN.md §2). Messages travel along a small set of BFS trees; delivery is
-// simulated synchronously, one message per directed edge per round, so the
-// returned round count is a *measured* CONGEST cost, not a model. Arc ids
+// DESIGN.md §2). Messages travel along a small set of BFS trees; forwarding
+// is simulated synchronously, one message per directed edge per round, so
+// the returned round count is a *measured* CONGEST cost, not a model. Arc ids
 // along every tree path are precomputed at construction (via the graph's
 // arc index and reverse-arc table), so routing a batch performs no
 // per-message adjacency searches.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "congest/message.hpp"
-#include "congest/transport.hpp"
 #include "graph/graph.hpp"
 
 namespace dcl {
@@ -30,39 +28,22 @@ class cluster_router {
  public:
   /// `cluster` must be connected; vertices are the cluster's local ids.
   /// `num_trees` BFS trees are rooted at deterministically chosen,
-  /// well-spread, high-degree vertices. When `tp` is given, delivered
-  /// batches reorder through its (shared, capacity-warm) buffers.
-  explicit cluster_router(const graph& cluster, int num_trees = 8,
-                          transport* tp = nullptr);
+  /// well-spread, high-degree vertices.
+  explicit cluster_router(const graph& cluster, int num_trees = 8);
 
-  // tp_ may point at the router's own owned_tp_, so a memberwise copy
-  // would alias (then dangle into) the source object's buffers.
-  cluster_router(const cluster_router&) = delete;
-  cluster_router& operator=(const cluster_router&) = delete;
-
-  /// Routes `io`'s point-to-point messages (local ids) and replaces its
-  /// contents in place with the delivered messages in deterministic
-  /// receiver order. Returns the measured cost of the batch. Repeated
-  /// calls reuse an internal workspace — no per-call allocation after the
-  /// first batch. On an out-of-range endpoint nothing is routed, `io` is
-  /// left as it was, and the router stays usable.
-  route_stats route(message_batch& io);
-
-  /// Accounting-only variant: same measured cost, but the delivered
-  /// messages are never materialized; `io` is cleared with its capacity
-  /// kept. The fast path for senders that model receipt analytically.
-  route_stats route_discard(message_batch& io);
+  /// Measures one batch of point-to-point messages (local ids): tree
+  /// choice, path expansion, and the synchronous store-and-forward
+  /// simulation. The messages themselves never move — every sender models
+  /// receipt analytically — so only the cost comes back. Repeated calls
+  /// reuse an internal workspace: no per-call allocation after the first
+  /// batch. On an out-of-range endpoint nothing is routed and the router
+  /// stays usable.
+  route_stats route(const message_batch& msgs);
 
   std::int32_t tree_depth() const { return max_depth_; }
   int num_trees() const { return num_trees_; }
 
  private:
-  /// Measures one batch: tree choice, path expansion, and the synchronous
-  /// store-and-forward simulation. The messages themselves never move —
-  /// the delivered multiset is the input batch, so route() reorders `io`
-  /// in place afterwards.
-  route_stats simulate(std::span<const message> msgs);
-
   /// Appends the arc ids of the full tree path src -> ... -> dst through
   /// the LCA in tree t to the path pool, counting each arc's load.
   void expand_path(int t, vertex src, vertex dst);
@@ -116,8 +97,6 @@ class cluster_router {
   };
 
   const graph* g_;
-  transport* tp_;
-  transport owned_tp_;
   int num_trees_ = 0;
   std::vector<tree_node> nodes_;               // [t * n + v]
   std::vector<std::int32_t> depth_by_vertex_;  // [v * num_trees + t]

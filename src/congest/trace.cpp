@@ -71,50 +71,44 @@ trace_event& trace_recorder::append(trace_event_kind kind,
   return e;
 }
 
-void trace_recorder::record_exchange(trace_event_kind kind,
-                                     std::string_view phase,
-                                     std::span<const message> delivered,
-                                     std::int64_t n, std::int64_t rounds) {
+trace_event& trace_recorder::append_batch(trace_event_kind kind,
+                                          std::string_view phase,
+                                          std::span<const message> batch,
+                                          std::int64_t n) {
   trace_event& e = append(kind, phase);
   e.n = n;
-  e.batch = std::int64_t(delivered.size());
-  e.rounds = rounds;
-  e.messages = e.batch;
-  // Receiver order makes equal (src, dst) pairs contiguous: the directed
-  // arc histogram falls out of one linear scan.
-  std::int64_t run = 0;
-  for (std::size_t i = 0; i < delivered.size(); ++i) {
-    const bool same = i > 0 && delivered[i].src == delivered[i - 1].src &&
-                      delivered[i].dst == delivered[i - 1].dst;
-    run = same ? run + 1 : 1;
-    if (!same) ++e.arcs_touched;
-    e.arc_max = std::max(e.arc_max, run);
-  }
-  e.arc_sum = e.batch;
-  const auto shape = shape_.compute(delivered, n);
+  e.batch = std::int64_t(batch.size());
+  const auto shape = shape_.compute(batch, n);
   e.srcs_touched = shape.srcs_touched;
   e.src_max = shape.src_max;
   e.dsts_touched = shape.dsts_touched;
   e.dst_max = shape.dst_max;
+  return e;
+}
+
+void trace_recorder::record_exchange(trace_event_kind kind,
+                                     std::string_view phase,
+                                     std::span<const message> batch,
+                                     std::int64_t n, std::int64_t rounds,
+                                     std::int64_t pairs) {
+  trace_event& e = append_batch(kind, phase, batch, n);
+  e.rounds = rounds;
+  e.messages = e.batch;
+  e.arcs_touched = pairs;
+  e.arc_max = rounds;
+  e.arc_sum = e.batch;
 }
 
 void trace_recorder::record_route(std::string_view phase,
-                                  const trace_batch_shape& shape,
-                                  std::int64_t batch_size, std::int64_t n,
-                                  const route_stats& stats,
+                                  std::span<const message> batch,
+                                  std::int64_t n, const route_stats& stats,
                                   std::int32_t tree_depth) {
-  trace_event& e = append(trace_event_kind::route, phase);
-  e.n = n;
-  e.batch = batch_size;
+  trace_event& e = append_batch(trace_event_kind::route, phase, batch, n);
   e.rounds = stats.rounds;
   e.messages = stats.messages;
   e.arcs_touched = stats.arcs_touched;
   e.arc_max = stats.max_edge_load;
   e.arc_sum = stats.messages;
-  e.srcs_touched = shape.srcs_touched;
-  e.src_max = shape.src_max;
-  e.dsts_touched = shape.dsts_touched;
-  e.dst_max = shape.dst_max;
   e.max_path = stats.max_path;
   e.tree_depth = tree_depth;
 }

@@ -1,14 +1,15 @@
 #pragma once
-// Transport trace recording (DESIGN.md §10). When a query enables tracing,
-// every communication event the simulation charges — one-hop
+// Message-layer trace recording (DESIGN.md §10). When a query enables
+// tracing, every communication event the simulation charges — one-hop
 // network::exchange batches, congested_clique::exchange batches,
-// cluster_router route/deliver batches, and analytic charges — is recorded
-// as one compact trace_event: phase label (interned), batch size, measured
+// cluster_comm::route batches, and analytic charges — is recorded as one
+// compact trace_event: phase label (interned), batch size, measured
 // rounds, the ledger delta, a per-arc histogram summary (distinct arcs /
-// max multiplicity / total), and per-endpoint density stats (distinct
-// sources/destinations touched and the max per-endpoint count). A recorded
-// trace replays against alternative cost models (congest/replay.hpp)
-// without re-running the listing.
+// max multiplicity / total, taken from the substrate's charge counters),
+// and per-endpoint density stats (distinct sources/destinations touched
+// and the max per-endpoint count). A recorded trace replays against
+// alternative cost models (congest/replay.hpp) without re-running the
+// listing.
 //
 // Ownership mirrors the cost_ledger: each concurrent cluster task records
 // into its own trace_recorder, and the driver absorbs recorders into the
@@ -51,7 +52,7 @@ inline constexpr std::int64_t kTraceBranchExhaustive = -2;
 enum class trace_event_kind : std::uint8_t {
   exchange = 0,         ///< network::exchange (one-hop over graph edges)
   clique_exchange = 1,  ///< congested_clique::exchange (all-to-all)
-  route = 2,            ///< cluster_router route / route_discard batch
+  route = 2,            ///< cluster_comm::route batch
   charge = 3,           ///< analytic closed-form charge
 };
 
@@ -86,8 +87,8 @@ struct trace_event {
   std::int64_t arcs_touched = 0;
   std::int64_t arc_max = 0;
   std::int64_t arc_sum = 0;
-  // Destination/source density stats (the measurement motivating a sparse
-  // touched-dst delivery path — see ROADMAP).
+  // Destination/source density stats: how concentrated the batch's
+  // traffic is at its endpoints.
   std::int64_t dsts_touched = 0;
   std::int64_t dst_max = 0;
   std::int64_t srcs_touched = 0;
@@ -126,8 +127,8 @@ struct trace_summary {
   std::int64_t route_hop_messages = 0;
   std::int64_t max_batch = 0;
   std::int64_t max_rounds = 0;        ///< largest single-event charge
-  /// Mean over exchange/route events of dsts_touched / n — the
-  /// destination density the sparse-delivery decision needs.
+  /// Mean over exchange/route events of dsts_touched / n — how much of the
+  /// receiver space a typical batch addresses.
   double mean_dst_density = 0.0;
 
   friend bool operator==(const trace_summary&, const trace_summary&) = default;
@@ -154,27 +155,22 @@ trace_batch_shape shape_of_batch(std::span<const message> batch,
 /// Phase labels are interned locally and remapped at absorb time.
 class trace_recorder {
  public:
-  /// One delivered one-hop or all-to-all batch. `delivered` must already be
-  /// in the transport's receiver order (sorted by dst, then src, ...), so
-  /// equal (src, dst) pairs are contiguous — the arc histogram comes from
-  /// one linear scan. `rounds` is the measured charge (== max pair
-  /// multiplicity).
+  /// One charged one-hop or all-to-all batch. `rounds` (== the max pair
+  /// multiplicity) and `pairs` (distinct directed (src, dst) pairs) come
+  /// from the substrate's charge; the batch supplies the endpoint shape.
   void record_exchange(trace_event_kind kind, std::string_view phase,
-                       std::span<const message> delivered, std::int64_t n,
-                       std::int64_t rounds);
+                       std::span<const message> batch, std::int64_t n,
+                       std::int64_t rounds, std::int64_t pairs);
 
-  /// One routed batch, by the endpoint shape of its message multiset
-  /// (the caller extracts it with shape_scratch() before routing, since
-  /// route_discard clears its input).
-  void record_route(std::string_view phase, const trace_batch_shape& shape,
-                    std::int64_t batch_size, std::int64_t n,
-                    const route_stats& stats, std::int32_t tree_depth);
+  /// One routed batch: the arc histogram comes from the router's `stats`,
+  /// the endpoint shape from the batch itself.
+  void record_route(std::string_view phase, std::span<const message> batch,
+                    std::int64_t n, const route_stats& stats,
+                    std::int32_t tree_depth);
 
   /// One analytic closed-form charge.
   void record_charge(std::string_view phase, std::int64_t rounds,
                      std::int64_t messages);
-
-  trace_shape_scratch& shape_scratch() { return shape_; }
 
   const std::vector<trace_event>& events() const { return events_; }
   const std::vector<std::string>& phases() const { return phases_; }
@@ -184,6 +180,9 @@ class trace_recorder {
  private:
   std::int32_t intern(std::string_view phase);
   trace_event& append(trace_event_kind kind, std::string_view phase);
+  /// append() plus the batch's size and endpoint shape.
+  trace_event& append_batch(trace_event_kind kind, std::string_view phase,
+                            std::span<const message> batch, std::int64_t n);
 
   std::vector<trace_event> events_;
   std::vector<std::string> phases_;

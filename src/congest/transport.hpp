@@ -1,19 +1,15 @@
 #pragma once
-// The zero-copy delivery layer every simulated communication substrate
-// (network, congested_clique, cluster_router) shares. One transport owns
-// the scratch a batch exchange needs — a per-vertex counting-sort offset
-// array, the spare half of a double buffer, and a pair of producer staging
-// batches — so repeated exchanges move messages without allocating or
-// copying container contents: delivery permutes in place and hands buffers
-// back by swap.
+// Producer staging shared by a network and every cluster_comm built on it:
+// two capacity-warm message batches. The simulated substrates only charge
+// a batch's cost, so staging is all the message layer keeps between
+// exchanges.
 //
-// Default-constructible and rebindable to any receiver id space, so a
-// worker parks one in its runtime::scratch_arena and every cluster task it
-// runs reuses the same warmed capacity (DESIGN.md §8).
+// Default-constructible, so a worker parks one in its
+// runtime::scratch_arena and every cluster task it runs reuses the same
+// warmed capacity (DESIGN.md §8).
 
 #include <array>
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
 #include "congest/message.hpp"
 #include "support/check.hpp"
@@ -22,21 +18,6 @@ namespace dcl {
 
 class transport {
  public:
-  /// Reorders `io` in place into the deterministic receiver order of
-  /// `message_order`: a stable counting sort on dst over receiver space
-  /// [0, n) scatters into the spare buffer (swapped back, no copy), then
-  /// each receiver's bucket is tail-sorted on (src, tag, a, b). Because
-  /// message_order is a total order over every field, the result is
-  /// bit-identical to a comparison sort of the whole batch, at
-  /// O(m + n + Σ_d b_d log b_d) instead of O(m log m). Every dst must lie
-  /// in [0, n).
-  void deliver(message_batch& io, vertex n);
-
-  /// Max multiplicity of one ordered (src, dst) pair in a batch deliver()
-  /// has already ordered (equal pairs are contiguous there) — exactly the
-  /// round cost of the batch in the congested-clique model. O(m).
-  static std::int64_t max_pair_multiplicity(const message_batch& delivered);
-
   /// Producer staging batches, capacity-warm across exchanges. Two, so
   /// request/reply-style producers can stage both directions of a step at
   /// once; callers clear() before filling and must not hold contents
@@ -47,8 +28,6 @@ class transport {
   }
 
  private:
-  std::vector<std::int64_t> offsets_;  // per-vertex counting scratch
-  message_batch spare_;                // second half of the delivery buffer
   std::array<message_batch, 2> outbox_;
 };
 

@@ -25,8 +25,7 @@ void amplified_allgather(cluster_comm& cc, std::span<const vertex> pool,
   const std::int64_t y = ceil_div(k, beta);
 
   // Receipt is modeled analytically, so both steps stage into the shared
-  // transport outbox and route accounting-only — no delivered batch is
-  // ever materialized, and the staging capacity survives across calls.
+  // transport outbox, whose capacity survives across calls.
   message_batch& batch = cc.outbox(0);
   batch.clear();
   for (std::int64_t j = 0; j < m_items; ++j) {
@@ -36,7 +35,7 @@ void amplified_allgather(cluster_comm& cc, std::span<const vertex> pool,
       batch.emplace(pool[size_t(holder[size_t(j)])],
                     pool[size_t((j * y + t) % k)], 0, std::uint64_t(j));
   }
-  cc.route_discard(batch, p1);
+  cc.route(batch, p1);
 
   for (std::int64_t j = 0; j < m_items; ++j) {
     for (std::int64_t t = 0; t < y; ++t) {
@@ -49,7 +48,7 @@ void amplified_allgather(cluster_comm& cc, std::span<const vertex> pool,
       }
     }
   }
-  cc.route_discard(batch, p2);
+  cc.route(batch, p2);
 }
 
 std::vector<vertex> degree_balanced_assignment(
@@ -79,7 +78,7 @@ std::vector<vertex> degree_balanced_assignment(
 
   // Step 1: re-spread items so item j sits at pool vertex floor(j/c). One
   // transport outbox stages every routed step of this function; receipt is
-  // modeled, so routes are accounting-only and the buffer is reused.
+  // modeled, so the buffer is reused.
   message_batch& batch = cc.outbox(0);
   batch.clear();
   const std::int64_t c = ceil_div(m_items, k);
@@ -89,7 +88,7 @@ std::vector<vertex> degree_balanced_assignment(
     batch.emplace(pool[size_t(holder[size_t(j)])],
                   pool[size_t(step1_holder(j))], 0, std::uint64_t(j));
   }
-  cc.route_discard(batch, std::string(phase) + "/respread");
+  cc.route(batch, std::string(phase) + "/respread");
 
   // Step 2: run Algorithm 1 through the Theorem 11 simulation.
   balance_messages_algorithm alg(m_items, total_deg, k);
@@ -124,7 +123,7 @@ std::vector<vertex> degree_balanced_assignment(
       batch.emplace(pool[size_t(out.holder[i])], pool[size_t(v)], 0,
                     std::uint64_t(t.at(1)), std::uint64_t(t.at(2)));
   }
-  cc.route_discard(batch, std::string(phase) + "/intervals");
+  cc.route(batch, std::string(phase) + "/intervals");
 
   if (covered < m_items) {
     // The half-average filter left messages unallocated (possible only on
@@ -150,8 +149,8 @@ std::vector<vertex> degree_balanced_assignment(
                       std::uint64_t(j));
     }
   }
-  cc.route_discard(requests, std::string(phase) + "/requests");
-  cc.route_discard(replies, std::string(phase) + "/replies");
+  cc.route(requests, std::string(phase) + "/requests");
+  cc.route(replies, std::string(phase) + "/replies");
 
   for (std::int64_t j = 0; j < m_items; ++j)
     DCL_ENSURE(assignment[size_t(j)] >= 0, "item left unassigned");

@@ -308,8 +308,8 @@ listing_report list_cliques_congest(const graph& g, const listing_query& q,
           const bool owned =
               plan == nullptr ||
               plan->owns(level, ci, cluster_rep(a));
-          // The worker slot's lease-parked transport keeps delivery scratch
-          // and staging outboxes capacity-warm across this slot's clusters.
+          // The worker slot's lease-parked transport keeps its staging
+          // outboxes capacity-warm across this slot's clusters.
           network net_c(cur, oc.ledger,
                         &scratch.arena(worker).get<transport>(),
                         (tracing && owned) ? &oc.rec : nullptr);

@@ -167,8 +167,8 @@ cluster_listing_stats list_k3_in_cluster(network& net_c, const graph&,
       stats.max_normalized_load =
           std::max(stats.max_normalized_load,
                    double(recv_words[i]) / double(comm_deg[i]));
-  cc.route_discard(requests, "learn_req");
-  cc.route_discard(replies, "learn_rep");
+  cc.route(requests, "learn_req");
+  cc.route(replies, "learn_rep");
 
   // Leaf li lists exactly the triangles x < y < z of tb.h (pool positions)
   // with x, y, z in its depth-0, 1, 2 chain parts: Theorem 13's

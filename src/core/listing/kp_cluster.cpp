@@ -315,7 +315,7 @@ cluster_listing_stats list_kp_in_cluster(
             std::max(stats.max_normalized_load,
                      double(recv_words[size_t(i)]) /
                          double(comm_deg[size_t(i)]));
-    cc.route_discard(traffic, "learn" + std::to_string(p_prime));
+    cc.route(traffic, "learn" + std::to_string(p_prime));
 
     std::set<vertex> listers;
     for (std::size_t lid = 0; lid < leaf_parts.size(); ++lid) {

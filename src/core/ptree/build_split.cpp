@@ -138,8 +138,7 @@ split_tree_build build_split_tree(cluster_comm& cc,
   // E′ — Lemma 38 ships both directions).
   {
     // Receipt is modeled (owners read the position-space inputs locally),
-    // so the move batch stages in the shared outbox and routes
-    // accounting-only.
+    // so the move batch stages in the shared outbox.
     message_batch& moves = cc.outbox(0);
     moves.clear();
     for (std::size_t j = 0; j < in.e2.size(); ++j) {
@@ -157,7 +156,7 @@ split_tree_build build_split_tree(cluster_comm& cc,
       if (owner == holder) continue;
       moves.emplace(holder, owner);
     }
-    cc.route_discard(moves, std::string(phase) + "/thm31");
+    cc.route(moves, std::string(phase) + "/thm31");
   }
 
   // ---- Layers (Lemma 30): one Algorithm 2 machine per pending node.

@@ -106,8 +106,7 @@ pp_sim_report pp_simulate(cluster_comm& cc, std::span<const vertex> pool,
 
   // ---- Phase 1: ship main tokens to chain vertices. Receipt is modeled
   // (the runners read their segments directly), so every batch of this
-  // simulation stages into the shared transport outbox and routes
-  // accounting-only.
+  // simulation stages into the shared transport outbox.
   message_batch& batch = cc.outbox(0);
   {
     batch.clear();
@@ -123,8 +122,7 @@ pp_sim_report pp_simulate(cluster_comm& cc, std::span<const vertex> pool,
         }
       }
     }
-    cc.route_discard(batch, p1);
-    report.phase1_rounds = cc.last_route_stats().rounds;
+    report.phase1_rounds = cc.route(batch, p1).rounds;
   }
 
   // ---- Phase 2: hop-batched execution.
@@ -241,8 +239,7 @@ pp_sim_report pp_simulate(cluster_comm& cc, std::span<const vertex> pool,
       continue;  // some runners finished without hops this wave
     }
     ++report.hop_batches;
-    cc.route_discard(batch, p2);
-    report.phase2_rounds += cc.last_route_stats().rounds;
+    report.phase2_rounds += cc.route(batch, p2).rounds;
   }
 
   // Enforce N_out.

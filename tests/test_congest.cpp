@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -224,23 +223,10 @@ TEST(Network, ExchangeRequiresEdges) {
   network net(g, l);
   auto bad = make_batch({{0, 3, 0, 0, 0}});
   EXPECT_THROW(net.exchange(bad, "p"), precondition_error);
-  auto out = make_batch({{0, 1, 7, 1, 2}});
-  net.exchange(out, "p");
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].tag, 7u);
+  const auto out = make_batch({{0, 1, 7, 1, 2}});
+  EXPECT_EQ(net.exchange(out, "p"), 1);
   EXPECT_EQ(l.rounds(), 1);
   EXPECT_EQ(l.messages(), 1);
-}
-
-TEST(Network, ExchangeDeterministicOrder) {
-  const auto g = gen::complete(4);
-  cost_ledger l;
-  network net(g, l);
-  auto out = make_batch({{3, 1, 0, 9, 0}, {0, 1, 0, 5, 0}, {2, 0, 0, 1, 0}});
-  net.exchange(out, "p");
-  EXPECT_EQ(out[0].dst, 0);
-  EXPECT_EQ(out[1].src, 0);
-  EXPECT_EQ(out[2].src, 3);
 }
 
 TEST(Network, GatherAllEdgesCost) {
@@ -265,40 +251,36 @@ TEST(Network, GatherAllEdgesPathCongestion) {
   EXPECT_EQ(net.charge_gather_all_edges("gather"), 5);
 }
 
-TEST(Router, DeliversEverythingOnExpander) {
+TEST(Router, RoutesEveryMessageOnExpander) {
   const auto g = gen::hypercube(5);
   cluster_router r(g, 4);
-  std::vector<message> msgs;
-  prng rng(4);
-  for (int i = 0; i < 200; ++i) {
-    message m;
-    m.src = vertex(rng.next_below(32));
-    m.dst = vertex(rng.next_below(32));
-    m.a = std::uint64_t(i);
-    msgs.push_back(m);
-  }
   message_batch out;
-  for (const auto& m : msgs) out.push(m);
+  prng rng(4);
+  std::int64_t remote = 0;
+  for (int i = 0; i < 200; ++i) {
+    const message m{vertex(rng.next_below(32)), vertex(rng.next_below(32)),
+                    0, std::uint64_t(i), 0};
+    remote += m.src != m.dst;
+    out.push(m);
+  }
   const auto stats = r.route(out);
-  EXPECT_EQ(out.size(), msgs.size());
   EXPECT_GE(stats.rounds, 1);
   EXPECT_GE(stats.messages, stats.rounds);
-  // Every payload arrives at its intended destination.
-  std::multiset<std::uint64_t> want, got;
-  for (const auto& m : msgs) want.insert(m.a ^ (std::uint64_t(m.dst) << 32));
-  for (const auto& m : out) got.insert(m.a ^ (std::uint64_t(m.dst) << 32));
-  EXPECT_EQ(want, got);
+  // Every non-local message travels at least one hop and at most a
+  // root-to-leaf-to-root tree path.
+  EXPECT_GE(stats.messages, remote);
+  EXPECT_LE(stats.messages, remote * 2 * r.tree_depth());
+  EXPECT_LE(stats.max_path, 2 * r.tree_depth());
+  EXPECT_GE(stats.rounds, stats.max_path);
 }
 
 TEST(Router, SelfMessagesAreFree) {
   const auto g = gen::complete(4);
   cluster_router r(g);
-  auto out = make_batch({{2, 2, 0, 42, 0}});
+  const auto out = make_batch({{2, 2, 0, 42, 0}});
   const auto stats = r.route(out);
   EXPECT_EQ(stats.rounds, 0);
   EXPECT_EQ(stats.messages, 0);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].a, 42u);
 }
 
 TEST(Router, RoundsAtLeastCongestionLowerBound) {
@@ -309,7 +291,7 @@ TEST(Router, RoundsAtLeastCongestionLowerBound) {
   for (int i = 0; i < 17; ++i) out.push({0, 1, 0, std::uint64_t(i), 0});
   const auto stats = r.route(out);
   EXPECT_EQ(stats.rounds, 17);
-  EXPECT_EQ(out.size(), 17u);
+  EXPECT_EQ(stats.max_edge_load, 17);
 }
 
 TEST(Router, PathGraphSequential) {
@@ -330,16 +312,14 @@ TEST(Router, RejectsDisconnectedCluster) {
 TEST(Router, DeterministicRounds) {
   const auto g = gen::circulant(40, {1, 3, 9});
   cluster_router r(g, 4);
-  std::vector<message> msgs;
+  message_batch msgs;
   for (vertex v = 0; v < 40; ++v)
-    msgs.push_back({v, vertex((v * 7 + 3) % 40), 0, std::uint64_t(v), 0});
-  message_batch a, b;
-  for (const auto& m : msgs) a.push(m);
-  for (const auto& m : msgs) b.push(m);
-  const auto s1 = r.route(a);
-  const auto s2 = r.route(b);
+    msgs.push({v, vertex((v * 7 + 3) % 40), 0, std::uint64_t(v), 0});
+  const auto s1 = r.route(msgs);
+  const auto s2 = r.route(msgs);
   EXPECT_EQ(s1.rounds, s2.rounds);
-  EXPECT_EQ(a.vec(), b.vec());
+  EXPECT_EQ(s1.messages, s2.messages);
+  EXPECT_EQ(s1.max_edge_load, s2.max_edge_load);
 }
 
 // ------------------------------------------ router differential reference
@@ -348,8 +328,7 @@ TEST(Router, DeterministicRounds) {
 /// schedule every optimization of cluster_router must reproduce: the same
 /// BFS trees, the same least-loaded tree choice, and a simulator with one
 /// std::deque per arc whose active list is sorted and deduplicated every
-/// round. Delivered messages are returned in message_order, the order
-/// transport::deliver guarantees.
+/// round. It is compared on route_stats only.
 class reference_router {
  public:
   reference_router(const graph& cluster, int num_trees) : g_(&cluster) {
@@ -396,8 +375,7 @@ class reference_router {
     }
   }
 
-  route_stats route(std::span<const message> msgs,
-                    std::vector<message>& delivered) const {
+  route_stats route(std::span<const message> msgs) const {
     route_stats stats;
     const graph& g = *g_;
     const std::int64_t num_arcs = g.num_arcs();
@@ -405,7 +383,6 @@ class reference_router {
       std::int64_t path_begin = 0;
       std::int64_t path_len = 0;
       std::int64_t next = 0;
-      message msg;
     };
     std::vector<std::int64_t> path_pool, path_down;
     std::vector<in_flight> flights;
@@ -413,12 +390,8 @@ class reference_router {
     std::vector<std::int64_t> edge_touched;
     std::vector<std::int64_t> tree_load(parents_.size(), 0);
     std::vector<int> lens(parents_.size()), candidates;
-    delivered.clear();
     for (const auto& m : msgs) {
-      if (m.src == m.dst) {
-        delivered.push_back(m);
-        continue;
-      }
+      if (m.src == m.dst) continue;
       int best_len = std::numeric_limits<int>::max();
       for (int t = 0; t < int(parents_.size()); ++t) {
         const auto& depth = depths_[size_t(t)];
@@ -438,7 +411,6 @@ class reference_router {
           chosen = t;
       }
       in_flight f;
-      f.msg = m;
       f.path_begin = std::int64_t(path_pool.size());
       tree_path_arcs(chosen, m.src, m.dst, path_pool, path_down);
       f.path_len = std::int64_t(path_pool.size()) - f.path_begin;
@@ -481,7 +453,6 @@ class reference_router {
         auto& f = flights[size_t(fi)];
         ++f.next;
         if (f.next == f.path_len) {
-          delivered.push_back(f.msg);
           --remaining;
         } else {
           arrivals.emplace_back(path_pool[size_t(f.path_begin + f.next)], fi);
@@ -498,7 +469,6 @@ class reference_router {
         break;
       }
     }
-    std::sort(delivered.begin(), delivered.end(), message_order);
     return stats;
   }
 
@@ -623,8 +593,7 @@ TEST(Router, MatchesReferenceScheduleAcrossFamiliesAndBatches) {
         for (const auto shape : shapes) {
           const int size = 1 + int(rng.next_below(std::uint64_t(6 * n)));
           const auto msgs = make_shaped_batch(shape, n, rng, size);
-          std::vector<message> want;
-          const route_stats want_stats = ref.route(msgs, want);
+          const route_stats want_stats = ref.route(msgs);
           const std::string where = std::string(fam.name) + " trees=" +
                                     std::to_string(trees) + " rep=" +
                                     std::to_string(rep) + " shape=" +
@@ -632,11 +601,6 @@ TEST(Router, MatchesReferenceScheduleAcrossFamiliesAndBatches) {
           message_batch io;
           for (const auto& m : msgs) io.push(m);
           expect_stats_equal(r.route(io), want_stats, where);
-          EXPECT_EQ(io.vec(), want) << where;
-          message_batch discard;
-          for (const auto& m : msgs) discard.push(m);
-          expect_stats_equal(r.route_discard(discard), want_stats, where);
-          EXPECT_TRUE(discard.empty()) << where;
         }
     }
   }
@@ -661,7 +625,7 @@ TEST(ClusterComm, RouteChargesLedgerWithPhasePrefix) {
   network net(g, l);
   cluster_comm cc(net, {0, 1, 2}, {{0, 1}, {1, 2}, {0, 2}}, "cX");
   auto b1 = make_batch({{0, 2, 0, 11, 0}});
-  const route_stats stats = cc.route_discard(b1, "step1");
+  const route_stats stats = cc.route(b1, "step1");
   EXPECT_TRUE(b1.empty());
   EXPECT_GE(stats.rounds, 1);
   EXPECT_EQ(l.rounds(), stats.rounds);

@@ -1,19 +1,25 @@
-// The transport layer's contracts (DESIGN.md §8): bucket delivery is
-// bit-identical to the comparison sort it replaced (including adversarial
-// ties in every message field), the arc-counter round accounting of
-// network::exchange matches the sort-based one_hop_rounds spec on random
-// multibatches, the graph's arc index inverts correctly, and the
-// end-to-end listing ledger stays bit-identical across sim_threads.
+// The message layer's contracts (DESIGN.md §8): the arc-counter round
+// accounting of network::exchange matches the sort-based one_hop_rounds
+// spec on random multibatches, both exchange kinds charge and trace the
+// brute-force pair counts of a batch (adversarial ties included), a route
+// reads its batch without moving it, the graph's arc index inverts
+// correctly, and the end-to-end listing ledger stays bit-identical across
+// sim_threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "congest/cluster_comm.hpp"
+#include "congest/congested_clique.hpp"
 #include "congest/network.hpp"
 #include "congest/router.hpp"
+#include "congest/trace.hpp"
 #include "congest/transport.hpp"
 #include "core/api/session.hpp"
 #include "graph/generators.hpp"
@@ -109,84 +115,6 @@ TEST(ArcIndex, ConcurrentFirstUseBuildsOnce) {
   for (int t = 1; t < 4; ++t) EXPECT_EQ(sums[size_t(t)], sums[0]);
 }
 
-// ------------------------------------------------- bucket delivery order
-
-std::vector<message> reference_sorted(std::vector<message> msgs) {
-  std::sort(msgs.begin(), msgs.end(), message_order);
-  return msgs;
-}
-
-TEST(TransportDeliver, BitIdenticalToComparisonSortOnAdversarialTies) {
-  // Batches engineered to tie on every prefix of (dst, src, tag, a, b),
-  // including full duplicates, interleaved in hostile input order.
-  const std::vector<std::vector<message>> batches = {
-      {},
-      {{0, 0, 0, 0, 0}},
-      {{1, 2, 0, 0, 0}, {1, 2, 0, 0, 0}, {1, 2, 0, 0, 0}},  // duplicates
-      {{3, 0, 2, 5, 5}, {3, 0, 2, 5, 4}, {3, 0, 2, 4, 9},   // b then a ties
-       {3, 0, 1, 9, 9}, {2, 0, 2, 5, 5}},
-      {{5, 7, 0, 1, 0}, {4, 7, 0, 0, 0}, {5, 7, 0, 0, 0},   // src ties
-       {4, 7, 1, 0, 0}, {4, 7, 0, 0, 1}},
-      {{9, 0, 0, 0, 0}, {0, 9, 0, 0, 0}, {9, 0, 0, 0, 1},   // dst spread
-       {0, 9, 1, 0, 0}, {5, 5, 0, 0, 0}, {5, 5, 0, 0, 0}},
-  };
-  transport tp;
-  for (const auto& batch : batches) {
-    message_batch io;
-    for (const auto& m : batch) io.push(m);
-    tp.deliver(io, 10);
-    EXPECT_EQ(io.vec(), reference_sorted(batch));
-  }
-}
-
-TEST(TransportDeliver, BitIdenticalOnRandomBatches) {
-  prng rng(123);
-  transport tp;  // one transport reused: scratch must not leak state
-  for (int trial = 0; trial < 50; ++trial) {
-    const vertex n = vertex(1 + rng.next_below(40));
-    std::vector<message> batch;
-    const int m = int(rng.next_below(200));
-    for (int i = 0; i < m; ++i) {
-      message msg;
-      msg.src = vertex(rng.next_below(std::uint64_t(n)));
-      msg.dst = vertex(rng.next_below(std::uint64_t(n)));
-      msg.tag = std::uint32_t(rng.next_below(3));
-      msg.a = rng.next_below(4);  // narrow ranges force ties
-      msg.b = rng.next_below(2);
-      batch.push_back(msg);
-    }
-    message_batch io;
-    for (const auto& msg : batch) io.push(msg);
-    tp.deliver(io, n);
-    EXPECT_EQ(io.vec(), reference_sorted(batch)) << "trial " << trial;
-  }
-}
-
-TEST(TransportDeliver, RejectsOutOfRangeDst) {
-  transport tp;
-  message_batch io;
-  io.emplace(0, 7);
-  EXPECT_THROW(tp.deliver(io, 5), precondition_error);
-  io.clear();
-  io.emplace(0, 1);
-  io.emplace(0, -1);
-  EXPECT_THROW(tp.deliver(io, 5), precondition_error);
-}
-
-TEST(TransportDeliver, MaxPairMultiplicityOnDeliveredOrder) {
-  transport tp;
-  message_batch io;
-  io.emplace(0, 1, 0, 1);
-  io.emplace(2, 1);
-  io.emplace(0, 1, 0, 2);
-  io.emplace(0, 1, 0, 3);
-  io.emplace(1, 0);
-  tp.deliver(io, 3);
-  EXPECT_EQ(transport::max_pair_multiplicity(io), 3);
-  message_batch empty;
-  EXPECT_EQ(transport::max_pair_multiplicity(empty), 0);
-}
-
 // --------------------------------------- one_hop_rounds spec equivalence
 
 TEST(TransportRounds, ArcCountersMatchSortSpecOnRandomMultibatches) {
@@ -244,16 +172,15 @@ TEST(TransportRounds, RouterCountersStayCleanAfterRejectedBatch) {
   message_batch bad;
   bad.emplace(0, 2);
   bad.emplace(0, 9);  // out of range
-  EXPECT_THROW(r.route_discard(bad), precondition_error);
+  EXPECT_THROW(r.route(bad), precondition_error);
   message_batch ok;
   ok.emplace(0, 1);
-  const auto stats = r.route_discard(ok);
+  const auto stats = r.route(ok);
   EXPECT_EQ(stats.max_edge_load, 1);
 
   // Every route_stats field — rounds and arcs touched come from the FIFO
-  // and active-arc state, not edge_load — and the delivered batch must
-  // match a router that never saw the rejected batch, after rejections
-  // through both entry points, for a bad src and a bad dst. The rejected
+  // and active-arc state, not edge_load — must match a router that never
+  // saw the rejected batch, for a bad src and a bad dst. The rejected
   // batch itself is left as it was.
   const auto g2 = gen::circulant(24, {1, 5});
   cluster_router used(g2, 4);
@@ -266,54 +193,140 @@ TEST(TransportRounds, RouterCountersStayCleanAfterRejectedBatch) {
       rejected.emplace(3, 24);  // bad dst after valid traffic
     else
       rejected.emplace(-1, 3);  // bad src after valid traffic
-    EXPECT_THROW(trial < 2 ? used.route(rejected)
-                           : used.route_discard(rejected),
-                 precondition_error);
+    EXPECT_THROW(used.route(rejected), precondition_error);
     EXPECT_EQ(rejected.size(), 51u) << "trial " << trial;
 
-    message_batch a, b;
-    for (int i = 0; i < 120; ++i) {
-      const message m{vertex(rng.next_below(24)), vertex(rng.next_below(24)),
-                      0, std::uint64_t(i), 0};
-      a.push(m);
-      b.push(m);
-    }
+    message_batch a;
+    for (int i = 0; i < 120; ++i)
+      a.emplace(vertex(rng.next_below(24)), vertex(rng.next_below(24)), 0,
+                std::uint64_t(i));
     cluster_router fresh(g2, 4);
     const auto got = used.route(a);
-    const auto want = fresh.route(b);
+    const auto want = fresh.route(a);
     EXPECT_EQ(got.rounds, want.rounds) << "trial " << trial;
     EXPECT_EQ(got.messages, want.messages) << "trial " << trial;
     EXPECT_EQ(got.max_path, want.max_path) << "trial " << trial;
     EXPECT_EQ(got.max_edge_load, want.max_edge_load) << "trial " << trial;
     EXPECT_EQ(got.arcs_touched, want.arcs_touched) << "trial " << trial;
-    EXPECT_EQ(a.vec(), b.vec()) << "trial " << trial;
   }
+}
+
+// ------------------------------- exchange charge vs brute-force pairs
+
+/// Max multiplicity and distinct count of the ordered (src, dst) pairs of
+/// `msgs`, by direct counting.
+std::pair<std::int64_t, std::int64_t> brute_pairs(
+    const std::vector<message>& msgs) {
+  std::map<std::pair<vertex, vertex>, std::int64_t> count;
+  for (const auto& m : msgs) ++count[{m.src, m.dst}];
+  std::int64_t max = 0;
+  for (const auto& [pair, c] : count) max = std::max(max, c);
+  return {max, std::int64_t(count.size())};
+}
+
+/// Batches that tie on every prefix of (src, dst, payload): duplicates,
+/// reversed pairs, one source fanning out, one destination fanning in, and
+/// ids whose packed (src, dst) keys sit next to each other.
+std::vector<std::vector<message>> adversarial_batches(vertex n) {
+  const vertex hi = n - 1;
+  return {
+      {},
+      {{0, 1, 0, 0, 0}},
+      {{1, 2, 0, 0, 0}, {1, 2, 0, 0, 0}, {1, 2, 0, 0, 0}},
+      {{0, 1, 0, 0, 0}, {1, 0, 0, 0, 0}, {0, 1, 0, 0, 0}, {1, 0, 0, 0, 0},
+       {0, 1, 0, 0, 0}},
+      {{3, 0, 2, 5, 5}, {3, 0, 2, 5, 4}, {3, 0, 2, 4, 9}, {3, 0, 1, 9, 9},
+       {2, 0, 2, 5, 5}},
+      {{0, 1, 0, 0, 0}, {0, 2, 0, 0, 0}, {0, 3, 0, 0, 0}, {0, hi, 0, 0, 0},
+       {0, hi, 0, 1, 0}},
+      {{1, hi, 0, 0, 0}, {2, hi, 0, 0, 0}, {hi, 0, 0, 0, 0}, {hi, 1, 0, 0, 0},
+       {1, hi, 0, 0, 0}, {hi, 0, 0, 0, 0}},
+  };
+}
+
+std::vector<message> random_batch(vertex n, prng& rng) {
+  std::vector<message> out;
+  const int m = int(rng.next_below(200));
+  for (int i = 0; i < m; ++i) {
+    const vertex u = vertex(rng.next_below(std::uint64_t(n)));
+    vertex v = vertex(rng.next_below(std::uint64_t(n - 1)));
+    if (v >= u) ++v;  // no self-messages: the clique rejects them
+    out.push_back({u, v, std::uint32_t(i % 3), rng.next_below(4), 0});
+  }
+  return out;
+}
+
+TEST(ExchangeCharge, CliqueAndOneHopMatchBruteForcePairCounts) {
+  // Both exchange kinds charge rounds = max pair multiplicity and trace
+  // arcs_touched = distinct pairs, arc_max = max multiplicity, from their
+  // own counters: compare with direct counting on random and
+  // adversarial-tie batches, one network and one clique reused throughout
+  // so stale scratch would show.
+  const vertex n = 12;
+  const auto g = gen::complete(n);  // every ordered pair is a one-hop arc
+  cost_ledger net_ledger, clique_ledger;
+  trace_recorder net_rec, clique_rec;
+  network net(g, net_ledger, nullptr, &net_rec);
+  congested_clique clique(n, clique_ledger, &clique_rec);
+  std::vector<std::vector<message>> batches = adversarial_batches(n);
+  prng rng(2024);
+  for (int trial = 0; trial < 40; ++trial)
+    batches.push_back(random_batch(n, rng));
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    const auto& batch = batches[i];
+    const auto [max, distinct] = brute_pairs(batch);
+    message_batch io;
+    for (const auto& m : batch) io.push(m);
+    EXPECT_EQ(net.exchange(io, "x"), max) << "batch " << i;
+    EXPECT_EQ(clique.exchange(io, "x"), max) << "batch " << i;
+    for (const auto* rec : {&net_rec, &clique_rec}) {
+      ASSERT_EQ(rec->events().size(), i + 1);
+      const trace_event& e = rec->events().back();
+      EXPECT_EQ(e.rounds, max) << "batch " << i;
+      EXPECT_EQ(e.arcs_touched, distinct) << "batch " << i;
+      EXPECT_EQ(e.arc_max, max) << "batch " << i;
+      EXPECT_EQ(e.arc_sum, std::int64_t(batch.size())) << "batch " << i;
+    }
+    EXPECT_EQ(net_rec.events().back().kind, trace_event_kind::exchange);
+    EXPECT_EQ(clique_rec.events().back().kind,
+              trace_event_kind::clique_exchange);
+  }
+  EXPECT_EQ(net_ledger.rounds(), clique_ledger.rounds());
+  EXPECT_EQ(net_ledger.messages(), clique_ledger.messages());
 }
 
 // -------------------------------------------------- shared-buffer reuse
 
-TEST(TransportBuffers, RouterHandsBackCapacityThroughThePair) {
+TEST(TransportBuffers, RouteReadsBatchAndClusterRouteHandsItBackEmpty) {
   const auto g = gen::hypercube(4);
-  transport tp;
-  cluster_router r(g, 4, &tp);
+  cluster_router r(g, 4);
   prng rng(5);
   message_batch io;
-  for (int round = 0; round < 3; ++round) {
-    io.clear();
-    for (vertex v = 0; v < g.num_vertices(); ++v)
-      io.push({v, vertex(rng.next_below(16)), 0, std::uint64_t(round), 0});
-    const auto sent = io.size();
-    const auto stats = r.route(io);
-    EXPECT_EQ(io.size(), sent);  // delivered in place
-    EXPECT_TRUE(std::is_sorted(io.begin(), io.end(), message_order));
-    EXPECT_GE(stats.rounds, 1);
-  }
-  // Discard path clears in place.
-  io.clear();
-  io.push({0, 5, 0, 9, 0});
-  const auto stats = r.route_discard(io);
-  EXPECT_TRUE(io.empty());
-  EXPECT_GE(stats.messages, 1);
+  for (vertex v = 0; v < g.num_vertices(); ++v)
+    io.push({v, vertex(rng.next_below(16)), 0, std::uint64_t(v), 0});
+  const std::vector<message> staged(io.begin(), io.end());
+  const auto first = r.route(io);
+  const auto again = r.route(io);
+  EXPECT_TRUE(std::equal(io.begin(), io.end(), staged.begin(), staged.end()));
+  EXPECT_GE(first.rounds, 1);
+  EXPECT_EQ(first.rounds, again.rounds);
+  EXPECT_EQ(first.messages, again.messages);
+
+  // cluster_comm::route charges the same batch and clears it, so a
+  // producer refills its outbox without a clear() of its own.
+  cost_ledger ledger;
+  network net(g, ledger);
+  std::vector<vertex> vs(size_t(g.num_vertices()));
+  for (vertex v = 0; v < g.num_vertices(); ++v) vs[size_t(v)] = v;
+  cluster_comm cc(net, vs, g.edges(), "c", 4);
+  message_batch& out = cc.outbox(0);
+  out.clear();
+  for (const auto& m : staged) out.push(m);
+  const auto charged = cc.route(out, "r");
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(charged.rounds, first.rounds);
+  EXPECT_EQ(ledger.rounds(), first.rounds);
+  EXPECT_EQ(ledger.messages(), first.messages);
 }
 
 TEST(TransportBuffers, OutboxesAreDistinctAndPersistent) {
