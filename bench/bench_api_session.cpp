@@ -4,7 +4,7 @@
 // percentile helper (bench_json.hpp, same definition bench_serving
 // uses) — and collect vs. count output modes, per backend. The
 // warm path is the serving shape the session API exists for: orientation /
-// arc index / worker pool / scratch arenas amortize across queries.
+// worker pool / scratch arenas amortize across queries.
 //
 //   ./bench_api_session [--smoke] [out.json]
 //
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     const int burst = smoke ? 2 : 8;
 
     // Reference output + the cold one-shot path: every query pays the full
-    // bind (pool spin-up, orientation / arc index, cold arenas).
+    // bind (pool spin-up, orientation, cold arenas).
     auto ref = listing_session(w.g, sopt).run(q);
     const double cold_s = best_seconds([&] {
                             for (int i = 0; i < burst; ++i)

@@ -1,16 +1,11 @@
 // E7 (Theorem 6 substitute): routing-round scaling against the CS20 closed
-// form, plus the per-batch cost of a one-hop exchange.
+// form.
 //
 // Sweep: cluster families (hypercube, circulant, gnp expander) × per-vertex
-// loads L. Per (family, L):
-//
-//  * exchange — per-batch overhead of a one-hop network::exchange. Its
-//    arc-counter charge is cross-checked against the sort-based
-//    one_hop_rounds spec before timing — a mismatch aborts.
-//
-//  * route — measured store-and-forward routing rounds on the φ-cluster,
-//    against tree depth, conductance, the CS20 closed form, and the
-//    destination-density shape of the batch (trace_batch_shape).
+// loads L. Per (family, L), one all-to-random batch of L messages per
+// vertex is routed: measured store-and-forward routing rounds on the
+// φ-cluster, against tree depth, conductance, the CS20 closed form, and
+// the destination-density shape of the batch (trace_batch_shape).
 //
 // Fit: per family, the log-log OLS exponent of measured route_rounds vs L
 // (over L >= 4, where the round cost is load-dominated) next to the same
@@ -37,7 +32,6 @@
 
 #include "bench_json.hpp"
 
-#include "congest/network.hpp"
 #include "congest/router.hpp"
 #include "congest/trace.hpp"
 #include "expander/cost_model.hpp"
@@ -82,7 +76,6 @@ struct case_result {
   std::string cluster;
   std::int64_t load = 0;
   std::int64_t batch = 0;
-  double exchange_seconds = 0;
   double route_seconds = 0;
   std::int64_t route_rounds = 0;
   std::int64_t max_edge_load = 0;
@@ -132,42 +125,20 @@ int main(int argc, char** argv) {
       r.cluster = kind_name(kind);
       r.load = load;
 
-      // ---- exchange: one-hop batch (random neighbor per message).
       prng rng(17);
-      std::vector<message> one_hop;
-      for (vertex v = 0; v < g.num_vertices(); ++v)
-        for (std::int64_t l = 0; l < load; ++l) {
-          const auto nb = g.neighbors(v);
-          one_hop.push_back(
-              {v, nb[size_t(rng.next_below(nb.size()))], 0,
-               std::uint64_t(l), 0});
-        }
-      r.batch = std::int64_t(one_hop.size());
-      cost_ledger ledger;
-      network net(g, ledger);
-      message_batch io;
-      for (const auto& m : one_hop) io.push(m);
-      // Cross-check: the arc-counter charge equals the sort-based spec.
-      if (net.exchange(io, "x") != one_hop_rounds(one_hop)) std::abort();
-      const int reps = smoke ? 2 : 10;
-      r.exchange_seconds = bench::best_seconds([&] {
-        for (int i = 0; i < reps; ++i) net.exchange(io, "x");
-      }) / reps;
-
-      // ---- route: multi-hop all-to-random load (the original E7).
-      prng rng2(17);
       std::vector<message> multi_hop;
       for (vertex v = 0; v < g.num_vertices(); ++v)
         for (std::int64_t l = 0; l < load; ++l)
           multi_hop.push_back(
-              {v, vertex(rng2.next_below(std::uint64_t(g.num_vertices()))),
+              {v, vertex(rng.next_below(std::uint64_t(g.num_vertices()))),
                0, std::uint64_t(l), 0});
       r.shape = shape_of_batch(multi_hop, g.num_vertices());
       r.dst_density = g.num_vertices() > 0
                           ? double(r.shape.dsts_touched) /
                                 double(g.num_vertices())
                           : 0.0;
-      io.clear();
+      r.batch = std::int64_t(multi_hop.size());
+      message_batch io;
       for (const auto& m : multi_hop) io.push(m);
       route_stats stats;
       r.route_seconds =
@@ -223,7 +194,6 @@ int main(int argc, char** argv) {
     first = false;
     js << "    {\"cluster\": \"" << r.cluster << "\", \"load\": " << r.load
        << ", \"batch\": " << r.batch
-       << ", \"exchange_seconds\": " << r.exchange_seconds
        << ", \"route_seconds\": " << r.route_seconds
        << ", \"route_rounds\": " << r.route_rounds
        << ", \"max_edge_load\": " << r.max_edge_load

@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   const auto g = gen::gnp(n, avg_deg / double(n), /*seed=*/42);
   std::cout << "G(n=" << n << ", m=" << g.num_edges() << ")\n\n";
 
-  // Bind once per backend: all query-independent setup (arc index, DAG
-  // orientation, worker pool, warm scratch) happens here, not per query.
+  // Bind once per backend: all query-independent setup (DAG orientation,
+  // worker pool, warm scratch) happens here, not per query.
   listing_session sim(g, {.threads = 0});  // clusters of each level in
                                            // parallel, all cores; outputs
                                            // are identical for any count

@@ -21,8 +21,7 @@ std::int64_t congested_clique::exchange(const message_batch& io,
   const auto pairs = count_pairs(io.span(), keys_);
   ledger_->charge(phase, pairs.max, std::int64_t(io.size()));
   if (rec_ != nullptr)
-    rec_->record_exchange(trace_event_kind::clique_exchange, phase,
-                          io.span(), n_, pairs.max, pairs.distinct);
+    rec_->record_exchange(phase, io.span(), n_, pairs.max, pairs.distinct);
   return pairs.max;
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 // CONGESTED CLIQUE model: n vertices, all-to-all communication, one
 // O(log n)-bit message per ordered pair per round. Substrate for the
-// [DLP12] deterministic K_p listing baseline (§1.3). Like network, an
-// exchange only charges the caller's batch.
+// [DLP12] deterministic K_p listing baseline (§1.3). An exchange only
+// charges the caller's batch.
 
 #include <cstdint>
 #include <vector>

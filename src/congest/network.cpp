@@ -4,7 +4,6 @@
 
 #include "congest/trace.hpp"
 #include "graph/algorithms.hpp"
-#include "support/check.hpp"
 
 namespace dcl {
 
@@ -13,12 +12,7 @@ network::network(const graph& g, cost_ledger& ledger, transport* tp,
     : g_(&g),
       ledger_(&ledger),
       rec_(rec),
-      tp_(tp != nullptr ? tp : &owned_tp_),
-      // exchange() validates and counts per directed arc; caching the
-      // lookup view forces the lazy index build here (never inside a
-      // timed exchange) and keeps the per-message lookup at direct
-      // hash-probe cost.
-      arcs_(g.arc_index_lookup()) {}
+      tp_(tp != nullptr ? tp : &owned_tp_) {}
 
 pair_counts count_pairs(std::span<const message> msgs,
                         std::vector<std::uint64_t>& keys) {
@@ -38,41 +32,6 @@ pair_counts count_pairs(std::span<const message> msgs,
   return c;
 }
 
-std::int64_t one_hop_rounds(std::span<const message> msgs) {
-  std::vector<std::uint64_t> keys;
-  return count_pairs(msgs, keys).max;
-}
-
-std::int64_t network::exchange(const message_batch& io,
-                               std::string_view phase) {
-  const graph& g = *g_;
-  if (std::int64_t(arc_count_.size()) < g.num_arcs())
-    arc_count_.assign(size_t(g.num_arcs()), 0);
-  std::int64_t rounds = 0;
-  for (const auto& m : io) {
-    const auto arc = arcs_.arc_id(m.src, m.dst);
-    if (arc < 0) {
-      // Leave the counters clean before reporting the bad message, so a
-      // caller that catches the error can keep using this network.
-      for (const auto a : arc_touched_) arc_count_[size_t(a)] = 0;
-      arc_touched_.clear();
-      DCL_EXPECTS(arc >= 0,
-                  "one-hop message requires an edge between src and dst");
-    }
-    const auto mult = ++arc_count_[size_t(arc)];
-    if (mult == 1) arc_touched_.push_back(arc);
-    rounds = std::max<std::int64_t>(rounds, mult);
-  }
-  const auto arcs = std::int64_t(arc_touched_.size());
-  for (const auto a : arc_touched_) arc_count_[size_t(a)] = 0;
-  arc_touched_.clear();
-  ledger_->charge(phase, rounds, std::int64_t(io.size()));
-  if (rec_ != nullptr)
-    rec_->record_exchange(trace_event_kind::exchange, phase, io.span(),
-                          g.num_vertices(), rounds, arcs);
-  return rounds;
-}
-
 void network::charge(std::string_view phase, std::int64_t rounds,
                      std::int64_t messages) {
   ledger_->charge(phase, rounds, messages);
@@ -80,12 +39,6 @@ void network::charge(std::string_view phase, std::int64_t rounds,
 }
 
 std::int64_t network::charge_gather_all_edges(std::string_view phase) {
-  if (gather_cached_) {
-    ledger_->charge(phase, gather_rounds_, gather_messages_);
-    if (rec_ != nullptr)
-      rec_->record_charge(phase, gather_rounds_, gather_messages_);
-    return gather_rounds_;
-  }
   const graph& g = *g_;
   const auto comps = connected_components(g);
   // Leader of each component: its minimum-id vertex (first seen).
@@ -124,12 +77,7 @@ std::int64_t network::charge_gather_all_edges(std::string_view phase) {
     // Pipelined: bounded by per-edge congestion plus tree depth.
     worst_rounds = std::max(worst_rounds, congestion + t.depth);
   }
-  gather_cached_ = true;
-  gather_rounds_ = worst_rounds;
-  gather_messages_ = total_messages;
-  ledger_->charge(phase, worst_rounds, total_messages);
-  if (rec_ != nullptr)
-    rec_->record_charge(phase, worst_rounds, total_messages);
+  charge(phase, worst_rounds, total_messages);
   return worst_rounds;
 }
 

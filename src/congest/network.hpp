@@ -1,9 +1,8 @@
 #pragma once
-// Single-hop CONGEST exchange on the edges of a graph, with exact round
-// accounting: a batch of point-to-point messages over existing edges needs
-// exactly max_{directed arc a} (#messages on a) rounds. An exchange only
-// charges: it reads the caller's batch and never delivers or reorders it,
-// since every lister models receipt analytically.
+// The CONGEST network of one graph as the listers see it: a cost ledger to
+// charge, an optional trace recorder, and the transport whose outboxes the
+// cluster routers stage into. It only charges — every lister models
+// receipt analytically — so it never delivers or reorders a message.
 
 #include <span>
 #include <vector>
@@ -38,12 +37,6 @@ class network {
   transport& shared_transport() { return *tp_; }
   trace_recorder* recorder() const { return rec_; }
 
-  /// Charges a batch of one-hop messages: every (src, dst) must be an edge
-  /// (validated in O(1) via the graph's arc index). Charges rounds = max
-  /// per-directed-arc multiplicity, counted on reusable arc counters.
-  /// Returns the charged rounds.
-  std::int64_t exchange(const message_batch& io, std::string_view phase);
-
   /// Analytic charge for costs known in closed form (tree pipelining etc.).
   void charge(std::string_view phase, std::int64_t rounds,
               std::int64_t messages);
@@ -51,9 +44,7 @@ class network {
   /// Cost of gathering one message per edge to a per-component leader along
   /// BFS trees (exact tree congestion: max over tree edges of the number of
   /// messages crossing it, plus pipelining depth). Used by the base-case
-  /// fallback that collects a small residual graph centrally. The graph is
-  /// immutable, so the BFS forest walk runs once per network and the result
-  /// is cached — repeated calls only re-charge the ledger.
+  /// fallback that collects a small residual graph centrally.
   std::int64_t charge_gather_all_edges(std::string_view phase);
 
  private:
@@ -62,20 +53,11 @@ class network {
   trace_recorder* rec_;
   transport* tp_;
   transport owned_tp_;  // used when no shared transport was injected
-  arc_lookup arcs_;     // built-index view cached at construction; keeps
-                        // the per-message lookup at direct-probe cost
-
-  std::vector<std::int32_t> arc_count_;   // per-arc multiplicity scratch
-  std::vector<std::int64_t> arc_touched_; // arcs to reset after a batch
-
-  bool gather_cached_ = false;
-  std::int64_t gather_rounds_ = 0;
-  std::int64_t gather_messages_ = 0;
 };
 
 /// The ordered (src, dst) pairs of a batch: the max multiplicity of one
-/// pair (the exact round cost in the one-hop and congested-clique models)
-/// and the number of distinct pairs (the width of the arc histogram).
+/// pair (the exact round cost in the congested-clique model) and the
+/// number of distinct pairs (the width of the arc histogram).
 struct pair_counts {
   std::int64_t max = 0;
   std::int64_t distinct = 0;
@@ -85,10 +67,5 @@ struct pair_counts {
 /// `keys` is scratch, overwritten.
 pair_counts count_pairs(std::span<const message> msgs,
                         std::vector<std::uint64_t>& keys);
-
-/// Reference implementation of the exact one-hop round cost via
-/// count_pairs — the spec the arc-counter fast path in exchange() is
-/// differentially tested against.
-std::int64_t one_hop_rounds(std::span<const message> msgs);
 
 }  // namespace dcl

@@ -40,7 +40,7 @@ phase_cost replay_event_cost(const trace_event& e, const trace_scope& scope,
       if (e.kind == trace_event_kind::route)
         c.rounds = std::max(e.arc_max, e.max_path);
       else if (e.kind != trace_event_kind::charge)
-        c.rounds = e.arc_max;  // == measured, by the one-hop cost rule
+        c.rounds = e.arc_max;  // == measured, by the exchange cost rule
       break;
     case replay_model::cs20:
       if (e.kind == trace_event_kind::route) {

@@ -24,16 +24,17 @@ enum class replay_model {
   /// Charge exactly what the live transport measured. Replay(measured) ==
   /// the live ledger, bit-identically.
   measured,
-  /// The sort-based spec costs: one-hop exchanges pay their max directed
-  /// pair multiplicity (identical to measured, by the one-hop cost rule);
+  /// The sort-based spec costs: exchanges of either kind pay their max
+  /// directed pair multiplicity (identical to measured, by the exchange
+  /// cost rule);
   /// routed batches pay the classic congestion/dilation lower bound
   /// max(max per-arc load, longest path) instead of the store-and-forward
   /// rounds the router actually simulated.
   congestion_spec,
   /// The [CS20, Thm 6] closed form: each routed batch pays
   /// cs20_routing_rounds(L, phi, n) with L = max per-endpoint message
-  /// count and (n, phi) from the event's scope. One-hop exchanges and
-  /// analytic charges are already exact and keep their measured cost.
+  /// count and (n, phi) from the event's scope. Exchanges and analytic
+  /// charges are already exact and keep their measured cost.
   cs20,
 };
 

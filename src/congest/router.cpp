@@ -63,8 +63,8 @@ cluster_router::cluster_router(const graph& cluster, int num_trees)
   depth_by_vertex_.resize(size_t(n) * size_t(num_trees_));
   for (int ti = 0; ti < num_trees_; ++ti) {
     const auto t = bfs_from(cluster, roots[size_t(ti)]);
-    // Per tree, cache the arc toward the parent and its reverse once, so
-    // path expansion during routing is pure table lookups.
+    // Per tree, cache the arcs to and from the parent once, so path
+    // expansion during routing is pure table lookups.
     tree_node* nodes = &nodes_[size_t(ti) * size_t(n)];
     for (vertex v = 0; v < n; ++v) {
       tree_node& node = nodes[v];
@@ -76,7 +76,7 @@ cluster_router::cluster_router(const graph& cluster, int num_trees)
         const auto a = cluster.arc_id(v, node.parent);
         DCL_ENSURE(a >= 0, "BFS tree edge missing from the cluster");
         node.up_arc = std::int32_t(a);
-        node.down_arc = std::int32_t(cluster.reverse_arc(a));
+        node.down_arc = std::int32_t(cluster.arc_id(node.parent, v));
       }
     }
     max_depth_ = std::max(max_depth_, t.depth);

@@ -4,8 +4,8 @@
 // DESIGN.md §2). Messages travel along a small set of BFS trees; forwarding
 // is simulated synchronously, one message per directed edge per round, so
 // the returned round count is a *measured* CONGEST cost, not a model. Arc ids
-// along every tree path are precomputed at construction (via the graph's
-// arc index and reverse-arc table), so routing a batch performs no
+// along every tree path are precomputed at construction (graph::arc_id of
+// each tree edge, both directions), so routing a batch performs no
 // per-message adjacency searches.
 
 #include <cstdint>

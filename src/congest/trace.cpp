@@ -86,12 +86,12 @@ trace_event& trace_recorder::append_batch(trace_event_kind kind,
   return e;
 }
 
-void trace_recorder::record_exchange(trace_event_kind kind,
-                                     std::string_view phase,
+void trace_recorder::record_exchange(std::string_view phase,
                                      std::span<const message> batch,
                                      std::int64_t n, std::int64_t rounds,
                                      std::int64_t pairs) {
-  trace_event& e = append_batch(kind, phase, batch, n);
+  trace_event& e =
+      append_batch(trace_event_kind::clique_exchange, phase, batch, n);
   e.rounds = rounds;
   e.messages = e.batch;
   e.arcs_touched = pairs;

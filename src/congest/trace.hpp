@@ -1,15 +1,14 @@
 #pragma once
 // Message-layer trace recording (DESIGN.md §10). When a query enables
-// tracing, every communication event the simulation charges — one-hop
-// network::exchange batches, congested_clique::exchange batches,
-// cluster_comm::route batches, and analytic charges — is recorded as one
-// compact trace_event: phase label (interned), batch size, measured
-// rounds, the ledger delta, a per-arc histogram summary (distinct arcs /
-// max multiplicity / total, taken from the substrate's charge counters),
-// and per-endpoint density stats (distinct sources/destinations touched
-// and the max per-endpoint count). A recorded trace replays against
-// alternative cost models (congest/replay.hpp) without re-running the
-// listing.
+// tracing, every communication event the simulation charges —
+// congested_clique::exchange batches, cluster_comm::route batches, and
+// analytic charges — is recorded as one compact trace_event: phase label
+// (interned), batch size, measured rounds, the ledger delta, a per-arc
+// histogram summary (distinct arcs / max multiplicity / total, taken from
+// the substrate's charge counters), and per-endpoint density stats
+// (distinct sources/destinations touched and the max per-endpoint count).
+// A recorded trace replays against alternative cost models
+// (congest/replay.hpp) without re-running the listing.
 //
 // Ownership mirrors the cost_ledger: each concurrent cluster task records
 // into its own trace_recorder, and the driver absorbs recorders into the
@@ -50,7 +49,8 @@ inline constexpr std::int64_t kTraceBranchSequential = -1;
 inline constexpr std::int64_t kTraceBranchExhaustive = -2;
 
 enum class trace_event_kind : std::uint8_t {
-  exchange = 0,         ///< network::exchange (one-hop over graph edges)
+  exchange = 0,         ///< one-hop batch over graph edges (no longer
+                        ///< recorded; older traces still read and replay)
   clique_exchange = 1,  ///< congested_clique::exchange (all-to-all)
   route = 2,            ///< cluster_comm::route batch
   charge = 3,           ///< analytic closed-form charge
@@ -81,7 +81,7 @@ struct trace_event {
   std::int64_t messages = 0;  ///< ledger message delta (hop-messages for
                               ///< routes, batch size for exchanges)
   // Per-arc histogram summary. Exchanges: distinct directed (src, dst)
-  // pairs, the max pair multiplicity (== rounds by the one-hop cost rule),
+  // pairs, the max pair multiplicity (== rounds by the exchange cost rule),
   // and the total (== batch). Routes: distinct directed tree arcs used,
   // the max per-arc load, and the total hop-messages.
   std::int64_t arcs_touched = 0;
@@ -155,10 +155,10 @@ trace_batch_shape shape_of_batch(std::span<const message> batch,
 /// Phase labels are interned locally and remapped at absorb time.
 class trace_recorder {
  public:
-  /// One charged one-hop or all-to-all batch. `rounds` (== the max pair
+  /// One charged congested-clique batch. `rounds` (== the max pair
   /// multiplicity) and `pairs` (distinct directed (src, dst) pairs) come
-  /// from the substrate's charge; the batch supplies the endpoint shape.
-  void record_exchange(trace_event_kind kind, std::string_view phase,
+  /// from the clique's charge; the batch supplies the endpoint shape.
+  void record_exchange(std::string_view phase,
                        std::span<const message> batch, std::int64_t n,
                        std::int64_t rounds, std::int64_t pairs);
 

@@ -104,11 +104,6 @@ listing_session::listing_session(const graph& g, const session_options& opt)
     // The orientation is a pure function of the graph: build the DAG once
     // here and serve every query arity from it.
     dag_ = enumkernel::orient(g, enumkernel::orientation_policy::degeneracy);
-  } else {
-    // The routing layers key on the graph's O(1) arc index; force the lazy
-    // build now so the cost lands at bind time, not inside the first timed
-    // exchange of the first query.
-    g.ensure_arc_index();
   }
   // Warm one lease to the full pool width and park it: the first query
   // (however it lands) checks out a bundle whose kernel scratch /

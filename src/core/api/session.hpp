@@ -13,8 +13,7 @@
 //   session.run(q, [&](std::span<const dcl::vertex> batch) { ... });
 //
 // Construction performs every query-independent setup step exactly once —
-// the graph's directed-arc index and reverse-arc table (congest_sim), the
-// degeneracy/DAG orientation (local_kclist), the kernel traversal and
+// the degeneracy/DAG orientation (local_kclist), the kernel traversal and
 // vector tier (resolved into one exec_config), the runtime worker pool,
 // and a warmed scratch lease with its parked kernel scratch / transport — so
 // repeated run() calls reuse warm capacity instead of rebuilding the
@@ -28,10 +27,10 @@
 // Concurrency (DESIGN.md §12): run() and cliques_in_edges() are safe to
 // call from any number of threads at once. Everything a query mutates
 // lives in a query_lease checked out from the session's lease pool for
-// the duration of that run; the bound graph, its arc index, and the DAG
-// are strictly read-only shared state, and the skeleton memo is shared
-// under its own mutex (first published skeleton wins; every racer
-// computed the same one). The wide worker pool serves one
+// the duration of that run; the bound graph and the DAG are strictly
+// read-only shared state, and the skeleton memo is shared under its own
+// mutex (first published skeleton wins; every racer computed the same
+// one). The wide worker pool serves one
 // query at a time (first caller wins a try-lock); every other in-flight
 // query runs inline on its lease's single-slot pool. Because all outputs
 // are bit-identical across thread counts (DESIGN.md §6), which pool a

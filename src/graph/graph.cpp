@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/check.hpp"
-#include "support/prng.hpp"
 
 namespace dcl {
 
@@ -34,84 +33,6 @@ graph::graph(vertex n, const edge_list& edges) : n_(n) {
   }
   edges_ = edges;
   std::sort(edges_.begin(), edges_.end());
-  arcs_ = std::make_shared<arc_slot>();
-}
-
-const graph::arc_index_data& graph::arc_index() const {
-  // A default-constructed graph never allocated a slot; it also has no
-  // arcs, so the empty index answers every query correctly.
-  static const arc_index_data kEmpty{};
-  if (!arcs_) return kEmpty;
-  arc_slot& slot = *arcs_;
-  if (const auto* built = slot.built.load(std::memory_order_acquire))
-    return *built;
-  std::call_once(slot.once, [&] {
-    arc_index_data& idx = slot.data;
-    // Reverse arcs in O(m): sweep rows in ascending u. For a fixed v the
-    // sweep meets its in-neighbors u in ascending order, which is exactly
-    // the order of adj_[offsets_[v]..] — one cursor per vertex pairs them.
-    idx.reverse.resize(adj_.size());
-    std::vector<std::int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (vertex u = 0; u < n_; ++u)
-      for (std::int64_t a = offsets_[size_t(u)];
-           a < offsets_[size_t(u) + 1]; ++a)
-        idx.reverse[size_t(a)] = cursor[size_t(adj_[size_t(a)])]++;
-
-    // Hash index: open addressing with linear probing at load <= 1/2.
-    if (!adj_.empty()) {
-      std::size_t cap = 16;
-      while (cap < adj_.size() * 2) cap <<= 1;
-      idx.mask = std::uint64_t(cap) - 1;
-      idx.keys.assign(cap, 0);
-      idx.vals.assign(cap, -1);
-      for (vertex u = 0; u < n_; ++u)
-        for (std::int64_t a = offsets_[size_t(u)];
-             a < offsets_[size_t(u) + 1]; ++a) {
-          const std::uint64_t key = (std::uint64_t(std::uint32_t(u)) << 32) |
-                                    std::uint32_t(adj_[size_t(a)]);
-          std::uint64_t s = splitmix64(key) & idx.mask;
-          while (idx.keys[size_t(s)] != 0) s = (s + 1) & idx.mask;
-          idx.keys[size_t(s)] = key + 1;
-          idx.vals[size_t(s)] = a;
-        }
-    }
-    slot.built.store(&slot.data, std::memory_order_release);
-  });
-  return *slot.built.load(std::memory_order_acquire);
-}
-
-void graph::ensure_arc_index() const { arc_index(); }
-
-arc_lookup graph::arc_index_lookup() const {
-  const arc_index_data& idx = arc_index();
-  arc_lookup l;
-  l.n = n_;
-  l.keys = idx.keys;
-  l.vals = idx.vals;
-  l.mask = idx.mask;
-  return l;
-}
-
-std::int64_t arc_lookup::arc_id(vertex u, vertex v) const {
-  if (std::uint32_t(u) >= std::uint32_t(n) ||
-      std::uint32_t(v) >= std::uint32_t(n) || keys.empty())
-    return -1;
-  const std::uint64_t key =
-      (std::uint64_t(std::uint32_t(u)) << 32) | std::uint32_t(v);
-  std::uint64_t slot = splitmix64(key) & mask;
-  for (;;) {
-    const std::uint64_t k = keys[size_t(slot)];
-    if (k == 0) return -1;
-    if (k == key + 1) return vals[size_t(slot)];
-    slot = (slot + 1) & mask;
-  }
-}
-
-std::int64_t graph::arc_id(vertex u, vertex v) const {
-  if (std::uint32_t(u) >= std::uint32_t(n_) ||
-      std::uint32_t(v) >= std::uint32_t(n_) || adj_.empty())
-    return -1;
-  return arc_index_lookup().arc_id(u, v);
 }
 
 graph graph::from_unsorted(vertex n, edge_list edges) {

@@ -2,13 +2,11 @@
 // Immutable simple undirected graph in CSR form. Vertices are dense ids
 // 0..n-1; adjacency lists are sorted ascending, enabling O(log d) edge
 // queries and linear-time sorted-intersection (the workhorse of clique
-// enumeration and of the two-hop exchange in Lemma 35).
+// enumeration and of the two-hop exchange in Lemma 35). A graph is plain
+// data with no lazy state: every query is a pure read of the CSR arrays.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -55,37 +53,13 @@ struct csr_view {
 
   /// Directed-arc id of (u -> v): the position of v in the flat adjacency,
   /// i.e. offsets[u] + index of v within the sorted row. -1 when (u, v) is
-  /// not an edge. O(log deg(u)); a full `graph` answers the same query in
-  /// O(1) through its hashed arc index.
+  /// not an edge. O(log deg(u)).
   std::int64_t arc_id(vertex u, vertex v) const {
     const auto nb = neighbors(u);
     const auto it = std::lower_bound(nb.begin(), nb.end(), v);
     if (it == nb.end() || *it != v) return -1;
     return offsets[size_t(u)] + (it - nb.begin());
   }
-};
-
-class graph;
-
-/// Non-owning O(1) arc-id lookup bound to a graph's built arc index. The
-/// per-message hot loops (network::exchange validates and counts per arc)
-/// cache one of these at setup so every lookup is a direct hash probe —
-/// no lazy-slot indirection or atomic load per call. Valid while the
-/// source graph (or any copy, which shares the index) is alive.
-class arc_lookup {
- public:
-  arc_lookup() = default;
-
-  /// Same semantics as graph::arc_id: the directed-arc id of (u -> v), or
-  /// -1 for non-edges and out-of-range endpoints.
-  std::int64_t arc_id(vertex u, vertex v) const;
-
- private:
-  friend class graph;
-  vertex n = 0;
-  std::span<const std::uint64_t> keys;  // stored as key + 1; 0 = empty
-  std::span<const std::int64_t> vals;
-  std::uint64_t mask = 0;
 };
 
 class graph {
@@ -118,30 +92,14 @@ class graph {
   /// adjacency: arc a points from its row's vertex to adj()[a].
   std::int64_t num_arcs() const { return std::int64_t(adj_.size()); }
 
-  /// Directed-arc id of (u -> v): the position of v in the flat adjacency,
-  /// or -1 when (u, v) is not an edge (out-of-range endpoints included).
-  /// O(1) via the hashed arc index — this is what the transport layer's
-  /// per-arc round counters and endpoint validation key on. The index is
-  /// built lazily on first use (see ensure_arc_index).
-  std::int64_t arc_id(vertex u, vertex v) const;
-
-  /// Arc of the opposite direction, cached in the lazily-built index:
-  /// reverse_arc(arc_id(u, v)) == arc_id(v, u).
-  std::int64_t reverse_arc(std::int64_t arc) const {
-    return arc_index().reverse[size_t(arc)];
+  /// Directed-arc id of (u -> v), as csr_view::arc_id, or -1 when (u, v)
+  /// is not an edge (out-of-range endpoints included). O(log deg(u)).
+  std::int64_t arc_id(vertex u, vertex v) const {
+    if (std::uint32_t(u) >= std::uint32_t(n_) ||
+        std::uint32_t(v) >= std::uint32_t(n_))
+      return -1;
+    return view().arc_id(u, v);
   }
-
-  /// Forces the lazy arc-index build (hash index + reverse-arc table,
-  /// ~24-48 B/arc). Idempotent and thread-safe (call_once); listing
-  /// sessions and networks call it at bind/construction time so the cost
-  /// lands there instead of inside a first timed exchange. Graphs that
-  /// never route — bench inputs, partition-tree helpers, spectral probes —
-  /// never pay it.
-  void ensure_arc_index() const;
-
-  /// Hot-path lookup view over the arc index (forces the build). Lifetime
-  /// as documented on arc_lookup.
-  arc_lookup arc_index_lookup() const;
 
   /// CSR view of the adjacency (valid while the graph is alive).
   csr_view view() const { return {n_, offsets_, adj_}; }
@@ -156,32 +114,10 @@ class graph {
   std::int32_t degree_into(vertex v, std::span<const vertex> into) const;
 
  private:
-  // Directed-arc index: open-addressed hash of (u << 32 | v) -> arc id,
-  // sized to load factor <= 1/2, plus the reverse-arc table. Built lazily
-  // — only the routing layers consume it, and eager construction charged
-  // every scratch graph ~24-48 B/arc. The slot sits behind one shared heap
-  // allocation so copies stay cheap and, since the graph is immutable (the
-  // index is a pure function of the CSR), copies share a built index.
-  struct arc_index_data {
-    std::vector<std::uint64_t> keys;  // stored as key + 1; 0 = empty
-    std::vector<std::int64_t> vals;
-    std::uint64_t mask = 0;
-    std::vector<std::int64_t> reverse;
-  };
-  struct arc_slot {
-    std::once_flag once;
-    std::atomic<const arc_index_data*> built{nullptr};
-    arc_index_data data;
-  };
-
-  /// The built index; triggers the call_once build on first use.
-  const arc_index_data& arc_index() const;
-
   vertex n_ = 0;
   std::vector<std::int64_t> offsets_ = {0};
   std::vector<vertex> adj_;
   edge_list edges_;
-  std::shared_ptr<arc_slot> arcs_;
 };
 
 /// When one range is at least this many times longer than the other, the

@@ -184,49 +184,39 @@ TEST(CostLedger, FoldOrderIrrelevantForClusterMerges) {
 }
 
 TEST(Network, OneHopRoundsIsMaxEdgeLoad) {
+  std::vector<std::uint64_t> keys;
   std::vector<message> msgs;
   msgs.push_back({0, 1, 0, 0, 0});
   msgs.push_back({0, 1, 0, 1, 0});
   msgs.push_back({1, 0, 0, 0, 0});  // reverse direction is independent
   msgs.push_back({2, 3, 0, 0, 0});
-  EXPECT_EQ(one_hop_rounds(msgs), 2);
-  EXPECT_EQ(one_hop_rounds(std::span<const message>{}), 0);
+  EXPECT_EQ(count_pairs(msgs, keys).max, 2);
+  EXPECT_EQ(count_pairs({}, keys).max, 0);
 }
 
 TEST(Network, OneHopRoundsEdgeCases) {
+  std::vector<std::uint64_t> keys;
   // Single message: one round.
   const std::vector<message> single = {{0, 1, 0, 0, 0}};
-  EXPECT_EQ(one_hop_rounds(single), 1);
+  EXPECT_EQ(count_pairs(single, keys).max, 1);
   // Duplicates of one directed edge, interleaved with others in arbitrary
   // order: the max multiplicity wins regardless of input order.
   std::vector<message> interleaved = {
       {4, 5, 0, 1, 0}, {0, 1, 0, 1, 0}, {4, 5, 0, 2, 0},
       {2, 3, 0, 1, 0}, {4, 5, 0, 3, 0}, {0, 1, 0, 2, 0}};
-  EXPECT_EQ(one_hop_rounds(interleaved), 3);
+  EXPECT_EQ(count_pairs(interleaved, keys).max, 3);
   // Same source fanning out to distinct receivers: fully parallel.
   std::vector<message> fanout;
   for (vertex d = 1; d <= 6; ++d) fanout.push_back({0, d, 0, 0, 0});
-  EXPECT_EQ(one_hop_rounds(fanout), 1);
+  EXPECT_EQ(count_pairs(fanout, keys).max, 1);
   // All n messages on one directed edge serialize completely.
   std::vector<message> serial;
   for (int i = 0; i < 9; ++i) serial.push_back({7, 8, 0, std::uint64_t(i), 0});
-  EXPECT_EQ(one_hop_rounds(serial), 9);
+  EXPECT_EQ(count_pairs(serial, keys).max, 9);
   // Payload does not matter: identical payloads still occupy distinct
   // rounds on the same edge.
   std::vector<message> same_payload(4, message{1, 2, 0, 0, 0});
-  EXPECT_EQ(one_hop_rounds(same_payload), 4);
-}
-
-TEST(Network, ExchangeRequiresEdges) {
-  const auto g = gen::grid(2, 2);  // 0-1, 0-2, 1-3, 2-3
-  cost_ledger l;
-  network net(g, l);
-  auto bad = make_batch({{0, 3, 0, 0, 0}});
-  EXPECT_THROW(net.exchange(bad, "p"), precondition_error);
-  const auto out = make_batch({{0, 1, 7, 1, 2}});
-  EXPECT_EQ(net.exchange(out, "p"), 1);
-  EXPECT_EQ(l.rounds(), 1);
-  EXPECT_EQ(l.messages(), 1);
+  EXPECT_EQ(count_pairs(same_payload, keys).max, 4);
 }
 
 TEST(Network, GatherAllEdgesCost) {
@@ -364,9 +354,8 @@ class reference_router {
       std::vector<std::int64_t> up(size_t(n), -1), down(size_t(n), -1);
       for (vertex v = 0; v < n; ++v)
         if (t.parent[size_t(v)] != -1) {
-          const auto a = cluster.arc_id(v, t.parent[size_t(v)]);
-          up[size_t(v)] = a;
-          down[size_t(v)] = cluster.reverse_arc(a);
+          up[size_t(v)] = cluster.arc_id(v, t.parent[size_t(v)]);
+          down[size_t(v)] = cluster.arc_id(t.parent[size_t(v)], v);
         }
       parents_.push_back(t.parent);
       depths_.push_back(t.dist);

@@ -59,18 +59,6 @@ TEST(FailureInjection, DecompositionOptionValidation) {
   EXPECT_THROW(decompose(g, opt), precondition_error);
 }
 
-TEST(FailureInjection, NetworkRejectsNonEdgeTraffic) {
-  const auto g = gen::grid(2, 2);
-  cost_ledger l;
-  network net(g, l);
-  message_batch non_edge;
-  non_edge.emplace(0, 3);
-  EXPECT_THROW(net.exchange(non_edge, "p"), precondition_error);
-  message_batch out_of_range;
-  out_of_range.emplace(0, 9);
-  EXPECT_THROW(net.exchange(out_of_range, "p"), precondition_error);
-}
-
 TEST(FailureInjection, ClusterCommValidation) {
   const auto g = gen::grid(2, 3);
   cost_ledger l;
@@ -80,6 +68,9 @@ TEST(FailureInjection, ClusterCommValidation) {
                precondition_error);
   // Edge endpoint not in cluster.
   EXPECT_THROW(cluster_comm(net, {0, 1}, {{1, 2}}, "c"),
+               precondition_error);
+  // Cluster edge absent from the parent graph (grid 0-1-2 / 3-4-5).
+  EXPECT_THROW(cluster_comm(net, {0, 1, 4}, {{0, 1}, {0, 4}}, "c"),
                precondition_error);
   // Disconnected cluster subgraph.
   EXPECT_THROW(cluster_comm(net, {0, 1, 4, 5}, {{0, 1}, {4, 5}}, "c"),

@@ -3,7 +3,7 @@
 #include <sstream>
 #include <string>
 
-#include "congest/network.hpp"
+#include "congest/congested_clique.hpp"
 #include "congest/replay.hpp"
 #include "congest/router.hpp"
 #include "congest/trace.hpp"
@@ -161,25 +161,37 @@ TEST(TraceSerialization, JsonlHeaderCarriesVersionAndTables) {
   EXPECT_EQ(lines - 1, std::int64_t(r.report.trace->events().size()));
 }
 
-// On a one-hop-only trace the congestion-spec model charges exactly the
-// measured cost (max directed pair multiplicity IS the one-hop cost rule).
+// On an exchange-only trace the congestion-spec model charges exactly the
+// measured cost (max directed pair multiplicity IS the exchange cost rule).
+// A one-hop `exchange` event, which older traces carry, replays the same.
 TEST(ReplayModels, SpecEqualsMeasuredOnOneHopTrace) {
-  const graph g = gen::circulant(16, {1, 2});
+  const vertex n = 16;
   cost_ledger ledger;
   trace_recorder rec;
-  network net(g, ledger, nullptr, &rec);
+  congested_clique clique(n, ledger, &rec);
   message_batch io;
-  for (vertex v = 0; v < g.num_vertices(); ++v) {
-    io.push({v, vertex((v + 1) % 16), 0, 1, 0});
-    io.push({v, vertex((v + 1) % 16), 0, 2, 0});
+  for (vertex v = 0; v < n; ++v) {
+    io.push({v, vertex((v + 1) % n), 0, 1, 0});
+    io.push({v, vertex((v + 1) % n), 0, 2, 0});
   }
-  net.exchange(io, "hop");
+  clique.exchange(io, "hop");
   trace_log log;
-  log.absorb(rec, 0, 0, g.num_vertices(), 0.5);
+  log.absorb(rec, 0, 0, n, 0.5);
   EXPECT_TRUE(ledgers_equal(replay_ledger(log, replay_model::measured),
                             replay_ledger(log, replay_model::congestion_spec)));
   EXPECT_TRUE(
       ledgers_equal(replay_ledger(log, replay_model::measured), ledger));
+  ASSERT_EQ(log.events().size(), 1u);
+  trace_event one_hop = log.events()[0];
+  one_hop.kind = trace_event_kind::exchange;
+  const trace_scope& scope = log.scopes()[size_t(one_hop.scope)];
+  for (const auto m : {replay_model::measured, replay_model::congestion_spec,
+                       replay_model::cs20}) {
+    const auto want = replay_event_cost(log.events()[0], scope, m);
+    const auto got = replay_event_cost(one_hop, scope, m);
+    EXPECT_EQ(got.rounds, want.rounds) << replay_model_name(m);
+    EXPECT_EQ(got.messages, want.messages) << replay_model_name(m);
+  }
 }
 
 TEST(ReplayModels, Cs20ChargesRoutesPositively) {
@@ -231,24 +243,23 @@ TEST(TraceShape, BatchShapeCountsEndpoints) {
 }
 
 TEST(TraceShape, ExchangeEventArcHistogram) {
-  const graph g = gen::circulant(8, {1});
   cost_ledger ledger;
   trace_recorder rec;
-  network net(g, ledger, nullptr, &rec);
+  congested_clique clique(8, ledger, &rec);
   message_batch io;
   // Arc (0 -> 1) three times, (2 -> 3) once: 2 distinct arcs, max mult 3.
   io.push({0, 1, 0, 1, 0});
   io.push({0, 1, 0, 2, 0});
   io.push({0, 1, 0, 3, 0});
   io.push({2, 3, 0, 4, 0});
-  const auto rounds = net.exchange(io, "x");
+  const auto rounds = clique.exchange(io, "x");
   ASSERT_EQ(rec.events().size(), 1u);
   const trace_event& e = rec.events()[0];
-  EXPECT_EQ(e.kind, trace_event_kind::exchange);
+  EXPECT_EQ(e.kind, trace_event_kind::clique_exchange);
   EXPECT_EQ(e.batch, 4);
   EXPECT_EQ(e.arcs_touched, 2);
   EXPECT_EQ(e.arc_max, 3);
-  EXPECT_EQ(e.arc_max, rounds);  // one-hop cost rule
+  EXPECT_EQ(e.arc_max, rounds);  // exchange cost rule
   EXPECT_EQ(e.arc_sum, e.batch);
   EXPECT_EQ(e.dsts_touched, 2);
   EXPECT_EQ(e.dst_max, 3);

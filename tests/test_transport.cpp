@@ -1,17 +1,14 @@
-// The message layer's contracts (DESIGN.md §8): the arc-counter round
-// accounting of network::exchange matches the sort-based one_hop_rounds
-// spec on random multibatches, both exchange kinds charge and trace the
-// brute-force pair counts of a batch (adversarial ties included), a route
-// reads its batch without moving it, the graph's arc index inverts
-// correctly, and the end-to-end listing ledger stays bit-identical across
-// sim_threads.
+// The message layer's contracts (DESIGN.md §8): graph::arc_id names the
+// flat CSR position of both directions of every edge, the congested-clique
+// exchange charges and traces the brute-force pair counts of a batch
+// (adversarial ties included), a route reads its batch without moving it,
+// a rejected route leaves no stale counters, and the end-to-end listing
+// ledger stays bit-identical across sim_threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,7 +26,7 @@
 namespace dcl {
 namespace {
 
-// ------------------------------------------------------------- arc index
+// --------------------------------------------------------------- arc ids
 
 TEST(ArcIndex, MatchesFlatAdjacencyPositions) {
   const auto g = gen::gnp(60, 0.2, 3);
@@ -44,12 +41,16 @@ TEST(ArcIndex, MatchesFlatAdjacencyPositions) {
 }
 
 TEST(ArcIndex, ReverseArcInverts) {
+  // The reverse of arc (u -> v) is arc (v -> u): it lies in v's row and
+  // points at u, which is how the router caches a tree edge's down arc.
   const auto g = gen::planted_partition(3, 15, 0.5, 0.05, 5);
+  const csr_view csr = g.view();
   for (vertex u = 0; u < g.num_vertices(); ++u)
     for (vertex v : g.neighbors(u)) {
-      const auto a = g.arc_id(u, v);
-      EXPECT_EQ(g.reverse_arc(a), g.arc_id(v, u));
-      EXPECT_EQ(g.reverse_arc(g.reverse_arc(a)), a);
+      const auto rev = g.arc_id(v, u);
+      ASSERT_GE(rev, csr.offsets[size_t(v)]);
+      ASSERT_LT(rev, csr.offsets[size_t(v) + 1]);
+      EXPECT_EQ(csr.adj[size_t(rev)], u);
     }
 }
 
@@ -65,103 +66,7 @@ TEST(ArcIndex, RejectsNonEdgesAndOutOfRange) {
   EXPECT_EQ(empty.arc_id(0, 0), -1);
 }
 
-TEST(ArcIndex, CachedLookupViewAgreesWithGraph) {
-  const auto g = gen::grid(2, 2);
-  const arc_lookup lookup = g.arc_index_lookup();
-  for (vertex u = 0; u < g.num_vertices(); ++u)
-    for (vertex v = 0; v < g.num_vertices(); ++v)
-      EXPECT_EQ(lookup.arc_id(u, v), g.arc_id(u, v)) << u << "," << v;
-  EXPECT_EQ(lookup.arc_id(-1, 0), -1);
-  EXPECT_EQ(lookup.arc_id(0, 99), -1);
-  EXPECT_EQ(arc_lookup{}.arc_id(0, 0), -1);  // unbound view misses
-}
-
-TEST(ArcIndex, LazyBuildIsIdempotentAndSharedAcrossCopies) {
-  const auto g = gen::gnp(40, 0.2, 7);
-  g.ensure_arc_index();
-  g.ensure_arc_index();  // idempotent
-  const graph copy = g;  // copies share the (built) index slot
-  const graph pre_built_copy = [] {
-    const auto h = gen::gnp(40, 0.2, 7);
-    return h;  // never forced: the copy builds lazily on first query
-  }();
-  for (vertex u = 0; u < g.num_vertices(); ++u)
-    for (vertex v : g.neighbors(u)) {
-      EXPECT_EQ(copy.arc_id(u, v), g.arc_id(u, v));
-      EXPECT_EQ(pre_built_copy.arc_id(u, v), g.arc_id(u, v));
-    }
-  graph empty;  // default-constructed: ensure is a no-op, queries miss
-  empty.ensure_arc_index();
-  EXPECT_EQ(empty.arc_id(0, 0), -1);
-}
-
-TEST(ArcIndex, ConcurrentFirstUseBuildsOnce) {
-  // The lazy build races its first readers by design; call_once must make
-  // that safe (this is the test TSan pins down in CI).
-  const auto g = gen::gnp(80, 0.15, 9);
-  std::vector<std::thread> threads;
-  std::array<std::int64_t, 4> sums{};
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&g, &sums, t] {
-      std::int64_t sum = 0;
-      for (vertex u = 0; u < g.num_vertices(); ++u)
-        for (vertex v : g.neighbors(u)) {
-          sum += g.arc_id(u, v);
-          sum += g.reverse_arc(g.arc_id(u, v));
-        }
-      sums[size_t(t)] = sum;
-    });
-  for (auto& th : threads) th.join();
-  for (int t = 1; t < 4; ++t) EXPECT_EQ(sums[size_t(t)], sums[0]);
-}
-
-// --------------------------------------- one_hop_rounds spec equivalence
-
-TEST(TransportRounds, ArcCountersMatchSortSpecOnRandomMultibatches) {
-  // The arc-counter fast path inside network::exchange must charge exactly
-  // what the kept sort-based one_hop_rounds spec computes, on many random
-  // batches (heavy multiplicity included) over several topologies.
-  prng rng(77);
-  const std::vector<graph> gs = {gen::hypercube(4), gen::grid(5, 6),
-                                 gen::gnp(40, 0.2, 9)};
-  for (const auto& g : gs) {
-    cost_ledger ledger;
-    network net(g, ledger);  // one network: counters must reset per batch
-    for (int trial = 0; trial < 30; ++trial) {
-      std::vector<message> batch;
-      const int m = int(rng.next_below(300));
-      for (int i = 0; i < m; ++i) {
-        const vertex u =
-            vertex(rng.next_below(std::uint64_t(g.num_vertices())));
-        const auto nb = g.neighbors(u);
-        if (nb.empty()) continue;
-        // Low fan-out choices create large per-arc multiplicities.
-        const vertex v = nb[size_t(rng.next_below(
-            std::min<std::uint64_t>(nb.size(), 2)))];
-        batch.push_back({u, v, 0, std::uint64_t(i % 3), 0});
-      }
-      message_batch io;
-      for (const auto& msg : batch) io.push(msg);
-      const auto charged = net.exchange(io, "x");
-      EXPECT_EQ(charged, one_hop_rounds(batch)) << "trial " << trial;
-    }
-  }
-}
-
-TEST(TransportRounds, CountersStayCleanAfterRejectedBatch) {
-  const auto g = gen::grid(2, 2);
-  cost_ledger ledger;
-  network net(g, ledger);
-  message_batch bad;
-  bad.emplace(0, 1);
-  bad.emplace(0, 1);
-  bad.emplace(0, 3);  // not an edge
-  EXPECT_THROW(net.exchange(bad, "x"), precondition_error);
-  // The same (0 -> 1) arc again: a stale counter would inflate rounds.
-  message_batch ok;
-  ok.emplace(0, 1);
-  EXPECT_EQ(net.exchange(ok, "x"), 1);
-}
+// ------------------------------------------------ rejected-batch reuse
 
 TEST(TransportRounds, RouterCountersStayCleanAfterRejectedBatch) {
   // Path 0-1-2: a valid 0->2 hop loads both arcs before the bad message
@@ -257,16 +162,14 @@ std::vector<message> random_batch(vertex n, prng& rng) {
 }
 
 TEST(ExchangeCharge, CliqueAndOneHopMatchBruteForcePairCounts) {
-  // Both exchange kinds charge rounds = max pair multiplicity and trace
-  // arcs_touched = distinct pairs, arc_max = max multiplicity, from their
-  // own counters: compare with direct counting on random and
-  // adversarial-tie batches, one network and one clique reused throughout
-  // so stale scratch would show.
+  // The clique exchange charges rounds = max pair multiplicity and traces
+  // arcs_touched = distinct pairs, arc_max = max multiplicity, from its
+  // count_pairs sort: compare with direct counting on random and
+  // adversarial-tie batches, one clique reused throughout so stale scratch
+  // would show.
   const vertex n = 12;
-  const auto g = gen::complete(n);  // every ordered pair is a one-hop arc
-  cost_ledger net_ledger, clique_ledger;
-  trace_recorder net_rec, clique_rec;
-  network net(g, net_ledger, nullptr, &net_rec);
+  cost_ledger clique_ledger;
+  trace_recorder clique_rec;
   congested_clique clique(n, clique_ledger, &clique_rec);
   std::vector<std::vector<message>> batches = adversarial_batches(n);
   prng rng(2024);
@@ -277,22 +180,21 @@ TEST(ExchangeCharge, CliqueAndOneHopMatchBruteForcePairCounts) {
     const auto [max, distinct] = brute_pairs(batch);
     message_batch io;
     for (const auto& m : batch) io.push(m);
-    EXPECT_EQ(net.exchange(io, "x"), max) << "batch " << i;
+    const auto rounds_before = clique_ledger.rounds();
+    const auto messages_before = clique_ledger.messages();
     EXPECT_EQ(clique.exchange(io, "x"), max) << "batch " << i;
-    for (const auto* rec : {&net_rec, &clique_rec}) {
-      ASSERT_EQ(rec->events().size(), i + 1);
-      const trace_event& e = rec->events().back();
-      EXPECT_EQ(e.rounds, max) << "batch " << i;
-      EXPECT_EQ(e.arcs_touched, distinct) << "batch " << i;
-      EXPECT_EQ(e.arc_max, max) << "batch " << i;
-      EXPECT_EQ(e.arc_sum, std::int64_t(batch.size())) << "batch " << i;
-    }
-    EXPECT_EQ(net_rec.events().back().kind, trace_event_kind::exchange);
-    EXPECT_EQ(clique_rec.events().back().kind,
-              trace_event_kind::clique_exchange);
+    EXPECT_EQ(clique_ledger.rounds() - rounds_before, max) << "batch " << i;
+    EXPECT_EQ(clique_ledger.messages() - messages_before,
+              std::int64_t(batch.size()))
+        << "batch " << i;
+    ASSERT_EQ(clique_rec.events().size(), i + 1);
+    const trace_event& e = clique_rec.events().back();
+    EXPECT_EQ(e.kind, trace_event_kind::clique_exchange);
+    EXPECT_EQ(e.rounds, max) << "batch " << i;
+    EXPECT_EQ(e.arcs_touched, distinct) << "batch " << i;
+    EXPECT_EQ(e.arc_max, max) << "batch " << i;
+    EXPECT_EQ(e.arc_sum, std::int64_t(batch.size())) << "batch " << i;
   }
-  EXPECT_EQ(net_ledger.rounds(), clique_ledger.rounds());
-  EXPECT_EQ(net_ledger.messages(), clique_ledger.messages());
 }
 
 // -------------------------------------------------- shared-buffer reuse
