@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
